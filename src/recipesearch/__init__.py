@@ -27,7 +27,6 @@ from .operators import (
     apply_random_k,
     apply_semdedup,
     apply_top_fraction,
-    apply_top_k,
     default_catalog,
     score_mona,
 )

@@ -1,9 +1,12 @@
 """Command-line surface: ingestion checks, execution, search runs, reports.
 
-Subcommands: ingest-check, exec, run, baseline, report, compare. Runs write
-an append-only JSONL ledger (header line first, then eval and event lines in
-step order) plus the best-recipe JSON and the selected-subset manifest.
-Reports are pure functions of ledger bytes and come out as CSV files.
+Subcommands: ingest-check, exec, run, baseline, report. Runs and baselines
+write an append-only JSONL ledger (header line first, then eval and event
+lines in step order, then a result or abort line); a run also writes the
+best-recipe JSON and the selected-subset manifest. Baseline suites are
+recipe sources evaluated by the search's own runtime, so their eval events
+match a run's. Reports are pure functions of ledger bytes and come out as
+CSV files.
 """
 
 from __future__ import annotations
@@ -17,16 +20,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .controller import (
     ControllerError,
-    EvalRecord,
-    History,
     SearchConfig,
     WARMUP_COUNT,
+    _Runtime,
     role_rng,
     run_search,
+    state_correlations,
+    tertile_counts,
 )
 from .operators import (
     AO_TOPFRAC,
@@ -43,7 +46,6 @@ from .operators import (
 )
 from .oracle import (
     CommandOracle,
-    EvalCache,
     EvalRequest,
     OracleError,
     SyntheticOracle,
@@ -56,13 +58,12 @@ from .recipe import (
     Recipe,
     RecipeValidationError,
     describe_recipe,
-    encode_recipe,
     execute_recipe,
     parse_recipe,
     recipe_to_obj,
     sample_random_recipe,
 )
-from .state import compute_state
+from .state import StateError, compute_state, flat_field_names, state_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +158,8 @@ def _load_data(args):
     return pool, signals
 
 
-def _build_oracle(args, pool, out_dir: Path):
+def _build_oracle(args, pool, signals, out_dir: Path):
+    """The run's oracle, or None after reporting a rejected synthetic spec."""
     if args.oracle == "command":
         if not args.oracle_cmd:
             raise SystemExit("--oracle command requires --oracle-cmd")
@@ -165,12 +167,16 @@ def _build_oracle(args, pool, out_dir: Path):
         if args.oracle_timeout:
             kwargs["timeout"] = args.oracle_timeout
         return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"), pool, **kwargs)
-    if args.oracle_spec:
+    if not args.oracle_spec:
+        return SyntheticOracle(SyntheticOracleSpec(family="constant", value=0.0))
+    try:
         with open(args.oracle_spec, encoding="utf-8") as fh:
-            spec = SyntheticOracleSpec.from_dict(json.load(fh))
-    else:
-        spec = SyntheticOracleSpec(family="constant", value=0.0)
-    return SyntheticOracle(spec)
+            doc = json.load(fh)
+        names = flat_field_names(signals.benchmarks)
+        return SyntheticOracle(SyntheticOracleSpec.from_dict(doc, names))
+    except (OSError, ValueError) as exc:
+        print(f"oracle spec rejected: {exc}", file=sys.stderr)
+        return None
 
 
 def _assistant_commands(args) -> dict[str, list[str]]:
@@ -288,6 +294,34 @@ def _write_run_outputs(out_dir: Path, result, pool) -> None:
     write_manifest(str(out_dir / "best_subset.jsonl"), pool, request)
 
 
+# Run failures that end a command with one line on stderr and exit code 1.
+RUN_ERRORS = (OracleError, ControllerError, ExecutionError, StateError)
+
+
+def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
+    """Write the ledger header, run ``body(ledger)``, and close the ledger.
+
+    On any exception the ledger ends with an ``abort`` line. A run failure
+    prints one line and returns 1; anything else re-raises.
+    """
+    ledger = RunLedger(str(out_dir / "ledger.jsonl"))
+    ledger.write(header)
+    try:
+        body(ledger)
+    except BaseException as exc:
+        expected = isinstance(exc, RUN_ERRORS)
+        error = str(exc) if expected else f"{type(exc).__name__}: {exc}"
+        ledger.write({"type": "abort", "error": error})
+        if not expected:
+            raise
+        print(f"{label} aborted: {exc} (partial ledger kept at {ledger.path})",
+              file=sys.stderr)
+        return 1
+    finally:
+        ledger.close()
+    return 0
+
+
 def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -313,94 +347,58 @@ def cmd_run(args) -> int:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
     catalog = default_catalog(len(pool))
-    oracle = _build_oracle(args, pool, out_dir)
-    ledger = RunLedger(str(out_dir / "ledger.jsonl"))
+    oracle = _build_oracle(args, pool, signals, out_dir)
+    if oracle is None:
+        return 2
     (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
-    ledger.write({
+    header = {
         "type": "header",
         "run_id": config.resolved_run_id(),
         "mode": "search",
         "config": config.to_dict(),
         "catalog_digest": catalog.digest(),
         "pool_digest": pool.content_digest(),
-    })
-    try:
+    }
+
+    def body(ledger: RunLedger) -> None:
         result = run_search(config, pool, signals, oracle, catalog=catalog,
                             sink=ledger.write)
-    except (OracleError, ControllerError) as exc:
-        ledger.write({"type": "abort", "error": str(exc)})
-        ledger.close()
-        print(f"run aborted: {exc} (partial ledger kept at {ledger.path})", file=sys.stderr)
-        return 1
-    ledger.write({
-        "type": "result",
-        "incumbent_step": result.incumbent_step,
-        "score": result.incumbent_score,
-        "recipe": recipe_to_obj(result.incumbent_recipe),
-        "subset_size": len(result.incumbent_ids),
-    })
-    ledger.close()
-    _write_run_outputs(out_dir, result, pool)
-    print(f"incumbent score {result.incumbent_score:.6f} at step {result.incumbent_step}")
-    print(f"incumbent recipe: {describe_recipe(result.incumbent_recipe)}")
-    print(f"artifacts in {out_dir}")
-    return 0
+        ledger.write({
+            "type": "result",
+            "incumbent_step": result.incumbent_step,
+            "score": result.incumbent_score,
+            "recipe": recipe_to_obj(result.incumbent_recipe),
+            "subset_size": len(result.incumbent_ids),
+        })
+        _write_run_outputs(out_dir, result, pool)
+        print(f"incumbent score {result.incumbent_score:.6f} at step {result.incumbent_step}")
+        print(f"incumbent recipe: {describe_recipe(result.incumbent_recipe)}")
+        print(f"artifacts in {out_dir}")
+
+    return _ledger_run(out_dir, header, body, "run")
 
 
-def _baseline_records(args, pool, signals, catalog, oracle, ledger) -> int:
-    """Shared evaluation loop for the baseline suites; returns record count."""
-    history = History(pool)
-    cache = EvalCache()
-    run_id = args.run_id or f"baseline-{args.suite}-seed{args.master_seed}"
+def _suite_recipes(args, rt: _Runtime):
+    """The baseline suite's recipes in evaluation order.
 
-    def evaluate(step: int, recipe: Recipe, subset) -> None:
-        state = compute_state(subset, pool, signals)
-        subset_hash = subset.content_hash()
-        outcome = cache.lookup(subset_hash)
-        if outcome is None:
-            request = EvalRequest(run_id=run_id, step=step, recipe=recipe, subset=subset)
-            outcome = oracle.evaluate(request, state)
-            cache.store(subset_hash, outcome)
-        record = EvalRecord(
-            step=step,
-            recipe=recipe,
-            encoding=encode_recipe(recipe, catalog),
-            state=state,
-            score=float(outcome.score),
-            per_benchmark=outcome.per_benchmark,
-            subset_size=len(subset),
-            subset_hash=subset_hash,
-            seed_phase=1,
-            is_warmup=False,
-            cache_hit=outcome.cache_hit,
-            duration_s=outcome.duration_s,
-        )
-        history.append(record, subset)
-        ledger.write(record.to_event())
-
+    random_recipe keeps drawing until ``budget`` evaluations are recorded, so
+    a draw that does not execute is replaced; random_topk yields ``budget``
+    recipes and single_op one per selector.
+    """
     rng = role_rng(args.master_seed, 0, "baseline")
-    step = 0
     if args.suite == "random_recipe":
-        while step < args.budget:
-            recipe = sample_random_recipe(catalog, rng, args.l_max, allow_mix=False)
-            try:
-                subset = execute_recipe(recipe, pool, signals)
-            except ExecutionError:
-                continue
-            step += 1
-            evaluate(step, recipe, subset)
+        while len(rt.history) < args.budget:
+            yield sample_random_recipe(rt.catalog, rng, args.l_max, allow_mix=False)
     elif args.suite == "random_topk":
-        k = args.size or max(1, len(pool) // 2)
-        for step in range(1, args.budget + 1):
+        k = args.size or max(1, len(rt.pool) // 2)
+        for _ in range(args.budget):
             seed = int(rng.integers(0, 2**31 - 1))
-            recipe = Recipe((OperatorSpec(RANDOM_K, {"k": int(k), "seed": seed}),))
-            subset = execute_recipe(recipe, pool, signals)
-            evaluate(step, recipe, subset)
-    elif args.suite == "single_op":
+            yield Recipe((OperatorSpec(RANDOM_K, {"k": int(k), "seed": seed}),))
+    else:
         for selector in SINGLE_OP_SELECTORS:
             if selector == SEMDEDUP:
                 params = {
-                    "n_clusters": max(1, min(len(pool) // 64, 32)) if args.clusters is None
+                    "n_clusters": max(1, min(len(rt.pool) // 64, 32)) if args.clusters is None
                     else args.clusters,
                     "tau": args.tau if args.tau is not None else SINGLE_OP_SEMDEDUP_TAU,
                     "seed": args.master_seed,
@@ -409,16 +407,7 @@ def _baseline_records(args, pool, signals, catalog, oracle, ledger) -> int:
                 params = {"fraction": args.mona_fraction or SINGLE_OP_MONA_FRACTION}
             else:
                 params = {"fraction": args.fraction or SINGLE_OP_DEFAULT_FRACTION}
-            recipe = Recipe((OperatorSpec(selector, params),))
-            subset = execute_recipe(recipe, pool, signals)
-            step += 1
-            evaluate(step, recipe, subset)
-    else:
-        raise SystemExit(f"unknown baseline suite {args.suite!r}")
-    best = history.incumbent()
-    print(f"{args.suite}: {step} evaluations, best score {best.score:.6f} "
-          f"at step {best.step}")
-    return step
+            yield Recipe((OperatorSpec(selector, params),))
 
 
 def cmd_baseline(args) -> int:
@@ -430,11 +419,13 @@ def cmd_baseline(args) -> int:
         print(f"ingestion failed: {exc}", file=sys.stderr)
         return 1
     catalog = default_catalog(len(pool))
-    oracle = _build_oracle(args, pool, out_dir)
-    ledger = RunLedger(str(out_dir / "ledger.jsonl"))
-    ledger.write({
+    oracle = _build_oracle(args, pool, signals, out_dir)
+    if oracle is None:
+        return 2
+    run_id = args.run_id or f"baseline-{args.suite}-seed{args.master_seed}"
+    header = {
         "type": "header",
-        "run_id": args.run_id or f"baseline-{args.suite}-seed{args.master_seed}",
+        "run_id": run_id,
         "mode": f"baseline:{args.suite}",
         "config": {
             "suite": args.suite, "budget": args.budget,
@@ -442,16 +433,28 @@ def cmd_baseline(args) -> int:
         },
         "catalog_digest": catalog.digest(),
         "pool_digest": pool.content_digest(),
-    })
-    try:
-        _baseline_records(args, pool, signals, catalog, oracle, ledger)
-    except (OracleError, ExecutionError) as exc:
-        ledger.write({"type": "abort", "error": str(exc)})
-        ledger.close()
-        print(f"baseline aborted: {exc}", file=sys.stderr)
-        return 1
-    ledger.close()
-    return 0
+    }
+    config = SearchConfig(
+        budget=args.budget, l_max=args.l_max, master_seed=args.master_seed, run_id=run_id,
+    )
+
+    def body(ledger: RunLedger) -> None:
+        # One evaluation per step; a random_recipe draw that does not execute
+        # is skipped, any other suite's recipe that aborts ends the run.
+        rt = _Runtime(config, pool, signals, oracle, catalog, ledger.write)
+        for recipe in _suite_recipes(args, rt):
+            if args.suite == "random_recipe":
+                cand = rt.try_materialize(recipe)
+                if cand is None:
+                    continue
+            else:
+                cand = rt.materialize(recipe)
+            rt.evaluate(len(rt.history) + 1, cand, is_warmup=False)
+        best = rt.history.incumbent()
+        print(f"{args.suite}: {len(rt.history)} evaluations, best score {best.score:.6f} "
+              f"at step {best.step}")
+
+    return _ledger_run(out_dir, header, body, "baseline")
 
 
 # ---------------------------------------------------------------------------
@@ -484,49 +487,6 @@ def gap_area(scores: list[float], start: int, end: int) -> float:
     for step in range(start, min(end, len(scores)) + 1):
         total += max(0.0, best[step - 1] - scores[step - 1])
     return total
-
-
-def _tertile_pair_counts(rows: list[dict]) -> list[tuple[str, int, int, int]]:
-    """Adjacent-operator pair counts split by score tertile (top vs bottom)."""
-    if not rows:
-        return []
-    ordered = sorted(rows, key=lambda r: (-r["score"], r["step"]))
-    cut = max(1, len(rows) // 3)
-    counts: dict[str, list[int]] = {}
-    for group, slot in ((ordered[:cut], 0), (ordered[-cut:], 1)):
-        for row in group:
-            ops = [s["operator"] for s in row["recipe"]["steps"]]
-            for a, b in set(zip(ops[:-1], ops[1:])):
-                counts.setdefault(f"{a}->{b}", [0, 0])[slot] += 1
-    out = [(pair, c[0], c[1], c[0] - c[1]) for pair, c in counts.items()]
-    out.sort(key=lambda r: (-r[3], r[0]))
-    return out
-
-
-def _state_correlations(rows: list[dict]) -> list[tuple[str, float]]:
-    if len(rows) < 3:
-        return []
-    scores = np.array([r["score"] for r in rows])
-    if scores.std() == 0:
-        return []
-    fields: dict[str, list[float]] = {}
-    for row in rows:
-        state = row["state"]
-        flat = {k: v for k, v in state.items() if k != "score_per_task"}
-        for name, value in state.get("score_per_task", {}).items():
-            flat[f"score_per_task.{name}"] = value
-        for k, v in flat.items():
-            fields.setdefault(k, []).append(float(v))
-    out = []
-    for name in sorted(fields):
-        values = np.array(fields[name])
-        if values.max() == values.min():
-            continue
-        rho = stats.spearmanr(values, scores).statistic
-        if np.isfinite(rho):
-            out.append((name, float(rho)))
-    out.sort(key=lambda c: (-abs(c[1]), c[0]))
-    return out
 
 
 def _ledger_summary(path: str, events: list[dict]) -> dict:
@@ -580,50 +540,40 @@ def cmd_report(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["ledger", "pair", "top_count", "bottom_count", "delta"])
         for path, rows in all_rows.items():
-            for pair, top, bottom, delta in _tertile_pair_counts(rows):
-                writer.writerow([path, pair, top, bottom, delta])
+            _, pairs = tertile_counts([
+                (r["score"], r["step"], [s["operator"] for s in r["recipe"]["steps"]])
+                for r in rows
+            ])
+            table = sorted(
+                ((f"{a}->{b}", top, bottom, top - bottom)
+                 for (a, b), (top, bottom) in pairs.items()),
+                key=lambda t: (-t[3], t[0]),
+            )
+            for row in table:
+                writer.writerow([path, *row])
 
     with open(out_dir / "state_correlations.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ledger", "field", "spearman"])
         for path, rows in all_rows.items():
-            for name, rho in _state_correlations(rows):
+            fields = [state_from_dict(r["state"]).flat_fields() for r in rows]
+            for name, rho in state_correlations(fields, [r["score"] for r in rows]):
                 writer.writerow([path, name, rho])
 
-    _write_comparison(out_dir / "comparison.csv", summaries)
+    with open(out_dir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# {GAP_AREA_NOTE}\n")
+        writer = csv.writer(fh)
+        columns = [
+            "ledger", "records", "best", "mean", "best_post_warmup",
+            "gap_area_post_warmup", "reseeds", "assistant_failures",
+        ]
+        writer.writerow(columns)
+        for summary in summaries:
+            writer.writerow([summary[c] for c in columns])
+
     if skipped_total:
         print(f"warning: skipped {skipped_total} corrupt ledger line(s)", file=sys.stderr)
     print(f"reports in {out_dir}")
-    return 0
-
-
-def _write_comparison(path: Path, summaries: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {GAP_AREA_NOTE}\n")
-        writer = csv.writer(fh)
-        writer.writerow([
-            "ledger", "records", "best", "mean", "best_post_warmup",
-            "gap_area_post_warmup", "reseeds", "assistant_failures",
-        ])
-        for s in summaries:
-            writer.writerow([
-                s["ledger"], s["records"], s["best"], s["mean"],
-                s["best_post_warmup"], s["gap_area_post_warmup"],
-                s["reseeds"], s["assistant_failures"],
-            ])
-
-
-def cmd_compare(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    for path in args.ledgers:
-        events, _ = read_ledger(path)
-        summaries.append(_ledger_summary(path, events))
-    _write_comparison(out_dir / "comparison.csv", summaries)
-    for s in summaries:
-        print(f"{s['ledger']}: records={s['records']} best={s['best']:.6f} "
-              f"mean={s['mean']:.6f} reseeds={s['reseeds']}")
     return 0
 
 
@@ -694,11 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ledgers", nargs="+")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("compare", help="comparison table across ledgers")
-    p.add_argument("ledgers", nargs="+")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

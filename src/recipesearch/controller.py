@@ -290,19 +290,9 @@ def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
             f"(present in {n_in} vs absent in {n_out} evaluations)"
         )
 
-    if len(history) >= 3 and scores.std() > 0:
-        corrs: list[tuple[str, float]] = []
-        field_names = sorted(history[0].state.flat_fields())
-        for fname in field_names:
-            values = np.array([r.state.flat_fields()[fname] for r in history])
-            if values.max() == values.min():
-                continue
-            rho = stats.spearmanr(values, scores).statistic
-            if np.isfinite(rho):
-                corrs.append((fname, float(rho)))
-        corrs.sort(key=lambda c: (-abs(c[1]), c[0]))
-        for fname, rho in corrs[:2]:
-            findings.append(f"state field {fname} has Spearman {rho:+.3f} with score")
+    corrs = state_correlations([r.state.flat_fields() for r in history], scores)
+    for fname, rho in corrs[:2]:
+        findings.append(f"state field {fname} has Spearman {rho:+.3f} with score")
 
     bounds = (0.0,) + WARMUP_BIN_BOUNDS + (1.0,)
     best_band = None
@@ -342,31 +332,61 @@ def fallback_rank(
     return [i for _, _, i in keyed]
 
 
-def _adjacent_pairs(recipe: Recipe) -> list[tuple[str, str]]:
-    ops = recipe.operators()
-    return list(zip(ops[:-1], ops[1:]))
+def state_correlations(
+    fields: list[dict[str, float]], scores,
+) -> list[tuple[str, float]]:
+    """Spearman rho of each varying flat state field with score, strongest first.
+
+    ``fields`` holds one ``StateVector.flat_fields()`` mapping per evaluation.
+    Needs three evaluations and non-constant scores; fields that never vary
+    or give a non-finite rho are left out. Ties in |rho| go to the field name.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(scores) < 3 or scores.std() == 0:
+        return []
+    out: list[tuple[str, float]] = []
+    for name in sorted(fields[0]):
+        values = np.array([f[name] for f in fields], dtype=np.float64)
+        if values.max() == values.min():
+            continue
+        rho = stats.spearmanr(values, scores).statistic
+        if np.isfinite(rho):
+            out.append((name, float(rho)))
+    out.sort(key=lambda c: (-abs(c[1]), c[0]))
+    return out
 
 
-def _tertiles(history: list[EvalRecord]) -> tuple[list[EvalRecord], list[EvalRecord]]:
-    ordered = sorted(history, key=lambda r: (-r.score, r.step))
-    cut = max(1, len(history) // 3)
-    return ordered[:cut], ordered[-cut:]
+def tertile_counts(
+    evals: list[tuple[float, int, list[str]]],
+) -> tuple[dict[str, list[int]], dict[tuple[str, str], list[int]]]:
+    """[top, bottom] score-tertile presence counts per operator and adjacent pair.
+
+    ``evals`` holds (score, step, operator sequence) per evaluation. Equal
+    scores rank the earlier step higher. A recipe counts once per operator
+    and pair it contains, however often they repeat.
+    """
+    ordered = sorted(evals, key=lambda e: (-e[0], e[1]))
+    cut = max(1, len(ordered) // 3)
+    ops: dict[str, list[int]] = {}
+    pairs: dict[tuple[str, str], list[int]] = {}
+    for group, slot in ((ordered[:cut], 0), (ordered[-cut:], 1)):
+        for _, _, seq in group:
+            for op in set(seq):
+                ops.setdefault(op, [0, 0])[slot] += 1
+            for pair in set(zip(seq[:-1], seq[1:])):
+                pairs.setdefault(pair, [0, 0])[slot] += 1
+    return ops, pairs
 
 
 def motif_signals(
     history: list[EvalRecord],
 ) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
     """Top-minus-bottom tertile presence counts for operators and adjacent pairs."""
-    top, bottom = _tertiles(history)
-    op_signal: dict[str, int] = {}
-    pair_signal: dict[tuple[str, str], int] = {}
-    for group, sign in ((top, 1), (bottom, -1)):
-        for rec in group:
-            for op in set(rec.recipe.operators()):
-                op_signal[op] = op_signal.get(op, 0) + sign
-            for pair in set(_adjacent_pairs(rec.recipe)):
-                pair_signal[pair] = pair_signal.get(pair, 0) + sign
-    return op_signal, pair_signal
+    ops, pairs = tertile_counts([(r.score, r.step, r.recipe.operators()) for r in history])
+    return (
+        {op: top - bottom for op, (top, bottom) in ops.items()},
+        {pair: top - bottom for pair, (top, bottom) in pairs.items()},
+    )
 
 
 def _best_params_for(history: list[EvalRecord], op: str) -> dict | None:
@@ -664,20 +684,26 @@ class _Runtime:
     def emit(self, event: dict) -> None:
         self.sink(event)
 
-    def materialize(self, recipe: Recipe) -> Candidate | None:
-        """Execute + summarize a candidate; None when it aborts. Never the oracle."""
-        try:
-            subset = execute_recipe(recipe, self.pool, self.signals, self.history)
-            state = compute_state(subset, self.pool, self.signals)
-        except (ExecutionError, StateError) as exc:
-            logger.debug("candidate aborted: %s (%s)", describe_recipe(recipe), exc)
-            return None
+    def materialize(self, recipe: Recipe) -> Candidate:
+        """Execute + summarize a candidate, never the oracle.
+
+        Raises ExecutionError or StateError when the candidate aborts.
+        """
+        subset = execute_recipe(recipe, self.pool, self.signals, self.history)
         return Candidate(
             recipe=recipe,
             subset=subset,
-            state=state,
+            state=compute_state(subset, self.pool, self.signals),
             encoding=encode_recipe(recipe, self.catalog),
         )
+
+    def try_materialize(self, recipe: Recipe) -> Candidate | None:
+        """``materialize``, or None when the candidate aborts."""
+        try:
+            return self.materialize(recipe)
+        except (ExecutionError, StateError) as exc:
+            logger.debug("candidate aborted: %s (%s)", describe_recipe(recipe), exc)
+            return None
 
     def evaluate(self, step: int, cand: Candidate, is_warmup: bool) -> tuple[EvalRecord, bool]:
         """One budget unit: cache-aware oracle evaluation plus ledger append."""
@@ -740,7 +766,7 @@ def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
         nearest: tuple[float, Candidate] | None = None
         for _ in range(WARMUP_RESAMPLE_CAP):
             recipe = sample_random_recipe(rt.catalog, rng, config.l_max, allow_mix=False)
-            cand = rt.materialize(recipe)
+            cand = rt.try_materialize(recipe)
             if cand is None:
                 continue
             ratio = cand.retain_ratio
@@ -814,7 +840,7 @@ def _fallback_propose(
             break
         for recipe in recipes:
             attempts += 1
-            cand = rt.materialize(recipe)
+            cand = rt.try_materialize(recipe)
             if cand is not None:
                 valid.append(cand)
             if len(valid) >= m or attempts >= cap:
@@ -823,7 +849,7 @@ def _fallback_propose(
     if not valid:
         rescue = role_rng(config.master_seed, step, "rescue")
         for _ in range(cap):
-            cand = rt.materialize(
+            cand = rt.try_materialize(
                 sample_random_recipe(rt.catalog, rescue, config.l_max, allow_mix=False)
             )
             if cand is not None:
@@ -934,7 +960,7 @@ def run_search(
             ctx = _external_contexts(rt, step, anchor, guidance, None)
             proposed = port.propose(ctx, step)
             if proposed:
-                materialized = [rt.materialize(r) for r in proposed]
+                materialized = [rt.try_materialize(r) for r in proposed]
                 candidates = [c for c in materialized if c is not None]
                 candidates = candidates[: config.candidates_per_step] or None
         if not candidates:

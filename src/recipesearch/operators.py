@@ -33,6 +33,7 @@ class Subset:
 
     positions: np.ndarray  # int64, strictly increasing
     pool: CanonicalPool
+    _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.int64)
@@ -55,12 +56,18 @@ class Subset:
         return [self.pool.samples[p].id for p in self.positions]
 
     def content_hash(self) -> str:
-        """Digest of the sorted id list; distinct id sets cannot collide."""
-        h = hashlib.sha256()
-        for sid in sorted(self.ids()):
-            h.update(sid.encode())
-            h.update(b"\x00")
-        return h.hexdigest()
+        """Digest of the sorted id list; distinct id sets cannot collide.
+
+        Computed on the first call only: the positions are read-only and the
+        pool is fixed, so the digest cannot go stale.
+        """
+        if self._digest is None:
+            h = hashlib.sha256()
+            for sid in sorted(self.ids()):
+                h.update(sid.encode())
+                h.update(b"\x00")
+            self._digest = h.hexdigest()
+        return self._digest
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +261,28 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
                 continue
             if not (0.0 < v <= 1.0) or not math.isfinite(v):
                 problems.append(f"{spec.operator}: {key} out of (0,1]")
-        elif ps.kind == "int":
-            if isinstance(value, bool) or (
-                not isinstance(value, int) and not float(value).is_integer()
-            ):
+        elif ps.kind in ("int", "seed"):
+            if not _is_integral(value):
                 problems.append(f"{spec.operator}: {key} must be an integer")
-                continue
-            if int(value) < int(ps.minimum):
-                problems.append(f"{spec.operator}: {key} must be >= {int(ps.minimum)}")
-        elif ps.kind == "seed":
-            if isinstance(value, bool) or (
-                not isinstance(value, int) and not float(value).is_integer()
-            ):
-                problems.append(f"{spec.operator}: {key} must be an integer")
-            elif int(value) < 0:
+            elif ps.kind == "seed" and int(value) < 0:
                 problems.append(f"{spec.operator}: {key} must be nonnegative")
+            elif ps.kind == "int" and int(value) < int(ps.minimum):
+                problems.append(f"{spec.operator}: {key} must be >= {int(ps.minimum)}")
         elif ps.kind == "source":
             if not _valid_source(str(value)):
                 problems.append(
                     f"{spec.operator}: source must be 'incumbent' or 'eval:<t>', got {value!r}"
                 )
     return problems
+
+
+def _is_integral(value) -> bool:
+    """An integer, or a float with an integral value; never a bool or a string."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    return isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
 
 
 def _valid_source(source: str) -> bool:
@@ -290,34 +298,19 @@ def _valid_source(source: str) -> bool:
 # Scalar-signal selectors
 # ---------------------------------------------------------------------------
 
-def _top_positions(subset: Subset, scores: np.ndarray, keep: int) -> Subset:
-    """Highest-scoring ``keep`` positions, ties to the earlier pool position.
+def apply_top_fraction(subset: Subset, scores: np.ndarray, alpha: float) -> Subset:
+    """Retain the ceil(alpha * |subset|) highest-scoring samples.
 
     ``positions`` is already in pool order, so a stable sort on -score keeps
     earlier positions first among equals.
     """
-    order = np.argsort(-scores, kind="stable")
-    return Subset(np.sort(subset.positions[order[:keep]]), subset.pool)
-
-
-def apply_top_fraction(subset: Subset, scores: np.ndarray, alpha: float) -> Subset:
-    """Retain the ceil(alpha * |subset|) highest-scoring samples."""
     if len(subset) == 0:
         raise OperatorError("empty input subset")
     if not (0.0 < alpha <= 1.0):
         raise OperatorError(f"fraction out of (0,1]: {alpha}")
     keep = math.ceil(alpha * len(subset))
-    return _top_positions(subset, np.asarray(scores, dtype=np.float64), keep)
-
-
-def apply_top_k(subset: Subset, scores: np.ndarray, k: int) -> Subset:
-    """Retain the min(k, |subset|) highest-scoring samples."""
-    if len(subset) == 0:
-        raise OperatorError("empty input subset")
-    if k < 1:
-        raise OperatorError(f"k must be >= 1, got {k}")
-    keep = min(int(k), len(subset))
-    return _top_positions(subset, np.asarray(scores, dtype=np.float64), keep)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return Subset(np.sort(subset.positions[order[:keep]]), subset.pool)
 
 
 # ---------------------------------------------------------------------------

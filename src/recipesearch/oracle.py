@@ -174,7 +174,34 @@ class SyntheticOracleSpec:
             raise ValueError(f"unknown synthetic oracle family {self.family!r}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SyntheticOracleSpec":
+    def from_dict(cls, doc, field_names=None) -> "SyntheticOracleSpec":
+        """Build a spec from parsed JSON; a ValueError names every problem.
+
+        Every number must be a JSON number. With ``field_names`` (the flat
+        state fields of the pool), weights, targets and coefficients may
+        address only those fields.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("oracle spec must be a JSON object")
+        numbers = {k: doc[k] for k in ("value", "offset", "intercept", "noise_std") if k in doc}
+        problems = []
+        for table in ("weights", "targets", "coefficients"):
+            if not isinstance(doc.get(table, {}), dict):
+                problems.append(f"{table} must be an object of state field -> number")
+                continue
+            for name, value in doc.get(table, {}).items():
+                numbers[f"{table}.{name}"] = value
+                if field_names is not None and name not in field_names:
+                    problems.append(f"{table}: unknown state field {name!r}")
+        problems += [
+            f"{key} must be a number, got {value!r}" for key, value in numbers.items()
+            if isinstance(value, bool) or not isinstance(value, (int, float))
+        ]
+        seed = doc.get("noise_seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            problems.append(f"noise_seed must be a nonnegative integer, got {seed!r}")
+        if problems:
+            raise ValueError("; ".join(problems))
         return cls(
             family=doc.get("family", "constant"),
             value=float(doc.get("value", 0.0)),
@@ -184,7 +211,7 @@ class SyntheticOracleSpec:
             coefficients={k: float(v) for k, v in doc.get("coefficients", {}).items()},
             intercept=float(doc.get("intercept", 0.0)),
             noise_std=float(doc.get("noise_std", 0.0)),
-            noise_seed=int(doc.get("noise_seed", 0)),
+            noise_seed=seed,
         )
 
 

@@ -48,9 +48,6 @@ class CanonicalPool:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def position(self, sample_id: str) -> int:
-        return self.index[sample_id]
-
     def content_digest(self) -> str:
         """Digest over canonical sample content, stable across loads."""
         h = hashlib.sha256()

@@ -10,7 +10,7 @@ load, because the pool is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,6 +67,12 @@ class StateVector:
         for name, value in self.score_per_task.items():
             out[f"score_per_task.{name}"] = value
         return out
+
+
+def flat_field_names(benchmarks) -> list[str]:
+    """The keys of ``StateVector.flat_fields()`` for a pool with these benchmarks."""
+    scalars = [f.name for f in fields(StateVector) if f.name != "score_per_task"]
+    return scalars + [f"score_per_task.{name}" for name in benchmarks]
 
 
 def state_from_dict(doc: dict) -> StateVector:

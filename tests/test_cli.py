@@ -9,7 +9,9 @@ import pytest
 from recipesearch.cli import main
 from recipesearch.operators import default_catalog
 from recipesearch.pool import load_pool, load_signals
+from recipesearch.oracle import SyntheticOracle
 from recipesearch.recipe import execute_recipe, parse_recipe
+from recipesearch.synthetic import write_synthetic_dataset
 
 from conftest import write_jsonl
 
@@ -26,6 +28,10 @@ CONSTANT_SPEC = {"family": "constant", "value": 10.0}
 PLANTED_SPEC = {
     "family": "planted_quadratic", "offset": 1.0,
     "weights": {"retain_ratio": 1.0}, "targets": {"retain_ratio": 0.5},
+}
+BAD_SPECS = {
+    "unknown_field": {"family": "planted_quadratic", "weights": {"retain": 1.0}},
+    "string_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": "x"}},
 }
 
 
@@ -135,6 +141,69 @@ class TestExec:
             )
         msg = str(err.value)
         assert "step 3 (semdedup)" in msg and "step 4 (random_k)" in msg
+
+
+    @pytest.mark.parametrize("k", ["5.0", "abc"])
+    def test_string_integer_param_rejected(self, synth_files, tmp_path, capsys, k):
+        recipe_path = tmp_path / "bad.json"
+        recipe_path.write_text(json.dumps({
+            "steps": [{"operator": "random_k", "params": {"k": k}}]
+        }))
+        code = main(
+            ["exec"] + data_args(synth_files)
+            + ["--recipe", str(recipe_path), "--out", str(tmp_path / "x.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "recipe rejected:" in err and "k must be an integer" in err
+
+
+def run_argv(command, synth_files, out_dir, *extra):
+    argv = [command] + data_args(synth_files) + ["--out-dir", str(out_dir), *extra]
+    if command == "baseline":
+        argv += ["--suite", "random_recipe"]
+    return argv
+
+
+class TestLedgerLifecycle:
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    @pytest.mark.parametrize("spec", sorted(BAD_SPECS))
+    def test_bad_oracle_spec_rejected_before_ledger(
+        self, synth_files, tmp_path, capsys, command, spec
+    ):
+        out_dir = tmp_path / "out"
+        argv = run_argv(command, synth_files, out_dir,
+                        "--oracle-spec", write_spec(tmp_path, BAD_SPECS[spec]))
+        assert main(argv) == 2
+        assert "oracle spec rejected:" in capsys.readouterr().err
+        assert not (out_dir / "ledger.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_unexpected_error_closes_ledger_then_raises(
+        self, synth_files, tmp_path, monkeypatch, command
+    ):
+        def broken(self, request, state):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SyntheticOracle, "evaluate", broken)
+        out_dir = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(run_argv(command, synth_files, out_dir, "--budget", "5"))
+        events = ledger_lines(out_dir / "ledger.jsonl")
+        assert events[0]["type"] == "header"
+        assert events[-1] == {"type": "abort", "error": "RuntimeError: boom"}
+
+    def test_run_and_baseline_eval_events_share_keys(self, synth_files, tmp_path):
+        spec = write_spec(tmp_path, PLANTED_SPEC)
+        keys = set()
+        for command in ("run", "baseline"):
+            out_dir = tmp_path / command
+            assert main(run_argv(command, synth_files, out_dir,
+                                 "--budget", "5", "--oracle-spec", spec)) == 0
+            evals = [e for e in ledger_lines(out_dir / "ledger.jsonl")
+                     if e["type"] == "eval"]
+            keys |= {frozenset(e) for e in evals}
+        assert len(keys) == 1
 
 
 class TestRun:
@@ -275,6 +344,21 @@ class TestBaseline:
             "ngram_topfrac", "ao_topfrac", "semdedup",
         ])
 
+    def test_single_op_abort_line(self, tmp_path, capsys):
+        files = write_synthetic_dataset(str(tmp_path / "data"), n_samples=400,
+                                        sae_dim=64, seed=11)
+        out_dir = tmp_path / "so"
+        code = main(
+            ["baseline"] + data_args(files)
+            + ["--suite", "single_op", "--clusters", "5000", "--out-dir", str(out_dir)]
+        )
+        assert code == 1
+        assert "baseline aborted" in capsys.readouterr().err
+        last = (out_dir / "ledger.jsonl").read_text().splitlines()[-1]
+        assert last == (
+            '{"error": "step 1: n_clusters 5000 exceeds subset size 400", "type": "abort"}'
+        )
+
 
 def handmade_eval(step, score, ops, retain=0.5, size=100):
     return {
@@ -344,7 +428,7 @@ class TestReport:
             write_jsonl(ledger, rows)
             paths.append(str(ledger))
         out_dir = tmp_path / "cmp"
-        assert main(["compare"] + paths + ["--out-dir", str(out_dir)]) == 0
+        assert main(["report"] + paths + ["--out-dir", str(out_dir)]) == 0
         content = (out_dir / "comparison.csv").read_text().splitlines()
         assert content[0].startswith("#")  # the formula note rides along
         reader = list(csv.DictReader(content[1:]))

@@ -15,7 +15,6 @@ from recipesearch.operators import (
     apply_semdedup,
     apply_step,
     apply_top_fraction,
-    apply_top_k,
     default_catalog,
     minibatch_kmeans,
     score_mona,
@@ -59,25 +58,6 @@ class TestTopSelectors:
         pool, _ = tiny
         with pytest.raises(OperatorError, match="empty input subset"):
             apply_top_fraction(Subset(np.empty(0, np.int64), pool), np.empty(0), 0.5)
-
-    def test_top_k_identity_when_k_large(self, tiny):
-        pool, _ = tiny
-        subset = Subset.full(pool)
-        out = apply_top_k(subset, np.array([0.1, 0.2, 0.3, 0.4]), 99)
-        assert out.ids() == subset.ids()
-
-    def test_top_k_argmax(self, tiny):
-        pool, _ = tiny
-        subset = Subset.from_ids(["a", "b"], pool)
-        out = apply_top_k(subset, np.array([0.1, 0.9]), 1)
-        assert out.ids() == ["b"]
-
-    def test_top_k_equal_scores(self, tiny):
-        pool, _ = tiny
-        subset = Subset.from_ids(["a", "b", "c"], pool)
-        out = apply_top_k(subset, np.zeros(3), 2)
-        assert out.ids() == brute_force_top(["a", "b", "c"], [0, 0, 0], 2)
-        assert out.ids() == ["a", "b"]
 
     def test_fraction_monotone_nesting(self, synth):
         pool, signals = synth
@@ -368,6 +348,15 @@ class TestClosureAndDispatch:
             OperatorSpec("random_k", {"k": 5, "seed": -1}), catalog
         )
         assert problems == ["random_k: seed must be nonnegative"]
+        # integer params take a JSON integer or an integral float, nothing else
+        assert not validate_spec(OperatorSpec("random_k", {"k": 5.0, "seed": 0}), catalog)
+        for bad in ("5.0", "abc", True, 2.5):
+            problems = validate_spec(
+                OperatorSpec("random_k", {"k": bad, "seed": bad}), catalog
+            )
+            assert problems == [
+                "random_k: k must be an integer", "random_k: seed must be an integer",
+            ]
 
     def test_catalog_json_is_publishable(self, tiny):
         pool, _ = tiny

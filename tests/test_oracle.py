@@ -173,6 +173,14 @@ class TestSyntheticOracle:
         spec = SyntheticOracleSpec.from_dict(doc)
         assert spec.offset == 2.0 and spec.targets["retain_ratio"] == 0.4
 
+    def test_from_dict_names_every_problem(self):
+        doc = {"family": "planted_quadratic",
+               "weights": {"retain": 1.0, "retain_ratio": "x"}}
+        with pytest.raises(ValueError) as err:
+            SyntheticOracleSpec.from_dict(doc, ["retain_ratio"])
+        assert "weights: unknown state field 'retain'" in str(err.value)
+        assert "weights.retain_ratio must be a number" in str(err.value)
+
     def test_oracle_interface(self, tiny):
         pool, _ = tiny
         oracle = SyntheticOracle(SyntheticOracleSpec(family="constant", value=7.0))
@@ -191,6 +199,15 @@ class TestCache:
         cache.store(h1, EvalOutcome(score=5.0))
         hit = cache.lookup(h2)
         assert hit is not None and hit.score == 5.0 and hit.cache_hit
+
+    def test_digest_computed_once(self, tiny, monkeypatch):
+        pool, _ = tiny
+        subset = Subset.from_ids(["a", "b"], pool)
+        calls = []
+        ids = Subset.ids
+        monkeypatch.setattr(Subset, "ids", lambda self: calls.append(1) or ids(self))
+        assert subset.content_hash() == subset.content_hash()
+        assert len(calls) == 1
 
     def test_miss_on_one_element_difference(self, tiny):
         pool, _ = tiny
