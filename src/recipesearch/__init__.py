@@ -54,9 +54,8 @@ from .recipe import (
     execute_recipe,
     parse_recipe,
     propose_local_edits,
-    serialize_recipe,
 )
-from .state import SnarVector, StateVector, compute_snar, compute_state
+from .state import StateVector, compute_snar, compute_state
 from .surrogate import GpModel, fit_gp, predict_gp
 
 __version__ = "0.1.0"

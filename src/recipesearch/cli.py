@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .controller import (
     ControllerError,
     SearchConfig,
     WARMUP_COUNT,
+    WARMUP_RESAMPLE_CAP,
     _Runtime,
     role_rng,
     run_search,
@@ -61,7 +63,7 @@ from .recipe import (
     execute_recipe,
     parse_recipe,
     recipe_to_obj,
-    sample_random_recipe,
+    validate_recipe,
 )
 from .state import StateError, compute_state, flat_field_names, state_from_dict
 
@@ -180,19 +182,20 @@ def _build_oracle(args, pool, signals, out_dir: Path):
 
 
 def _assistant_commands(args) -> dict[str, list[str]]:
+    """Role argv from ``--assistant-cmd`` and the environment, split shell-style."""
     commands: dict[str, list[str]] = {}
     for spec in args.assistant_cmd or []:
         role, _, cmd = spec.partition("=")
         if not cmd:
             raise SystemExit(f"--assistant-cmd must look like role=command, got {spec!r}")
-        commands[role] = cmd.split()
+        commands[role] = shlex.split(cmd)
     default_env = os.environ.get(ENV_ASSISTANT_PREFIX)
     for role in ("summarizer", "proposer", "ranker", "reseeder"):
         env = os.environ.get(f"{ENV_ASSISTANT_PREFIX}_{role.upper()}")
         if env:
-            commands[role] = env.split()
+            commands[role] = shlex.split(env)
         elif default_env and role not in commands:
-            commands[role] = default_env.split()
+            commands[role] = shlex.split(default_env)
     return commands
 
 
@@ -211,6 +214,12 @@ def cmd_ingest_check(args) -> int:
     print(f"signals: sae_dim {signals.sae_dim}, benchmarks {', '.join(signals.benchmarks)}")
     print(f"mean ifd {signals.pool_mean_ifd:.4f}, mean varentropy {signals.pool_mean_varentropy:.4f}")
     return 0
+
+
+def _print_rejection(violations: list[str]) -> None:
+    print("recipe rejected:", file=sys.stderr)
+    for violation in violations:
+        print(f"  - {violation}", file=sys.stderr)
 
 
 def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
@@ -250,9 +259,7 @@ def cmd_exec(args) -> int:
     try:
         recipe = parse_recipe(Path(args.recipe).read_text(), catalog, args.l_max)
     except RecipeValidationError as exc:
-        print("recipe rejected:", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
+        _print_rejection(exc.violations)
         return 1
     recipe = _apply_seed_overrides(recipe, args.seeds)
     try:
@@ -378,47 +385,77 @@ def cmd_run(args) -> int:
     return _ledger_run(out_dir, header, body, "run")
 
 
-def _suite_recipes(args, rt: _Runtime):
-    """The baseline suite's recipes in evaluation order.
+def _default(value, fallback):
+    return fallback if value is None else value
 
-    random_recipe keeps drawing until ``budget`` evaluations are recorded, so
-    a draw that does not execute is replaced; random_topk yields ``budget``
-    recipes and single_op one per selector.
+
+def _suite_recipes(args, pool_size: int, rng: np.random.Generator) -> list[Recipe]:
+    """The fixed recipes of the random_topk and single_op suites, in order.
+
+    random_topk gives ``budget`` recipes and single_op one per selector;
+    random_recipe draws its recipes during the run and has none here.
     """
-    rng = role_rng(args.master_seed, 0, "baseline")
     if args.suite == "random_recipe":
-        while len(rt.history) < args.budget:
-            yield sample_random_recipe(rt.catalog, rng, args.l_max, allow_mix=False)
-    elif args.suite == "random_topk":
-        k = args.size or max(1, len(rt.pool) // 2)
-        for _ in range(args.budget):
-            seed = int(rng.integers(0, 2**31 - 1))
-            yield Recipe((OperatorSpec(RANDOM_K, {"k": int(k), "seed": seed}),))
-    else:
-        for selector in SINGLE_OP_SELECTORS:
-            if selector == SEMDEDUP:
-                params = {
-                    "n_clusters": max(1, min(len(rt.pool) // 64, 32)) if args.clusters is None
-                    else args.clusters,
-                    "tau": args.tau if args.tau is not None else SINGLE_OP_SEMDEDUP_TAU,
-                    "seed": args.master_seed,
-                }
-            elif selector == MONA_FILTER:
-                params = {"fraction": args.mona_fraction or SINGLE_OP_MONA_FRACTION}
-            else:
-                params = {"fraction": args.fraction or SINGLE_OP_DEFAULT_FRACTION}
-            yield Recipe((OperatorSpec(selector, params),))
+        return []
+    if args.suite == "random_topk":
+        k = _default(args.size, max(1, pool_size // 2))
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(args.budget)]
+        return [Recipe((OperatorSpec(RANDOM_K, {"k": k, "seed": seed}),)) for seed in seeds]
+    recipes = []
+    for selector in SINGLE_OP_SELECTORS:
+        if selector == SEMDEDUP:
+            params = {
+                "n_clusters": _default(args.clusters, max(1, min(pool_size // 64, 32))),
+                "tau": _default(args.tau, SINGLE_OP_SEMDEDUP_TAU),
+                "seed": args.master_seed,
+            }
+        elif selector == MONA_FILTER:
+            params = {"fraction": _default(args.mona_fraction, SINGLE_OP_MONA_FRACTION)}
+        else:
+            params = {"fraction": _default(args.fraction, SINGLE_OP_DEFAULT_FRACTION)}
+        recipes.append(Recipe((OperatorSpec(selector, params),)))
+    return recipes
+
+
+def _baseline_candidates(args, rt: _Runtime, recipes: list[Recipe], rng):
+    """Materialized candidates in evaluation order.
+
+    A random_recipe step draws until a recipe executes, up to
+    WARMUP_RESAMPLE_CAP draws; a fixed suite recipe that aborts ends the run.
+    """
+    if args.suite != "random_recipe":
+        for recipe in recipes:
+            yield rt.materialize(recipe)
+        return
+    for _ in range(args.budget):
+        cand = rt.draw_candidate(rng, WARMUP_RESAMPLE_CAP)
+        if cand is None:
+            raise ControllerError(
+                f"no executable random recipe after {WARMUP_RESAMPLE_CAP} draws"
+            )
+        yield cand
 
 
 def cmd_baseline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for flag, value in (("--budget", args.budget), ("--l-max", args.l_max)):
+        if value < 1:
+            print(f"config rejected: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     try:
         pool, signals = _load_data(args)
     except (PoolError, OSError) as exc:
         print(f"ingestion failed: {exc}", file=sys.stderr)
         return 1
     catalog = default_catalog(len(pool))
+    rng = role_rng(args.master_seed, 0, "baseline")
+    recipes = _suite_recipes(args, len(pool), rng)
+    for recipe in recipes:
+        violations = validate_recipe(recipe, catalog, args.l_max)
+        if violations:
+            _print_rejection(violations)
+            return 2
     oracle = _build_oracle(args, pool, signals, out_dir)
     if oracle is None:
         return 2
@@ -439,16 +476,8 @@ def cmd_baseline(args) -> int:
     )
 
     def body(ledger: RunLedger) -> None:
-        # One evaluation per step; a random_recipe draw that does not execute
-        # is skipped, any other suite's recipe that aborts ends the run.
         rt = _Runtime(config, pool, signals, oracle, catalog, ledger.write)
-        for recipe in _suite_recipes(args, rt):
-            if args.suite == "random_recipe":
-                cand = rt.try_materialize(recipe)
-                if cand is None:
-                    continue
-            else:
-                cand = rt.materialize(recipe)
+        for cand in _baseline_candidates(args, rt, recipes, rng):
             rt.evaluate(len(rt.history) + 1, cand, is_warmup=False)
         best = rt.history.incumbent()
         print(f"{args.suite}: {len(rt.history)} evaluations, best score {best.score:.6f} "

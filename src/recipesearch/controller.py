@@ -54,6 +54,10 @@ logger = logging.getLogger(__name__)
 WARMUP_COUNT = 3
 WARMUP_BIN_BOUNDS = (1.0 / 3.0, 2.0 / 3.0)
 WARMUP_RESAMPLE_CAP = 500
+# UCB exploration weight of the fallback ranker, and the retain ratio below
+# which it demotes a candidate as degenerate.
+KAPPA = 1.0
+RETAIN_FLOOR = 0.02
 ASSISTANT_RETRIES = 2
 ASSISTANT_ROLES = ("summarizer", "proposer", "ranker", "reseeder")
 
@@ -85,12 +89,9 @@ class SearchConfig:
     candidates_per_step: int = 5
     l_max: int = DEFAULT_L_MAX
     master_seed: int = 0
-    warmup_bin_bounds: tuple[float, float] = WARMUP_BIN_BOUNDS
     assistant_mode: str = "fallback"            # "fallback" | "external"
     assistant_commands: dict[str, list[str]] = field(default_factory=dict)
     assistant_timeout: float = 120.0
-    kappa: float = 1.0
-    retain_floor: float = 0.02
     random_select: bool = False                 # ablation: uniform candidate choice
     run_id: str | None = None
 
@@ -99,6 +100,8 @@ class SearchConfig:
             raise ControllerError(
                 f"budget must exceed warmup count {WARMUP_COUNT}, got {self.budget}"
             )
+        if self.l_max < 1:
+            raise ControllerError(f"l_max must be >= 1, got {self.l_max}")
         if self.patience < 1:
             raise ControllerError(f"patience must be >= 1, got {self.patience}")
         if self.candidates_per_step < 1:
@@ -107,25 +110,23 @@ class SearchConfig:
             )
         if self.assistant_mode not in ("fallback", "external"):
             raise ControllerError(f"unknown assistant mode {self.assistant_mode!r}")
-        b1, b2 = self.warmup_bin_bounds
-        if not (0.0 < b1 < b2 < 1.0):
-            raise ControllerError(f"invalid warmup bin bounds {self.warmup_bin_bounds}")
 
     def resolved_run_id(self) -> str:
         return self.run_id if self.run_id else f"run-seed{self.master_seed}"
 
     def to_dict(self) -> dict:
+        """The ledger header's config, with the fixed warmup and ranking constants."""
         return {
             "budget": self.budget,
             "patience": self.patience,
             "candidates_per_step": self.candidates_per_step,
             "l_max": self.l_max,
             "master_seed": self.master_seed,
-            "warmup_bin_bounds": list(self.warmup_bin_bounds),
+            "warmup_bin_bounds": list(WARMUP_BIN_BOUNDS),
             "assistant_mode": self.assistant_mode,
             "assistant_commands": {k: list(v) for k, v in self.assistant_commands.items()},
-            "kappa": self.kappa,
-            "retain_floor": self.retain_floor,
+            "kappa": KAPPA,
+            "retain_floor": RETAIN_FLOOR,
             "random_select": self.random_select,
             "run_id": self.resolved_run_id(),
         }
@@ -169,8 +170,7 @@ class EvalRecord:
 class History:
     """Append-only evaluation ledger plus subset storage for mix resolution."""
 
-    def __init__(self, pool: CanonicalPool):
-        self.pool = pool
+    def __init__(self) -> None:
         self.records: list[EvalRecord] = []
         self.subsets: dict[int, Subset] = {}
         self.incumbent_index: int | None = None
@@ -252,8 +252,6 @@ class SearchResult:
     incumbent_score: float
     incumbent_step: int
     records: list[EvalRecord]
-    reseed_events: list[dict]
-    guidance_log: list[dict]
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +308,17 @@ def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
     return Guidance(findings=findings[:5], op_bias=op_bias, best_band=best_band)
 
 
-def fallback_rank(
-    candidates: list[Candidate],
-    history: list[EvalRecord],
-    kappa: float = 1.0,
-    retain_floor: float = 0.02,
-) -> list[int]:
-    """Full ranking by mu + kappa * sigma; degenerate subsets go to the tail.
+def fallback_rank(candidates: list[Candidate], history: list[EvalRecord]) -> list[int]:
+    """Full ranking by mu + KAPPA * sigma; degenerate subsets go to the tail.
 
-    Candidates whose retain ratio is below the floor are demoted below every
+    Candidates whose retain ratio is below RETAIN_FLOOR are demoted below every
     non-degenerate candidate regardless of acquisition value. Ties break by
     candidate index.
     """
     if not candidates:
         raise ControllerError("ranker requires at least one candidate")
     keyed = [
-        (c.retain_ratio < retain_floor, -(c.mu + kappa * c.sigma), i)
+        (c.retain_ratio < RETAIN_FLOOR, -(c.mu + KAPPA * c.sigma), i)
         for i, c in enumerate(candidates)
     ]
     keyed.sort()
@@ -677,7 +670,7 @@ class _Runtime:
         self.oracle = oracle
         self.catalog = catalog
         self.sink = sink or (lambda event: None)
-        self.history = History(pool)
+        self.history = History()
         self.cache = EvalCache()
         self.seed_phase = 1
 
@@ -704,6 +697,16 @@ class _Runtime:
         except (ExecutionError, StateError) as exc:
             logger.debug("candidate aborted: %s (%s)", describe_recipe(recipe), exc)
             return None
+
+    def draw_candidate(self, rng: np.random.Generator, cap: int) -> Candidate | None:
+        """The first of up to ``cap`` random recipes that materializes, else None."""
+        for _ in range(cap):
+            cand = self.try_materialize(
+                sample_random_recipe(self.catalog, rng, self.config.l_max)
+            )
+            if cand is not None:
+                return cand
+        return None
 
     def evaluate(self, step: int, cand: Candidate, is_warmup: bool) -> tuple[EvalRecord, bool]:
         """One budget unit: cache-aware oracle evaluation plus ledger append."""
@@ -737,10 +740,10 @@ class _Runtime:
         return record, improved
 
 
-def _warmup_bin(ratio: float, bounds: tuple[float, float]) -> int:
-    if ratio <= bounds[0]:
+def _warmup_bin(ratio: float) -> int:
+    if ratio <= WARMUP_BIN_BOUNDS[0]:
         return 0
-    if ratio <= bounds[1]:
+    if ratio <= WARMUP_BIN_BOUNDS[1]:
         return 1
     return 2
 
@@ -758,19 +761,19 @@ def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
     """
     config = rt.config
     rng = role_rng(config.master_seed, 0, "warmup")
-    bounds = config.warmup_bin_bounds
-    bin_edges = [(0.0, bounds[0]), (bounds[0], bounds[1]), (bounds[1], 1.0)]
+    b1, b2 = WARMUP_BIN_BOUNDS
+    bin_edges = [(0.0, b1), (b1, b2), (b2, 1.0)]
     probes: list[Candidate] = []
     for bin_idx, (lo, hi) in enumerate(bin_edges):
         found: Candidate | None = None
         nearest: tuple[float, Candidate] | None = None
         for _ in range(WARMUP_RESAMPLE_CAP):
-            recipe = sample_random_recipe(rt.catalog, rng, config.l_max, allow_mix=False)
+            recipe = sample_random_recipe(rt.catalog, rng, config.l_max)
             cand = rt.try_materialize(recipe)
             if cand is None:
                 continue
             ratio = cand.retain_ratio
-            if _warmup_bin(ratio, bounds) == bin_idx:
+            if _warmup_bin(ratio) == bin_idx:
                 found = cand
                 break
             dist = _interval_distance(ratio, lo, hi)
@@ -847,16 +850,10 @@ def _fallback_propose(
                 break
         batch_round += 1
     if not valid:
-        rescue = role_rng(config.master_seed, step, "rescue")
-        for _ in range(cap):
-            cand = rt.try_materialize(
-                sample_random_recipe(rt.catalog, rescue, config.l_max, allow_mix=False)
-            )
-            if cand is not None:
-                valid.append(cand)
-                break
-        if not valid:
+        cand = rt.draw_candidate(role_rng(config.master_seed, step, "rescue"), cap)
+        if cand is None:
             raise ControllerError(f"no executable candidate found at step {step}")
+        valid.append(cand)
     return valid
 
 
@@ -939,8 +936,6 @@ def run_search(
 
     warmup_records, anchor = _run_warmup(rt)
     stagnation = 0
-    reseed_events: list[dict] = []
-    guidance_log: list[dict] = []
 
     for step in range(WARMUP_COUNT + 1, config.budget + 1):
         records = rt.history.records
@@ -951,9 +946,7 @@ def run_search(
             guidance = port.summarize(ctx, step)
         if guidance is None:
             guidance = fallback_summarize(records, catalog)
-        event = guidance.to_event(step)
-        guidance_log.append(event)
-        rt.emit(event)
+        rt.emit(guidance.to_event(step))
 
         candidates: list[Candidate] | None = None
         if port is not None:
@@ -985,9 +978,7 @@ def run_search(
             if ranked is not None:
                 ranking, rank_meta = ranked
         if ranking is None:
-            ranking = fallback_rank(
-                candidates, records, kappa=config.kappa, retain_floor=config.retain_floor
-            )
+            ranking = fallback_rank(candidates, records)
 
         rank_of = {cand_idx: pos for pos, cand_idx in enumerate(ranking)}
         rt.emit({
@@ -1025,14 +1016,12 @@ def run_search(
             anchor = new_anchor
             rt.seed_phase += 1
             stagnation = 0
-            event = {
+            rt.emit({
                 "type": "reseed",
                 "step": step,
                 "seed_phase": rt.seed_phase,
                 "recipe": recipe_to_obj(anchor),
-            }
-            reseed_events.append(event)
-            rt.emit(event)
+            })
 
     incumbent = rt.history.incumbent()
     incumbent_subset = rt.history.subsets[incumbent.step]
@@ -1042,6 +1031,4 @@ def run_search(
         incumbent_score=incumbent.score,
         incumbent_step=incumbent.step,
         records=list(rt.history.records),
-        reseed_events=reseed_events,
-        guidance_log=guidance_log,
     )

@@ -351,22 +351,17 @@ def score_mona(sparse_a, target_t) -> float:
     return float(np.minimum(a, t).sum() / denom)
 
 
-def apply_mona_union(
-    subset: Subset, signals: SignalTable, fraction: float,
-    benchmarks: Iterable[str] | None = None,
-) -> Subset:
+def apply_mona_union(subset: Subset, signals: SignalTable, fraction: float) -> Subset:
     """Per-benchmark top-fraction by relevance, unioned across benchmarks."""
     if len(subset) == 0:
         raise OperatorError("empty input subset")
-    names = tuple(benchmarks) if benchmarks is not None else signals.benchmarks
-    if not names:
+    if not signals.benchmarks:
         raise OperatorError("no benchmark targets available")
     if not (0.0 < fraction <= 1.0):
         raise OperatorError(f"fraction out of (0,1]: {fraction}")
     keep = math.ceil(fraction * len(subset))
     chosen: list[np.ndarray] = []
-    for name in names:
-        col = signals.benchmarks.index(name)
+    for col in range(len(signals.benchmarks)):
         scores = signals.relevance[subset.positions, col]
         order = np.argsort(-scores, kind="stable")
         chosen.append(subset.positions[order[:keep]])
@@ -376,6 +371,10 @@ def apply_mona_union(
 # ---------------------------------------------------------------------------
 # Seeded minibatch k-means (used only by SemDedup)
 # ---------------------------------------------------------------------------
+
+KMEANS_BATCH_SIZE = 1024
+KMEANS_EPOCHS = 10
+
 
 def _kmeans_plusplus(x: sp.csr_matrix, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on L2-normalized rows; returns dense centers."""
@@ -405,24 +404,22 @@ def _assign(x: sp.csr_matrix, centers: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, d2[np.arange(x.shape[0]), labels]
 
 
-def minibatch_kmeans(
-    x: sp.csr_matrix, n_clusters: int, seed: int,
-    batch_size: int | None = None, epochs: int = 10,
-) -> np.ndarray:
+def minibatch_kmeans(x: sp.csr_matrix, n_clusters: int, seed: int) -> np.ndarray:
     """Cluster unit-norm CSR rows; returns per-row labels.
 
-    k-means++ seeding, per-epoch shuffled minibatches with count-weighted
-    center updates, and a final repair pass that re-seeds any empty cluster
-    to the point farthest from its assigned center.
+    k-means++ seeding, KMEANS_EPOCHS passes of shuffled minibatches of at
+    most KMEANS_BATCH_SIZE rows with count-weighted center updates, and a
+    final repair pass that re-seeds any empty cluster to the point farthest
+    from its assigned center.
     """
     n = x.shape[0]
     if n_clusters > n:
         raise OperatorError(f"n_clusters {n_clusters} exceeds subset size {n}")
     rng = np.random.default_rng(seed)
-    batch = min(1024, n) if batch_size is None else min(batch_size, n)
+    batch = min(KMEANS_BATCH_SIZE, n)
     centers = _kmeans_plusplus(x, n_clusters, rng)
     counts = np.zeros(n_clusters, dtype=np.int64)
-    for _ in range(epochs):
+    for _ in range(KMEANS_EPOCHS):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             rows = order[start:start + batch]

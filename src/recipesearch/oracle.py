@@ -39,7 +39,6 @@ class EvalRequest:
     step: int
     recipe: Recipe
     subset: Subset
-    manifest_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -93,17 +92,8 @@ class CommandOracle:
         self.timeout = timeout
 
     def evaluate(self, request: EvalRequest, state: StateVector) -> EvalOutcome:
-        manifest = request.manifest_path or str(
-            self.manifest_dir / f"manifest_step{request.step:03d}.jsonl"
-        )
-        req = EvalRequest(
-            run_id=request.run_id,
-            step=request.step,
-            recipe=request.recipe,
-            subset=request.subset,
-            manifest_path=manifest,
-        )
-        write_manifest(manifest, self.pool, req)
+        manifest = str(self.manifest_dir / f"manifest_step{request.step:03d}.jsonl")
+        write_manifest(manifest, self.pool, request)
         started = time.monotonic()
         try:
             proc = subprocess.run(

@@ -141,10 +141,6 @@ def recipe_to_obj(recipe: Recipe) -> dict:
     }
 
 
-def serialize_recipe(recipe: Recipe) -> str:
-    return json.dumps(recipe_to_obj(recipe), sort_keys=True)
-
-
 def describe_recipe(recipe: Recipe) -> str:
     """Compact one-line rendering, e.g. for ledgers and prompts."""
     parts = []
@@ -228,14 +224,13 @@ def sample_random_recipe(
     catalog: Catalog,
     rng: np.random.Generator,
     l_max: int = DEFAULT_L_MAX,
-    allow_mix: bool = False,
 ) -> Recipe:
     """Uniform recipe: length in [1, L_max], distinct operators, uniform params.
 
-    Mix is excluded by default because randomly sampled recipes are executed
-    against an empty or absent history.
+    Mix is never drawn: a random recipe may be executed against an empty or
+    absent history, where a mix source cannot resolve.
     """
-    names = [n for n in catalog.names() if allow_mix or n != MIX]
+    names = [n for n in catalog.names() if n != MIX]
     length = int(rng.integers(1, min(l_max, len(names)) + 1))
     chosen = rng.choice(len(names), size=length, replace=False)
     steps = tuple(

@@ -23,14 +23,6 @@ class StateError(ValueError):
 
 
 @dataclass(frozen=True)
-class SnarVector:
-    """Per-feature activation rates over the subset's cached sparse vectors."""
-
-    rates: np.ndarray  # (sae_dim,), each entry in [0, 1]
-    valid_count: int   # samples that actually carry activations
-
-
-@dataclass(frozen=True)
 class StateVector:
     score_mean: float
     score_std: float
@@ -88,11 +80,11 @@ def state_from_dict(doc: dict) -> StateVector:
     )
 
 
-def compute_snar(subset: Subset, signals: SignalTable) -> SnarVector:
-    """Fraction of valid subset samples activating each feature.
+def compute_snar(subset: Subset, signals: SignalTable) -> np.ndarray:
+    """Fraction of valid subset samples activating each feature, (sae_dim,).
 
     Magnitudes are ignored; samples without any cached activation are
-    excluded from the denominator.
+    excluded from the denominator. The returned array is read-only.
     """
     valid_pos = subset.positions[signals.has_activations[subset.positions]]
     if valid_pos.size == 0:
@@ -101,7 +93,7 @@ def compute_snar(subset: Subset, signals: SignalTable) -> SnarVector:
     counts = np.bincount(rows.indices, minlength=signals.sae_dim)
     rates = counts / valid_pos.size
     rates.setflags(write=False)
-    return SnarVector(rates=rates, valid_count=int(valid_pos.size))
+    return rates
 
 
 def compute_state(subset: Subset, pool: CanonicalPool, signals: SignalTable) -> StateVector:
@@ -116,9 +108,9 @@ def compute_state(subset: Subset, pool: CanonicalPool, signals: SignalTable) -> 
         raise StateError("empty subset")
     pos = subset.positions
     scores = signals.relevance[pos, :]
-    snar = compute_snar(subset, signals)
     drift = float(
-        np.linalg.norm(snar.rates - signals.pool_snar) / np.sqrt(signals.sae_dim)
+        np.linalg.norm(compute_snar(subset, signals) - signals.pool_snar)
+        / np.sqrt(signals.sae_dim)
     )
     per_task = {
         name: float(scores[:, j].mean()) for j, name in enumerate(signals.benchmarks)

@@ -33,27 +33,20 @@ class GpModel:
     chol: np.ndarray           # lower Cholesky factor of K + noise I
     y_mean: float
     y_scale: float
-    length_scale: float
-    signal_variance: float
-    noise_variance: float
 
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, signal_variance: float) -> np.ndarray:
+def _kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared-exponential kernel with length scale 0.5 * sqrt(dim)."""
+    length_scale = 0.5 * math.sqrt(a.shape[1])
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return signal_variance * np.exp(-d2 / (2.0 * length_scale**2))
+    return SIGNAL_VARIANCE * np.exp(-d2 / (2.0 * length_scale**2))
 
 
-def fit_gp(
-    encodings,
-    scores,
-    length_scale: float | None = None,
-    signal_variance: float = SIGNAL_VARIANCE,
-    noise_variance: float = NOISE_VARIANCE,
-) -> GpModel:
+def fit_gp(encodings, scores) -> GpModel:
     """Fit the exact GP on (encoding, score) observations.
 
     Scores are centered on their mean and divided by their population
@@ -72,27 +65,16 @@ def fit_gp(
         raise SurrogateError("non-finite score")
     if not np.isfinite(x).all():
         raise SurrogateError("non-finite encoding")
-    if length_scale is None:
-        length_scale = 0.5 * math.sqrt(x.shape[1])
     y_mean = float(y.mean())
     y_scale = float(y.std())
     if y.shape[0] < 2 or y_scale == 0.0:
         y_scale = 1.0
     y_std = (y - y_mean) / y_scale
-    gram = _kernel(x, x, length_scale, signal_variance)
-    gram[np.diag_indices_from(gram)] += noise_variance
+    gram = _kernel(x, x)
+    gram[np.diag_indices_from(gram)] += NOISE_VARIANCE
     chol = np.linalg.cholesky(gram)
     alpha = cho_solve((chol, True), y_std)
-    return GpModel(
-        inputs=x,
-        alpha=alpha,
-        chol=chol,
-        y_mean=y_mean,
-        y_scale=y_scale,
-        length_scale=float(length_scale),
-        signal_variance=float(signal_variance),
-        noise_variance=float(noise_variance),
-    )
+    return GpModel(inputs=x, alpha=alpha, chol=chol, y_mean=y_mean, y_scale=y_scale)
 
 
 def predict_gp(model: GpModel, encoding) -> tuple[float, float]:
@@ -102,9 +84,9 @@ def predict_gp(model: GpModel, encoding) -> tuple[float, float]:
         raise SurrogateError(
             f"encoding dimension {q.shape[1]} does not match model dimension {model.dim}"
         )
-    k_star = _kernel(model.inputs, q, model.length_scale, model.signal_variance).ravel()
+    k_star = _kernel(model.inputs, q).ravel()
     mu_std = float(k_star @ model.alpha)
     v = solve_triangular(model.chol, k_star, lower=True)
-    var = model.signal_variance - float(v @ v)
+    var = SIGNAL_VARIANCE - float(v @ v)
     var = max(var, 0.0)
     return model.y_mean + model.y_scale * mu_std, model.y_scale * math.sqrt(var)

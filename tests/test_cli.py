@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 from recipesearch.cli import main
+from recipesearch.controller import _Runtime
 from recipesearch.operators import default_catalog
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.oracle import SyntheticOracle
@@ -193,6 +196,44 @@ class TestLedgerLifecycle:
         assert events[0]["type"] == "header"
         assert events[-1] == {"type": "abort", "error": "RuntimeError: boom"}
 
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--l-max", "0"]),
+        ("baseline", ["--l-max", "0"]),
+        ("baseline", ["--budget", "0"]),
+    ])
+    def test_bad_config_rejected_before_ledger(
+        self, synth_files, tmp_path, capsys, command, flags
+    ):
+        out_dir = tmp_path / "out"
+        assert main(run_argv(command, synth_files, out_dir, *flags)) == 2
+        assert "config rejected:" in capsys.readouterr().err
+        assert not (out_dir / "ledger.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_pool_without_activations_aborts_after_draw_cap(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # No sample carries activations, so every random recipe fails its
+        # state summary; the draws must stop at the cap, not run forever.
+        files = write_synthetic_dataset(str(tmp_path / "data"), n_samples=400,
+                                        sae_dim=64, seed=11)
+        rows = [json.loads(line) for line in Path(files[1]).read_text().splitlines()]
+        write_jsonl(files[1], [dict(row, sparse=[]) for row in rows])
+        calls = []
+        original = _Runtime.try_materialize
+
+        def counted(self, recipe):
+            calls.append(1)
+            assert len(calls) <= 5000, "random draws are not capped"
+            return original(self, recipe)
+
+        monkeypatch.setattr(_Runtime, "try_materialize", counted)
+        out_dir = tmp_path / "out"
+        assert main(run_argv(command, files, out_dir, "--budget", "5")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "after 500 draws" in err[0]
+        assert ledger_lines(out_dir / "ledger.jsonl")[-1]["type"] == "abort"
+
     def test_run_and_baseline_eval_events_share_keys(self, synth_files, tmp_path):
         spec = write_spec(tmp_path, PLANTED_SPEC)
         keys = set()
@@ -271,6 +312,26 @@ class TestRun:
         assert events[-1]["type"] == "abort"
         assert "exited 1" in events[-1]["error"]
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_quoted_assistant_argument_stays_one_element(
+        self, synth_files, tmp_path, monkeypatch, via
+    ):
+        script = tmp_path / "record_argv.py"
+        argv_file = tmp_path / "argv.json"
+        script.write_text(
+            "import json, sys\n"
+            "json.dump(sys.argv[2:], open(sys.argv[1], 'w'))\n"
+            "print('a finding')\n"
+        )
+        cmd = shlex.join([sys.executable, str(script), str(argv_file)]) + " 'two words'"
+        extra = ["--budget", "4", "--assistant-mode", "external"]
+        if via == "flag":
+            extra += ["--assistant-cmd", f"summarizer={cmd}"]
+        else:
+            monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD_SUMMARIZER", cmd)
+        assert main(run_argv("run", synth_files, tmp_path / "out", *extra)) == 0
+        assert json.loads(argv_file.read_text()) == ["two words"]
+
     def test_fallback_runs_byte_identical(self, synth_files, tmp_path):
         spec = write_spec(tmp_path, PLANTED_SPEC)
         blobs = []
@@ -343,6 +404,24 @@ class TestBaseline:
             "mona_filter", "ifd_topfrac", "varentropy_topfrac",
             "ngram_topfrac", "ao_topfrac", "semdedup",
         ])
+
+    @pytest.mark.parametrize("suite, flag", [
+        ("single_op", "--clusters"),
+        ("single_op", "--fraction"),
+        ("single_op", "--mona-fraction"),
+        ("random_topk", "--size"),
+    ])
+    def test_zero_suite_argument_rejected_before_ledger(
+        self, synth_files, tmp_path, capsys, suite, flag
+    ):
+        out_dir = tmp_path / "out"
+        code = main(
+            ["baseline"] + data_args(synth_files)
+            + ["--suite", suite, flag, "0", "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        assert "recipe rejected:" in capsys.readouterr().err
+        assert not (out_dir / "ledger.jsonl").exists()
 
     def test_single_op_abort_line(self, tmp_path, capsys):
         files = write_synthetic_dataset(str(tmp_path / "data"), n_samples=400,

@@ -341,7 +341,7 @@ class TestFallbackRank:
 
     def test_acquisition_arithmetic(self):
         cands = [self.make_candidate(5.0, 0.0), self.make_candidate(4.0, 2.0)]
-        ranking = fallback_rank(cands, [], kappa=1.0)
+        ranking = fallback_rank(cands, [])
         assert ranking[0] == 1  # 4 + 2 = 6 beats 5 + 0 = 5
 
     def test_retain_floor_demotion(self):
@@ -350,7 +350,7 @@ class TestFallbackRank:
             self.make_candidate(1.0, 0.0, retain=0.5),
             self.make_candidate(2.0, 0.0, retain=0.4),
         ]
-        ranking = fallback_rank(cands, [], retain_floor=0.02)
+        ranking = fallback_rank(cands, [])
         assert ranking[-1] == 0  # degenerate subset goes to the tail
         assert ranking == [2, 1, 0]
 
@@ -359,7 +359,7 @@ class TestFallbackRank:
         sigmas = [0.5, 0.1, 2.0, 0.0, 0.2]
         cands = [self.make_candidate(m, s) for m, s in zip(mus, sigmas)]
         expected = sorted(range(5), key=lambda i: (-(mus[i] + sigmas[i]), i))
-        assert fallback_rank(cands, [], kappa=1.0) == expected
+        assert fallback_rank(cands, []) == expected
 
     def test_tie_by_candidate_index(self):
         cands = [self.make_candidate(1.0, 0.0), self.make_candidate(1.0, 0.0)]

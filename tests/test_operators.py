@@ -103,26 +103,33 @@ class TestMonaScore:
         assert score_mona(dense_a, dense_t) == pytest.approx(1 / 3, abs=1e-12)
 
 
+def signals_for_targets(tmp_path, tiny_files, pool, benchmarks):
+    """The tiny signals loaded against a targets file holding ``benchmarks``."""
+    tpath = tmp_path / f"targets_{'_'.join(benchmarks)}.json"
+    tpath.write_text(json.dumps({"sae_dim": 8, "benchmarks": benchmarks}))
+    return load_signals(tiny_files[1], str(tpath), pool)
+
+
+T1 = [[0, 0.5], [1, 0.5]]
+
+
 class TestMonaUnion:
-    def test_single_benchmark_equals_top_fraction(self, tiny):
-        pool, signals = tiny
+    def test_single_benchmark_equals_top_fraction(self, tiny, tmp_path, tiny_files):
+        pool, _ = tiny
+        signals = signals_for_targets(tmp_path, tiny_files, pool, {"t1": T1})
         subset = Subset.full(pool)
-        col = signals.benchmarks.index("t1")
-        by_union = apply_mona_union(subset, signals, 0.5, benchmarks=("t1",))
-        by_frac = apply_top_fraction(subset, signals.relevance[subset.positions, col], 0.5)
+        by_union = apply_mona_union(subset, signals, 0.5)
+        by_frac = apply_top_fraction(subset, signals.relevance[subset.positions, 0], 0.5)
         assert by_union.ids() == by_frac.ids()
 
     def test_identical_targets_idempotent_union(self, tiny, tmp_path, tiny_files):
         pool, _ = tiny
-        doc = {"sae_dim": 8, "benchmarks": {"t1": [[0, 0.5], [1, 0.5]],
-                                            "t1b": [[0, 0.5], [1, 0.5]]}}
-        tpath = tmp_path / "targets_same.json"
-        tpath.write_text(json.dumps(doc))
-        signals = load_signals(tiny_files[1], str(tpath), pool)
+        two = signals_for_targets(tmp_path, tiny_files, pool, {"t1": T1, "t1b": T1})
+        one = signals_for_targets(tmp_path, tiny_files, pool, {"t1": T1})
         subset = Subset.full(pool)
-        both = apply_mona_union(subset, signals, 0.25)
-        one = apply_mona_union(subset, signals, 0.25, benchmarks=("t1",))
-        assert both.ids() == one.ids()
+        both = apply_mona_union(subset, two, 0.25)
+        single = apply_mona_union(subset, one, 0.25)
+        assert both.ids() == single.ids()
 
     def test_disjoint_top1_union_size_two(self, tiny):
         # top-1 by t1 is b (score 1.0), top-1 by t2 is c (score 1.0):

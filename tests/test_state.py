@@ -45,24 +45,24 @@ class TestSnar:
         (tmp_path / "t.json").write_text(json.dumps(targets))
         pool = load_pool(str(tmp_path / "p.jsonl"))
         signals = load_signals(str(tmp_path / "s.jsonl"), str(tmp_path / "t.json"), pool)
-        snar = compute_snar(Subset.full(pool), signals)
-        assert snar.rates.tolist() == [1.0, 0.0, 0.0, 1.0]
+        rates = compute_snar(Subset.full(pool), signals)
+        assert rates.tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_two_samples_half_rates(self, two_sample):
         pool, signals = two_sample
-        snar = compute_snar(Subset.full(pool), signals)
-        assert snar.rates.tolist() == [0.5, 0.5, 0.5, 0.0]
+        rates = compute_snar(Subset.full(pool), signals)
+        assert rates.tolist() == [0.5, 0.5, 0.5, 0.0]
 
     def test_full_pool_matches_cached_reference(self, synth):
         pool, signals = synth
-        snar = compute_snar(Subset.full(pool), signals)
-        assert np.array_equal(snar.rates, signals.pool_snar)
+        rates = compute_snar(Subset.full(pool), signals)
+        assert np.array_equal(rates, signals.pool_snar)
 
     def test_magnitudes_ignored(self, two_sample):
         pool, signals = two_sample
         only_q = Subset.from_ids(["q"], pool)
-        snar = compute_snar(only_q, signals)
-        assert snar.rates.tolist() == [0.0, 1.0, 1.0, 0.0]
+        rates = compute_snar(only_q, signals)
+        assert rates.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 class TestComputeState:
