@@ -6,13 +6,19 @@ command and compares the bytes, so any change to sampling, ranking, the GP,
 the operators or the ledger format shows here. The two search seeds were
 chosen because their ledgers evaluate a SemDedup step and a mix step and
 reseed the anchor.
+
+``semdedup_grid.npz`` pins SemDedup's k-means labels and keep masks over a
+grid of pools, cluster counts, thresholds and seeds; ``semdedup_grid.py``
+wrote it and recomputes it here.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recipesearch.cli import main
@@ -61,3 +67,21 @@ def test_golden_runs_cover_semdedup_mix_and_reseed(name):
     }
     assert {"semdedup", "mix"} <= operators
     assert any(e["type"] == "reseed" for e in events)
+
+
+def _load_grid_module():
+    spec = importlib.util.spec_from_file_location("semdedup_grid", GOLDEN / "semdedup_grid.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_semdedup_grid_matches_golden():
+    grid = _load_grid_module()
+    with np.load(grid.FIXTURE) as golden:
+        expected = dict(golden)
+    actual = grid.compute_grid()
+    assert sorted(actual) == sorted(expected)
+    for key in sorted(expected):
+        assert actual[key].shape == expected[key].shape, key
+        assert np.array_equal(actual[key], expected[key]), key
