@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -161,13 +162,18 @@ def _load_data(args):
 
 
 def _build_oracle(args, pool, signals, out_dir: Path):
-    """The run's oracle, or None after reporting a rejected synthetic spec."""
+    """The run's oracle, or None after reporting a rejected timeout or spec."""
+    timeout = args.oracle_timeout
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        print(f"config rejected: --oracle-timeout must be a finite number > 0, got {timeout}",
+              file=sys.stderr)
+        return None
     if args.oracle == "command":
         if not args.oracle_cmd:
             raise SystemExit("--oracle command requires --oracle-cmd")
         kwargs = {}
-        if args.oracle_timeout:
-            kwargs["timeout"] = args.oracle_timeout
+        if timeout is not None:
+            kwargs["timeout"] = timeout
         return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"), pool, **kwargs)
     if not args.oracle_spec:
         return SyntheticOracle(SyntheticOracleSpec(family="constant", value=0.0))
@@ -536,16 +542,20 @@ def _ledger_summary(path: str, events: list[dict]) -> dict:
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_rows: dict[str, list[dict]] = {}
     summaries = []
     skipped_total = 0
     for path in args.ledgers:
-        events, skipped = read_ledger(path)
+        try:
+            events, skipped = read_ledger(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"ingestion failed: ledger {path}: {exc}", file=sys.stderr)
+            return 1
         skipped_total += skipped
         all_rows[path] = _eval_rows(events)
         summaries.append(_ledger_summary(path, events))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "curves.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

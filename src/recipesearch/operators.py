@@ -376,6 +376,13 @@ KMEANS_BATCH_SIZE = 1024
 KMEANS_EPOCHS = 10
 
 
+def _check_cluster_count(n_clusters: int, n: int) -> None:
+    if n_clusters < 1:
+        raise OperatorError(f"n_clusters must be >= 1, got {n_clusters}")
+    if n_clusters > n:
+        raise OperatorError(f"n_clusters {n_clusters} exceeds subset size {n}")
+
+
 def _kmeans_plusplus(x: sp.csr_matrix, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on L2-normalized rows; returns dense centers."""
     n = x.shape[0]
@@ -413,8 +420,7 @@ def minibatch_kmeans(x: sp.csr_matrix, n_clusters: int, seed: int) -> np.ndarray
     from its assigned center.
     """
     n = x.shape[0]
-    if n_clusters > n:
-        raise OperatorError(f"n_clusters {n_clusters} exceeds subset size {n}")
+    _check_cluster_count(n_clusters, n)
     rng = np.random.default_rng(seed)
     batch = min(KMEANS_BATCH_SIZE, n)
     centers = _kmeans_plusplus(x, n_clusters, rng)
@@ -422,15 +428,22 @@ def minibatch_kmeans(x: sp.csr_matrix, n_clusters: int, seed: int) -> np.ndarray
     for _ in range(KMEANS_EPOCHS):
         order = rng.permutation(n)
         for start in range(0, n, batch):
-            rows = order[start:start + batch]
-            m = x[rows]
+            m = x[order[start:start + batch]]
             labels, _ = _assign(m, centers)
-            for c in np.unique(labels):
-                members = rows[labels == c]
-                counts[c] += members.size
-                mean = np.asarray(x[members].mean(axis=0)).ravel()
-                eta = members.size / counts[c]
-                centers[c] = (1.0 - eta) * centers[c] + eta * mean
+            present, sizes = np.unique(labels, return_counts=True)
+            # Row j of the indicator holds 1/size at the batch positions of
+            # cluster present[j], in batch order: its product with the batch
+            # adds (1/size)*x over the members in the order .mean(axis=0)
+            # does, so the means are bit for bit the per-cluster ones.
+            indicator = sp.csr_matrix(
+                (np.repeat(1.0 / sizes, sizes), np.argsort(labels, kind="stable"),
+                 np.concatenate(([0], np.cumsum(sizes)))),
+                shape=(present.size, m.shape[0]),
+            )
+            means = (indicator @ m).toarray()
+            counts[present] += sizes
+            eta = (sizes / counts[present])[:, None]
+            centers[present] = (1.0 - eta) * centers[present] + eta * means
     labels, d2 = _assign(x, centers)
     for _ in range(n_clusters):
         present = np.bincount(labels, minlength=n_clusters) > 0
@@ -456,8 +469,7 @@ def apply_semdedup(
         raise OperatorError("empty input subset")
     if not (0.0 < tau <= 1.0):
         raise OperatorError(f"tau out of (0,1]: {tau}")
-    if n_clusters > n:
-        raise OperatorError(f"n_clusters {n_clusters} exceeds subset size {n}")
+    _check_cluster_count(n_clusters, n)
     x = signals.activations[subset.positions]
     norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
     if (norms == 0).any():
@@ -471,24 +483,44 @@ def apply_semdedup(
     return Subset(subset.positions[keep_mask], subset.pool)
 
 
+SEMDEDUP_TILE_ROWS = 128
+
+
 def semdedup_greedy_pass(
     x_normalized: sp.csr_matrix, labels: np.ndarray, tau: float
 ) -> np.ndarray:
     """Greedy near-duplicate drop for a fixed clustering; returns a keep mask.
 
     Rows are scanned in their given order (pool order); a row survives iff
-    its max cosine to the rows already kept in its cluster stays below tau.
+    its max cosine to the rows already kept in its cluster stays below tau,
+    with tau in (0, 1].
+
+    Each cluster is scanned in tiles of SEMDEDUP_TILE_ROWS rows: one sparse
+    product of the rows kept so far against the tile and one for the tile's
+    own Gram block, both thresholded at tau, then a scan in pool order with
+    one boolean AND per row. scipy sums each entry of a CSR product over the
+    shared nonzeros in the stored order of the left row, and both products
+    put the earlier row on the left, so every cosine is bit for bit the one
+    a product of that single pair gives.
     """
     n = x_normalized.shape[0]
     keep_mask = np.zeros(n, dtype=bool)
     for c in np.unique(labels):
-        kept: list[int] = []
-        for i in np.flatnonzero(labels == c):
-            if kept:
-                sims = (x_normalized[kept] @ x_normalized[i].T).toarray().ravel()
-                if sims.size and sims.max() >= tau:
-                    continue
-            kept.append(int(i))
+        members = np.flatnonzero(labels == c)
+        kept = members[:0]
+        for start in range(0, members.size, SEMDEDUP_TILE_ROWS):
+            tile = members[start:start + SEMDEDUP_TILE_ROWS]
+            rows = x_normalized[tile]
+            dropped = np.zeros(tile.size, dtype=bool)
+            if kept.size:
+                sims = x_normalized[kept] @ rows.T
+                dropped[sims.indices[sims.data >= tau]] = True
+            # close[r, s]: cosine of tile rows s and r, summed in row s's order
+            close = (rows @ rows.T).toarray().T >= tau
+            keep = np.zeros(tile.size, dtype=bool)
+            for r in np.flatnonzero(~dropped):
+                keep[r] = not (close[r] & keep).any()
+            kept = np.concatenate((kept, tile[keep]))
         keep_mask[kept] = True
     return keep_mask
 

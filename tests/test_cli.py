@@ -210,6 +210,30 @@ class TestLedgerLifecycle:
         assert not (out_dir / "ledger.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_oracle_timeout_rejected_before_ledger(
+        self, synth_files, tmp_path, capsys, command, timeout
+    ):
+        out_dir = tmp_path / "out"
+        argv = run_argv(command, synth_files, out_dir, "--oracle", "command",
+                        "--oracle-timeout", timeout, "--oracle-cmd", sys.executable)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config rejected: --oracle-timeout must be a finite number > 0" in err
+        assert not (out_dir / "ledger.jsonl").exists()
+
+    def test_oracle_timeout_reaches_the_command(self, synth_files, tmp_path):
+        stub = tmp_path / "slow_oracle.py"
+        stub.write_text("import time\ntime.sleep(30)\nprint('{\"score\": 1}')\n")
+        out_dir = tmp_path / "out"
+        argv = run_argv("run", synth_files, out_dir, "--oracle", "command",
+                        "--oracle-timeout", "0.2", "--oracle-cmd", sys.executable, str(stub))
+        assert main(argv) == 1
+        events = ledger_lines(out_dir / "ledger.jsonl")
+        assert events[-1]["type"] == "abort"
+        assert "timed out after 0.2s" in events[-1]["error"]
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
     def test_pool_without_activations_aborts_after_draw_cap(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -496,6 +520,22 @@ class TestReport:
         out_dir = tmp_path / "rep"
         assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
         assert "skipped 1 corrupt ledger line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_ledger_one_line_exit_1(self, tmp_path, capsys, kind):
+        good = tmp_path / "good.jsonl"
+        write_jsonl(good, [{"type": "header", "run_id": "g"},
+                           handmade_eval(1, 1.0, ["ifd_topfrac"])])
+        bad = tmp_path / "bad.jsonl"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not_utf8":
+            bad.write_bytes(b"\xff\xfe\x00{}\n")
+        out_dir = tmp_path / "rep"
+        assert main(["report", str(good), str(bad), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ingestion failed: ledger {bad}: ")
+        assert not out_dir.exists()
 
     def test_comparison_table_one_row_per_ledger(self, tmp_path):
         paths = []

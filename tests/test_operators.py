@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recipesearch.operators import (
+    SEMDEDUP_TILE_ROWS,
     OperatorError,
     OperatorSpec,
     Subset,
@@ -200,6 +204,15 @@ class TestSemDedup:
         with pytest.raises(OperatorError, match="exceeds subset size"):
             apply_semdedup(Subset.full(pool), signals, 5, 0.5, 0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cluster_count_below_one_rejected(self, tiny, k):
+        pool, signals = tiny
+        with pytest.raises(OperatorError, match="n_clusters must be >= 1"):
+            apply_semdedup(Subset.full(pool), signals, k, 0.9, 0)
+        x = sp.csr_matrix(signals.activations)
+        with pytest.raises(OperatorError, match="n_clusters must be >= 1"):
+            minibatch_kmeans(x, k, 0)
+
     def test_zero_norm_vector_rejected(self, tmp_path):
         rows = [{"id": "a", "instruction": "q", "response": "r", "source": "s"},
                 {"id": "b", "instruction": "q", "response": "r", "source": "s"}]
@@ -224,8 +237,6 @@ class TestSemDedup:
         # reproduce the clustering, then brute-force pairwise cosines
         x = signals.activations[subset.positions]
         norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-        import scipy.sparse as sp
-
         xn = sp.csr_matrix(x.multiply(1.0 / norms[:, None]))
         labels = minibatch_kmeans(xn, k, seed)
         pos_to_row = {p: i for i, p in enumerate(subset.positions)}
@@ -241,8 +252,6 @@ class TestSemDedup:
         subset = Subset(np.arange(40), pool)
         x = signals.activations[subset.positions]
         norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-        import scipy.sparse as sp
-
         xn = sp.csr_matrix(x.multiply(1.0 / norms[:, None]))
         labels = minibatch_kmeans(xn, 3, 11)
         first = semdedup_greedy_pass(xn, labels, tau=0.92)
@@ -256,6 +265,77 @@ class TestSemDedup:
         a = apply_semdedup(subset, signals, 4, 0.85, seed=21)
         b = apply_semdedup(subset, signals, 4, 0.85, seed=21)
         assert a.ids() == b.ids()
+
+
+def per_row_greedy_pass(x_normalized, labels, tau):
+    """Reference: one sparse product per row against the rows kept so far."""
+    keep_mask = np.zeros(x_normalized.shape[0], dtype=bool)
+    for c in np.unique(labels):
+        kept: list[int] = []
+        for i in np.flatnonzero(labels == c):
+            if kept:
+                sims = (x_normalized[kept] @ x_normalized[i].T).toarray().ravel()
+                if sims.size and sims.max() >= tau:
+                    continue
+            kept.append(int(i))
+        keep_mask[kept] = True
+    return keep_mask
+
+
+def unit_rows(seed: int, n: int, dim: int, n_bases: int) -> sp.csr_matrix:
+    """``n`` L2-normalized sparse rows drawn from ``n_bases`` directions, each
+    repeated at scale 1, 0.5 or 3, normalized the way apply_semdedup does."""
+    rng = np.random.default_rng(seed)
+    bases = np.round(rng.random((n_bases, dim)), 2) * (rng.random((n_bases, dim)) < 0.4)
+    bases[np.arange(n_bases), rng.integers(dim, size=n_bases)] = 1.0
+    dense = bases[rng.integers(n_bases, size=n)] * rng.choice([1.0, 0.5, 3.0], size=n)[:, None]
+    x = sp.csr_matrix(dense)
+    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+    return sp.csr_matrix(x.multiply(1.0 / norms[:, None]))
+
+
+class TestGreedyPassProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3 * SEMDEDUP_TILE_ROWS),
+        dim=st.integers(1, 12),
+        base_share=st.floats(0.01, 1.0),
+        clusters=st.sampled_from(["one", "few", "singletons"]),
+        tau=st.sampled_from([1.0, 0.999, 0.9, 0.5]) | st.floats(0.05, 1.0),
+    )
+    # exact duplicates at tau = 1.0
+    @example(seed=1, n=60, dim=4, base_share=0.1, clusters="few", tau=1.0)
+    # every cluster holds one row
+    @example(seed=2, n=50, dim=6, base_share=0.2, clusters="singletons", tau=0.5)
+    # one cluster crosses two tile boundaries
+    @example(seed=3, n=2 * SEMDEDUP_TILE_ROWS + 17, dim=8, base_share=0.3,
+             clusters="one", tau=0.9)
+    def test_matches_per_row_reference(self, seed, n, dim, base_share, clusters, tau):
+        x = unit_rows(seed, n, dim, max(1, round(base_share * n)))
+        n_clusters = {"one": 1, "few": min(n, 3), "singletons": n}[clusters]
+        labels = np.random.default_rng(seed + 1).permutation(np.arange(n) % n_clusters)
+        mask = semdedup_greedy_pass(x, labels, tau)
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert np.array_equal(mask, per_row_greedy_pass(x, labels, tau))
+        assert np.array_equal(mask, semdedup_greedy_pass(x, labels, tau))
+        if clusters == "singletons":
+            assert mask.all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sets(st.integers(0, 199), min_size=1, max_size=200),
+        k=st.integers(1, 8),
+        tau=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_apply_output_is_repeatable_subset(self, synth, rows, k, tau, seed):
+        pool, signals = synth
+        subset = Subset(np.array(sorted(rows)), pool)
+        k = min(k, len(subset))
+        out = apply_semdedup(subset, signals, k, tau, seed)
+        assert set(out.positions) <= set(subset.positions)
+        assert np.array_equal(out.positions, apply_semdedup(subset, signals, k, tau, seed).positions)
 
 
 class TestRandomK:
