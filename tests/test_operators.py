@@ -283,8 +283,8 @@ def per_row_greedy_pass(x_normalized, labels, tau):
 
 
 def unit_rows(seed: int, n: int, dim: int, n_bases: int) -> sp.csr_matrix:
-    """``n`` L2-normalized sparse rows drawn from ``n_bases`` directions, each
-    repeated at scale 1, 0.5 or 3, normalized the way apply_semdedup does."""
+    """``n`` sparse rows drawn from ``n_bases`` directions at scale 1, 0.5 or
+    3, L2-normalized the way apply_semdedup does."""
     rng = np.random.default_rng(seed)
     bases = np.round(rng.random((n_bases, dim)), 2) * (rng.random((n_bases, dim)) < 0.4)
     bases[np.arange(n_bases), rng.integers(dim, size=n_bases)] = 1.0
