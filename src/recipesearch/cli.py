@@ -113,7 +113,7 @@ class RunLedger:
 
 
 def read_ledger(path: str) -> tuple[list[dict], int]:
-    """Parse a ledger; corrupt lines are skipped and counted."""
+    """Parse a ledger; corrupt lines (not one JSON object) are skipped and counted."""
     events: list[dict] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -122,8 +122,12 @@ def read_ledger(path: str) -> tuple[list[dict], int]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
+                event = json.loads(line)
+            except (json.JSONDecodeError, RecursionError):
+                event = None
+            if isinstance(event, dict):
+                events.append(event)
+            else:
                 skipped += 1
     if skipped:
         logger.warning("%s: skipped %d corrupt ledger line(s)", path, skipped)
@@ -182,7 +186,7 @@ def _build_oracle(args, pool, signals, out_dir: Path):
             doc = json.load(fh)
         names = flat_field_names(signals.benchmarks)
         return SyntheticOracle(SyntheticOracleSpec.from_dict(doc, names))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"oracle spec rejected: {exc}", file=sys.stderr)
         return None
 
@@ -263,7 +267,12 @@ def cmd_exec(args) -> int:
         return 1
     catalog = default_catalog(len(pool))
     try:
-        recipe = parse_recipe(Path(args.recipe).read_text(), catalog, args.l_max)
+        text = Path(args.recipe).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"ingestion failed: recipe {args.recipe}: {exc}", file=sys.stderr)
+        return 1
+    try:
+        recipe = parse_recipe(text, catalog, args.l_max)
     except RecipeValidationError as exc:
         _print_rejection(exc.violations)
         return 1

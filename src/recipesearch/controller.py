@@ -570,7 +570,7 @@ class AssistantPort:
         def parse(out: str):
             try:
                 doc = json.loads(strip_json_payload(out))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 return None, "unparsable JSON"
             if isinstance(doc, dict):
                 doc = [doc]
@@ -593,7 +593,7 @@ class AssistantPort:
             try:
                 doc = json.loads(strip_json_payload(out))
                 ranking = [int(i) for i in doc["ranking"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, RecursionError):
                 return None, "missing or invalid ranking"
             if sorted(ranking) != list(range(n)):
                 return None, f"ranking is not a permutation of 0..{n - 1}"
@@ -610,7 +610,7 @@ class AssistantPort:
         def parse(out: str):
             try:
                 doc = json.loads(strip_json_payload(out))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 return None, "unparsable JSON"
             if not isinstance(doc, list):
                 return None, "not a step array"

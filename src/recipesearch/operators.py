@@ -56,17 +56,18 @@ class Subset:
         return [self.pool.samples[p].id for p in self.positions]
 
     def content_hash(self) -> str:
-        """Digest of the sorted id list; distinct id sets cannot collide.
+        """SHA-256 of the sorted ids, each UTF-8 encoded and ``\\x00``-terminated.
 
-        Computed on the first call only: the positions are read-only and the
-        pool is fixed, so the digest cannot go stale.
+        One hash call over the pool's id buffer, restricted to this subset's
+        entries. Computed on the first call only: the positions are read-only
+        and the pool is fixed, so the digest cannot go stale.
         """
         if self._digest is None:
-            h = hashlib.sha256()
-            for sid in sorted(self.ids()):
-                h.update(sid.encode())
-                h.update(b"\x00")
-            self._digest = h.hexdigest()
+            pool = self.pool
+            chosen = np.zeros(len(pool), dtype=bool)
+            chosen[pool.id_rank[self.positions]] = True
+            data = pool.id_bytes[np.repeat(chosen, pool.id_lengths)]
+            self._digest = hashlib.sha256(data).hexdigest()
         return self._digest
 
 
@@ -298,19 +299,42 @@ def _valid_source(source: str) -> bool:
 # Scalar-signal selectors
 # ---------------------------------------------------------------------------
 
+def _top_mask(scores: np.ndarray, keep: int) -> np.ndarray:
+    """Mask of the ``keep`` highest scores, earlier indices first among equals.
+
+    One linear-time partition finds the keep-th highest value; everything
+    above it is kept, then the earliest ties up to ``keep``. This is the set a
+    stable descending sort puts first. ``scores`` must hold no NaN.
+    """
+    n = scores.size
+    if keep >= n:
+        return np.ones(n, dtype=bool)
+    cut = np.partition(scores, n - keep)[n - keep]
+    mask = scores > cut
+    ties = np.flatnonzero(scores == cut)
+    mask[ties[: keep - np.count_nonzero(mask)]] = True
+    return mask
+
+
 def apply_top_fraction(subset: Subset, scores: np.ndarray, alpha: float) -> Subset:
     """Retain the ceil(alpha * |subset|) highest-scoring samples.
 
-    ``positions`` is already in pool order, so a stable sort on -score keeps
-    earlier positions first among equals.
+    ``scores`` is aligned to ``subset.positions``, which are in pool order,
+    so ties go to the earlier pool position. NaN scores are rejected.
     """
     if len(subset) == 0:
         raise OperatorError("empty input subset")
     if not (0.0 < alpha <= 1.0):
         raise OperatorError(f"fraction out of (0,1]: {alpha}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != subset.positions.shape:
+        raise OperatorError(
+            f"scores of shape {scores.shape} for a subset of {len(subset)} samples"
+        )
+    if np.isnan(scores).any():
+        raise OperatorError("NaN in selector scores")
     keep = math.ceil(alpha * len(subset))
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    return Subset(np.sort(subset.positions[order[:keep]]), subset.pool)
+    return Subset(subset.positions[_top_mask(scores, keep)], subset.pool)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +384,10 @@ def apply_mona_union(subset: Subset, signals: SignalTable, fraction: float) -> S
     if not (0.0 < fraction <= 1.0):
         raise OperatorError(f"fraction out of (0,1]: {fraction}")
     keep = math.ceil(fraction * len(subset))
-    chosen: list[np.ndarray] = []
+    chosen = np.zeros(len(subset), dtype=bool)
     for col in range(len(signals.benchmarks)):
-        scores = signals.relevance[subset.positions, col]
-        order = np.argsort(-scores, kind="stable")
-        chosen.append(subset.positions[order[:keep]])
-    return Subset(np.unique(np.concatenate(chosen)), subset.pool)
+        chosen |= _top_mask(signals.relevance[:, col][subset.positions], keep)
+    return Subset(subset.positions[chosen], subset.pool)
 
 
 # ---------------------------------------------------------------------------

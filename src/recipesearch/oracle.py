@@ -116,15 +116,16 @@ class CommandOracle:
         try:
             doc = json.loads(proc.stdout.strip().splitlines()[-1])
             score = float(doc["score"])
-        except (IndexError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            per_benchmark = doc.get("per_benchmark")
+            if per_benchmark is not None:
+                per_benchmark = {str(k): float(v) for k, v in per_benchmark.items()}
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:
             raise OracleError(
                 f"unparsable evaluation output: {proc.stdout.strip()[:500]}"
             ) from exc
         if not np.isfinite(score):
             raise OracleError(f"non-finite score from evaluation command: {score}")
-        per_benchmark = doc.get("per_benchmark")
-        if per_benchmark is not None:
-            per_benchmark = {str(k): float(v) for k, v in per_benchmark.items()}
         return EvalOutcome(score=score, per_benchmark=per_benchmark, duration_s=duration)
 
 

@@ -38,12 +38,21 @@ class Sample:
 
 @dataclass(frozen=True)
 class CanonicalPool:
-    """Immutable pool with stable ids and load-order positions."""
+    """Immutable pool with stable ids and load-order positions.
+
+    ``id_rank``, ``id_bytes`` and ``id_lengths`` are the tables behind
+    ``Subset.content_hash``: the rank of each id in code-point order, the
+    UTF-8 ids in that order with a ``\\x00`` after each, and the length of
+    each id's entry in the buffer, terminator included.
+    """
 
     samples: tuple[Sample, ...]
     index: dict[str, int]
     total_tokens: int
     token_counts: np.ndarray = field(repr=False)  # int64, aligned to samples
+    id_rank: np.ndarray = field(repr=False)       # int64, aligned to samples
+    id_bytes: np.ndarray = field(repr=False)      # uint8, ids in rank order
+    id_lengths: np.ndarray = field(repr=False)    # int64, in rank order
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -132,8 +141,10 @@ def load_pool(path: str) -> CanonicalPool:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise PoolError(f"expected a JSON object at line {lineno}")
             for key in required:
                 if key not in rec:
                     raise PoolError(f"missing required field {key!r} at line {lineno}")
@@ -142,6 +153,10 @@ def load_pool(path: str) -> CanonicalPool:
                 raise PoolError(f"empty id at line {lineno}")
             if sid in index:
                 raise PoolError(f"duplicate id {sid} at line {lineno}")
+            try:
+                sid.encode()
+            except UnicodeEncodeError as exc:
+                raise PoolError(f"id is not encodable as UTF-8 at line {lineno}") from exc
             sample = Sample(
                 id=sid,
                 instruction=str(rec["instruction"]),
@@ -154,12 +169,22 @@ def load_pool(path: str) -> CanonicalPool:
     if not samples:
         raise PoolError(f"empty pool file: {path}")
     token_counts = np.array([s.token_count for s in samples], dtype=np.int64)
-    token_counts.setflags(write=False)
+    by_id = sorted(index)
+    id_rank = np.empty(len(samples), dtype=np.int64)
+    id_rank[[index[sid] for sid in by_id]] = np.arange(len(samples))
+    id_bytes = np.frombuffer(("\x00".join(by_id) + "\x00").encode(), dtype=np.uint8)
+    id_lengths = np.fromiter((len(sid.encode()) + 1 for sid in by_id), dtype=np.int64,
+                             count=len(by_id))
+    for arr in (token_counts, id_rank, id_lengths):
+        arr.setflags(write=False)
     return CanonicalPool(
         samples=tuple(samples),
         index=index,
         total_tokens=int(token_counts.sum()),
         token_counts=token_counts,
+        id_rank=id_rank,
+        id_bytes=id_bytes,
+        id_lengths=id_lengths,
     )
 
 
@@ -215,7 +240,12 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     pool-relative ratios in the state vector undefined).
     """
     with open(targets_path, encoding="utf-8") as fh:
-        tgt_doc = json.load(fh)
+        try:
+            tgt_doc = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise PoolError(f"targets file {targets_path}: invalid JSON: {exc}") from exc
+    if not isinstance(tgt_doc, dict):
+        raise PoolError(f"targets file {targets_path}: expected a JSON object")
     sae_dim = int(tgt_doc.get("sae_dim", 0))
     if sae_dim <= 0:
         raise PoolError(f"targets file {targets_path}: sae_dim must be a positive integer")
@@ -245,8 +275,10 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise PoolError(f"expected a JSON object at line {lineno}")
             sid = str(rec.get("id", ""))
             if sid not in pool.index:
                 raise PoolError(f"signals line {lineno}: id {sid!r} not in pool")

@@ -120,7 +120,7 @@ def parse_recipe(text: str, catalog: Catalog, l_max: int = DEFAULT_L_MAX) -> Rec
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RecipeValidationError([f"malformed JSON: {exc}"]) from exc
     if isinstance(obj, list):
         if len(obj) != 1:

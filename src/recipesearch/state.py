@@ -107,7 +107,8 @@ def compute_state(subset: Subset, pool: CanonicalPool, signals: SignalTable) -> 
     if len(subset) == 0:
         raise StateError("empty subset")
     pos = subset.positions
-    scores = signals.relevance[pos, :]
+    # the same rows as relevance[pos], gathered an order of magnitude faster
+    scores = np.take(signals.relevance, pos, axis=0)
     drift = float(
         np.linalg.norm(compute_snar(subset, signals) - signals.pool_snar)
         / np.sqrt(signals.sae_dim)

@@ -160,6 +160,14 @@ class TestExec:
         err = capsys.readouterr().err
         assert "recipe rejected:" in err and "k must be an integer" in err
 
+    def test_missing_recipe_file_one_line_exit_1(self, synth_files, tmp_path, capsys):
+        missing = tmp_path / "nosuch.json"
+        code = main(["exec"] + data_args(synth_files)
+                    + ["--recipe", str(missing), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ingestion failed: recipe {missing}: ")
+
 
 def run_argv(command, synth_files, out_dir, *extra):
     argv = [command] + data_args(synth_files) + ["--out-dir", str(out_dir), *extra]
@@ -521,6 +529,15 @@ class TestReport:
         assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
         assert "skipped 1 corrupt ledger line" in capsys.readouterr().err
 
+    def test_line_not_an_object_skipped(self, tmp_path, capsys):
+        ledger = tmp_path / "list.jsonl"
+        write_jsonl(ledger, [{"type": "header", "run_id": "l"}, [1],
+                             handmade_eval(1, 1.0, ["ifd_topfrac"])])
+        out_dir = tmp_path / "rep"
+        assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
+        assert "skipped 1 corrupt ledger line" in capsys.readouterr().err
+        assert len((out_dir / "curves.csv").read_text().splitlines()) == 2
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_ledger_one_line_exit_1(self, tmp_path, capsys, kind):
         good = tmp_path / "good.jsonl"
@@ -565,3 +582,78 @@ class TestReport:
             main(["report", str(ledger), "--out-dir", str(out_dir)])
             outs.append((out_dir / "curves.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Deeply nested JSON at every decode site
+# ---------------------------------------------------------------------------
+
+DEEP_JSON = "[" * 50000 + "]" * 50000
+
+# entry point -> (exit code, message on stderr or in the assistant_failure events)
+DEEP_CASES = {
+    "exec_recipe": (1, "malformed JSON"),
+    "report_ledger": (0, "skipped 1 corrupt ledger line"),
+    "pool": (1, "invalid JSON at line 201"),
+    "signals": (1, "invalid JSON at line 201"),
+    "targets": (1, "invalid JSON"),
+    "oracle_spec": (2, "oracle spec rejected"),
+    "scorer": (1, "unparsable evaluation output"),
+    "proposer": (0, "unparsable JSON"),
+    "ranker": (0, "missing or invalid ranking"),
+    "reseeder": (0, "unparsable JSON"),
+}
+ROLES = ("proposer", "ranker", "reseeder")
+
+
+def deep_argv(name, synth_files, tmp_path):
+    """argv of one CLI entry point whose JSON input is DEEP_JSON."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    out_dir = tmp_path / "out"
+    if name == "exec_recipe":
+        return ["exec", *data_args(synth_files),
+                "--recipe", str(deep), "--out", str(tmp_path / "m.jsonl")]
+    if name == "report_ledger":
+        ledger = tmp_path / "ledger.jsonl"
+        write_jsonl(ledger, [{"type": "header", "run_id": "d"},
+                             handmade_eval(1, 1.0, ["ifd_topfrac"])])
+        with open(ledger, "a") as fh:
+            fh.write(DEEP_JSON + "\n")
+        return ["report", str(ledger), "--out-dir", str(out_dir)]
+    if name in ("pool", "signals", "targets"):
+        files = list(synth_files)
+        index = ("pool", "signals", "targets").index(name)
+        text = "" if name == "targets" else Path(files[index]).read_text()
+        files[index] = str(tmp_path / Path(files[index]).name)
+        Path(files[index]).write_text(text + DEEP_JSON + "\n")
+        return ["ingest-check", *data_args(files)]
+    if name == "oracle_spec":
+        return run_argv("run", synth_files, out_dir, "--oracle-spec", str(deep))
+    script = tmp_path / "print_deep.py"
+    reads_prompt = "import sys\nsys.stdin.read()\n" if name in ROLES else ""
+    script.write_text(reads_prompt + f"print(open({str(deep)!r}).read())\n")
+    if name == "scorer":
+        return run_argv("run", synth_files, out_dir, "--oracle", "command",
+                        "--oracle-cmd", sys.executable, str(script))
+    # master seed 4 at budget 8 proposes, ranks and reseeds (tests/golden)
+    cmd = shlex.join([sys.executable, str(script)])
+    return run_argv("run", synth_files, out_dir, "--budget", "8", "--master-seed", "4",
+                    "--oracle-spec", write_spec(tmp_path, PLANTED_SPEC),
+                    "--assistant-mode", "external", "--assistant-cmd", f"{name}={cmd}")
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CASES))
+def test_deeply_nested_json_takes_the_decode_error_path(synth_files, tmp_path, capsys, name):
+    code, message = DEEP_CASES[name]
+    assert main(deep_argv(name, synth_files, tmp_path)) == code
+    err = capsys.readouterr().err
+    if name in ROLES:
+        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
+        failures = {(e["role"], e["error"]) for e in events
+                    if e["type"] == "assistant_failure"}
+        assert failures == {(name, message)}
+        assert events[-1]["type"] == "result"
+    else:
+        assert message in err
+        assert "Traceback" not in err

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +75,105 @@ class TestTopSelectors:
             cur = set(apply_top_fraction(subset, scores[subset.positions], alpha).ids())
             assert prev <= cur
             prev = cur
+
+    def test_nan_scores_rejected(self, tiny):
+        pool, _ = tiny
+        scores = np.array([1.0, np.nan, 0.5, 2.0])
+        with pytest.raises(OperatorError, match="NaN"):
+            apply_top_fraction(Subset.full(pool), scores, 0.5)
+
+    def test_scores_must_align_with_subset(self, tiny):
+        pool, _ = tiny
+        with pytest.raises(OperatorError, match="scores of shape"):
+            apply_top_fraction(Subset.full(pool), np.zeros(3), 0.5)
+
+
+def stable_argsort_top(positions, scores, keep):
+    """Reference: the first ``keep`` positions of a stable sort on -score."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return np.sort(positions[order[:keep]])
+
+
+def per_id_digest(ids):
+    """Reference: SHA-256 over the sorted ids, each followed by a NUL byte."""
+    h = hashlib.sha256()
+    for sid in sorted(ids):
+        h.update(sid.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+# few distinct values, so most draws hold ties; the infinities sort like any value
+TIED_SCORES = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf])
+# 1e-9 keeps one sample, 1.0 keeps all of them
+FRACTIONS = st.sampled_from([1e-9, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+class TestSelectorProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.sets(st.integers(0, 199), min_size=1, max_size=200),
+        values=st.lists(TIED_SCORES, min_size=200, max_size=200),
+        alpha=FRACTIONS,
+    )
+    @example(rows=set(range(200)), values=[0.5] * 200, alpha=0.3)  # all equal
+    @example(rows={7}, values=[np.inf] * 200, alpha=1e-9)  # one row
+    def test_top_fraction_matches_stable_argsort(self, synth, rows, values, alpha):
+        pool, _ = synth
+        subset = Subset(np.array(sorted(rows)), pool)
+        scores = np.array(values)[subset.positions]
+        out = apply_top_fraction(subset, scores, alpha)
+        keep = math.ceil(alpha * len(subset))
+        assert len(out) == keep
+        assert np.array_equal(out.positions, stable_argsort_top(subset.positions, scores, keep))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.sets(st.integers(0, 199), min_size=1, max_size=200),
+        columns=st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                  min_size=200, max_size=200), min_size=1, max_size=3),
+        alpha=FRACTIONS,
+    )
+    def test_mona_union_matches_stable_argsort(self, synth, rows, columns, alpha):
+        pool, signals = synth
+        relevance = np.array(columns).T
+        signals = dataclasses.replace(
+            signals, benchmarks=tuple(f"b{j}" for j in range(len(columns))),
+            relevance=relevance,
+        )
+        subset = Subset(np.array(sorted(rows)), pool)
+        keep = math.ceil(alpha * len(subset))
+        expected = np.unique(np.concatenate([
+            stable_argsort_top(subset.positions, relevance[subset.positions, j], keep)
+            for j in range(len(columns))
+        ]))
+        out = apply_mona_union(subset, signals, alpha)
+        assert np.array_equal(out.positions, expected)
+
+
+class TestDigestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12),
+            min_size=1, max_size=40, unique=True,
+        ),
+        data=st.data(),
+    )
+    # U+FF21 sorts before U+1F600 by code point but after it in UTF-16
+    @example(ids=["b", "a", "\u00e9", "ab", "\u4e2d\u6587", "a\x00", "\U0001f600z", "\uff21"],
+             data=None)
+    def test_matches_per_id_loop(self, tmp_path_factory, ids, data):
+        path = tmp_path_factory.mktemp("ids") / "pool.jsonl"
+        write_jsonl(path, [{"id": i, "instruction": "q", "response": "r", "source": "s"}
+                           for i in ids])
+        pool = load_pool(str(path))
+        rows = [set(range(len(ids))), {len(ids) - 1}]
+        if data is not None:
+            rows.append(data.draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
+        for chosen in rows:
+            subset = Subset(np.array(sorted(chosen)), pool)
+            assert subset.content_hash() == per_id_digest(subset.ids())
 
 
 class TestMonaScore:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+import recipesearch.operators as operators
 from recipesearch.operators import OperatorSpec, Subset
 from recipesearch.oracle import (
     CommandOracle,
@@ -46,6 +49,10 @@ STUB_PER_BENCH = [
 ]
 STUB_FAIL = [sys.executable, "-c", "import sys; sys.exit(1)"]
 STUB_GARBAGE = [sys.executable, "-c", "print('not json at all')"]
+STUB_NOT_OBJECT = [sys.executable, "-c", "print('[1, 2]')"]
+STUB_BAD_PER_BENCH = [
+    sys.executable, "-c", "print('{\"score\": 1.0, \"per_benchmark\": [1]}')"
+]
 # reads the manifest it was handed and scores by subset size
 STUB_READS_MANIFEST = [
     sys.executable, "-c",
@@ -80,6 +87,13 @@ class TestCommandOracle:
     def test_unparsable_output_aborts(self, tiny, tmp_path):
         pool, _ = tiny
         oracle = CommandOracle(STUB_GARBAGE, str(tmp_path), pool)
+        with pytest.raises(OracleError, match="unparsable"):
+            oracle.evaluate(make_request(pool, ["a"]), make_state())
+
+    @pytest.mark.parametrize("stub", [STUB_NOT_OBJECT, STUB_BAD_PER_BENCH])
+    def test_wrongly_shaped_output_aborts(self, tiny, tmp_path, stub):
+        pool, _ = tiny
+        oracle = CommandOracle(stub, str(tmp_path), pool)
         with pytest.raises(OracleError, match="unparsable"):
             oracle.evaluate(make_request(pool, ["a"]), make_state())
 
@@ -204,8 +218,11 @@ class TestCache:
         pool, _ = tiny
         subset = Subset.from_ids(["a", "b"], pool)
         calls = []
-        ids = Subset.ids
-        monkeypatch.setattr(Subset, "ids", lambda self: calls.append(1) or ids(self))
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(
+            operators, "hashlib",
+            SimpleNamespace(sha256=lambda *data: calls.append(1) or sha256(*data)),
+        )
         assert subset.content_hash() == subset.content_hash()
         assert len(calls) == 1
 

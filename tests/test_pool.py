@@ -52,6 +52,30 @@ class TestLoadPool:
         with pytest.raises(PoolError, match="empty pool file"):
             load_pool(str(path))
 
+    def test_record_not_an_object_names_line(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        write_jsonl(path, [TINY_POOL_ROWS[0], 5])
+        with pytest.raises(PoolError, match="expected a JSON object at line 2"):
+            load_pool(str(path))
+
+    def test_id_not_encodable_names_line(self, tmp_path):
+        # a lone surrogate decodes from JSON but has no UTF-8 form to hash
+        path = tmp_path / "surrogate.jsonl"
+        write_jsonl(path, [TINY_POOL_ROWS[0], dict(TINY_POOL_ROWS[1], id="b\ud800")])
+        with pytest.raises(PoolError, match="not encodable as UTF-8 at line 2"):
+            load_pool(str(path))
+
+    def test_digest_tables_follow_sorted_ids(self, tmp_path):
+        ids = ["z", "\u00e9t\u00e9", "a10", "a9", "\u4e2d"]
+        path = tmp_path / "ids.jsonl"
+        write_jsonl(path, [dict(TINY_POOL_ROWS[0], id=i) for i in ids])
+        pool = load_pool(str(path))
+        ranked = [ids[p] for p in np.argsort(pool.id_rank)]
+        assert ranked == sorted(ids)
+        assert pool.id_bytes.tobytes() == b"".join(i.encode() + b"\x00" for i in ranked)
+        assert pool.id_lengths.tolist() == [len(i.encode()) + 1 for i in ranked]
+        assert not pool.id_rank.flags.writeable and not pool.id_bytes.flags.writeable
+
     def test_determinism(self, tiny_files):
         first = load_pool(tiny_files[0])
         second = load_pool(tiny_files[0])
