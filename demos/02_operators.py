@@ -14,7 +14,6 @@ from recipesearch.operators import (
     apply_random_k,
     apply_semdedup,
     apply_top_fraction,
-    score_mona,
 )
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.synthetic import write_synthetic_dataset
@@ -35,10 +34,10 @@ def main():
         print(f"top 30% by {column:14s} -> {len(kept):3d} samples "
               f"(first ids: {', '.join(kept.ids()[:4])})")
 
-    # the relevance score is a weighted Jaccard between sparse vectors
-    a = [(0, 1.0)]
-    t = [(0, 0.5), (1, 0.5)]
-    print(f"\nweighted-Jaccard relevance of {a} vs {t}: {score_mona(a, t):.4f}")
+    # relevance is the weighted Jaccard of a sample's sparse activations with
+    # each benchmark target, one row per sample, computed once at load
+    row = ", ".join(f"{b} {r:.4f}" for b, r in zip(signals.benchmarks, signals.relevance[0]))
+    print(f"\nrelevance of sample {pool.samples[0].id}: {row}")
 
     kept = apply_mona_union(full, signals, 0.1)
     print(f"per-benchmark top 10% unioned over {len(signals.benchmarks)} "

@@ -28,7 +28,6 @@ from .operators import (
     apply_semdedup,
     apply_top_fraction,
     default_catalog,
-    score_mona,
 )
 from .oracle import (
     CommandOracle,

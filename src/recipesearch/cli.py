@@ -1,12 +1,14 @@
 """Command-line surface: ingestion checks, execution, search runs, reports.
 
 Subcommands: ingest-check, exec, run, baseline, report. Runs and baselines
-write an append-only JSONL ledger (header line first, then eval and event
-lines in step order, then a result or abort line); a run also writes the
-best-recipe JSON and the selected-subset manifest. Baseline suites are
-recipe sources evaluated by the search's own runtime, so their eval events
-match a run's. Reports are pure functions of ledger bytes and come out as
-CSV files.
+write an append-only JSONL ledger: header line first, then eval and event
+lines in step order. A run that completes ends with a result line, a
+baseline with its last eval line, and either one that fails with an abort
+line. A run also writes the best-recipe JSON and the selected-subset
+manifest. A rejected setting exits 2 with ``config rejected:`` before any
+ledger is opened. Baseline suites are recipe sources evaluated by the
+search's own runtime, so their eval events match a run's. Reports are pure
+functions of ledger bytes and come out as CSV files.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import (
+    ASSISTANT_ROLES,
     ControllerError,
     SearchConfig,
     WARMUP_COUNT,
@@ -57,6 +60,7 @@ from .oracle import (
 )
 from .pool import PoolError, load_pool, load_signals
 from .recipe import (
+    DEFAULT_L_MAX,
     ExecutionError,
     Recipe,
     RecipeValidationError,
@@ -80,6 +84,10 @@ SINGLE_OP_SELECTORS = (
 SINGLE_OP_DEFAULT_FRACTION = 0.5
 SINGLE_OP_MONA_FRACTION = 0.05
 SINGLE_OP_SEMDEDUP_TAU = 0.75
+
+
+class ConfigRejected(ValueError):
+    """A setting that ``main`` rejects with exit 2 before any ledger opens."""
 
 
 def _jsonable(value):
@@ -166,15 +174,13 @@ def _load_data(args):
 
 
 def _build_oracle(args, pool, signals, out_dir: Path):
-    """The run's oracle, or None after reporting a rejected timeout or spec."""
+    """The run's oracle, or None after reporting a rejected spec."""
     timeout = args.oracle_timeout
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-        print(f"config rejected: --oracle-timeout must be a finite number > 0, got {timeout}",
-              file=sys.stderr)
-        return None
+        raise ConfigRejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
     if args.oracle == "command":
         if not args.oracle_cmd:
-            raise SystemExit("--oracle command requires --oracle-cmd")
+            raise ConfigRejected("--oracle command requires --oracle-cmd")
         kwargs = {}
         if timeout is not None:
             kwargs["timeout"] = timeout
@@ -191,21 +197,32 @@ def _build_oracle(args, pool, signals, out_dir: Path):
         return None
 
 
+def _split_command(text: str, source: str) -> list[str]:
+    try:
+        return shlex.split(text)
+    except ValueError as exc:
+        raise ConfigRejected(f"{source}: {exc}") from exc
+
+
 def _assistant_commands(args) -> dict[str, list[str]]:
-    """Role argv from ``--assistant-cmd`` and the environment, split shell-style."""
+    """Role argv from ``--assistant-cmd`` and the environment, split shell-style.
+
+    ``RECIPESEARCH_ASSISTANT_CMD_<ROLE>`` overrides the flag for its role;
+    ``RECIPESEARCH_ASSISTANT_CMD`` fills in every role still without one.
+    """
     commands: dict[str, list[str]] = {}
     for spec in args.assistant_cmd or []:
         role, _, cmd = spec.partition("=")
         if not cmd:
-            raise SystemExit(f"--assistant-cmd must look like role=command, got {spec!r}")
-        commands[role] = shlex.split(cmd)
+            raise ConfigRejected(f"--assistant-cmd must look like role=command, got {spec!r}")
+        commands[role] = _split_command(cmd, f"--assistant-cmd {role}")
     default_env = os.environ.get(ENV_ASSISTANT_PREFIX)
-    for role in ("summarizer", "proposer", "ranker", "reseeder"):
-        env = os.environ.get(f"{ENV_ASSISTANT_PREFIX}_{role.upper()}")
-        if env:
-            commands[role] = shlex.split(env)
+    for role in ASSISTANT_ROLES:
+        name = f"{ENV_ASSISTANT_PREFIX}_{role.upper()}"
+        if os.environ.get(name):
+            commands[role] = _split_command(os.environ[name], name)
         elif default_env and role not in commands:
-            commands[role] = shlex.split(default_env)
+            commands[role] = _split_command(default_env, ENV_ASSISTANT_PREFIX)
     return commands
 
 
@@ -358,7 +375,6 @@ def cmd_run(args) -> int:
         candidates_per_step=args.candidates,
         l_max=args.l_max,
         master_seed=args.master_seed,
-        assistant_mode=args.assistant_mode,
         assistant_commands=_assistant_commands(args),
         random_select=args.random_select,
         run_id=args.run_id,
@@ -366,8 +382,7 @@ def cmd_run(args) -> int:
     try:
         config.validate()
     except ControllerError as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigRejected(exc) from exc
     catalog = default_catalog(len(pool))
     oracle = _build_oracle(args, pool, signals, out_dir)
     if oracle is None:
@@ -456,8 +471,7 @@ def cmd_baseline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for flag, value in (("--budget", args.budget), ("--l-max", args.l_max)):
         if value < 1:
-            print(f"config rejected: {flag} must be >= 1, got {value}", file=sys.stderr)
-            return 2
+            raise ConfigRejected(f"{flag} must be >= 1, got {value}")
     try:
         pool, signals = _load_data(args)
     except (PoolError, OSError) as exc:
@@ -648,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed overrides, one per stochastic step")
     p.add_argument("--out", required=True, help="manifest output path")
     p.add_argument("--state-out", help="state vector output path")
-    p.add_argument("--l-max", type=int, default=5)
+    p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
     p.add_argument("--run-id")
     p.set_defaults(func=cmd_exec)
 
@@ -656,15 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_oracle_args(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--budget", "-B", type=int, default=15)
-    p.add_argument("--patience", "-P", type=int, default=4)
-    p.add_argument("--candidates", "-M", type=int, default=5)
-    p.add_argument("--l-max", type=int, default=5)
-    p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--assistant-mode", choices=("fallback", "external"),
-                   default="fallback")
+    p.add_argument("--budget", "-B", type=int, default=SearchConfig.budget)
+    p.add_argument("--patience", "-P", type=int, default=SearchConfig.patience)
+    p.add_argument("--candidates", "-M", type=int, default=SearchConfig.candidates_per_step)
+    p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
+    p.add_argument("--master-seed", type=int, default=SearchConfig.master_seed)
     p.add_argument("--assistant-cmd", action="append", metavar="ROLE=CMD",
-                   help="external assistant command per role")
+                   help="external command for one role; roles without one use the fallback")
     p.add_argument("--random-select", action="store_true",
                    help="ablation: choose candidates uniformly at random")
     p.add_argument("--run-id")
@@ -676,9 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=("random_recipe", "random_topk", "single_op"))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--budget", "-B", type=int, default=15)
-    p.add_argument("--l-max", type=int, default=5)
-    p.add_argument("--master-seed", type=int, default=0)
+    p.add_argument("--budget", "-B", type=int, default=SearchConfig.budget)
+    p.add_argument("--l-max", type=int, default=DEFAULT_L_MAX)
+    p.add_argument("--master-seed", type=int, default=SearchConfig.master_seed)
     p.add_argument("--size", type=int, help="random_topk subset size")
     p.add_argument("--fraction", type=float, help="single_op selector fraction")
     p.add_argument("--mona-fraction", type=float,
@@ -702,7 +714,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigRejected as exc:
+        print(f"config rejected: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,9 +10,9 @@ separately; the anchor moves only when the incumbent has stagnated for
 ``patience`` consecutive evaluations.
 
 The Summarizer/Proposer/Ranker/Reseeder roles are ports: deterministic
-fallback policies are built in, and each role can be delegated to an external
-command (prompt on stdin, JSON on stdout) that degrades back to the fallback
-on any failure.
+fallback policies are built in, and a role with a command in
+``SearchConfig.assistant_commands`` runs it (prompt on stdin, JSON on stdout),
+degrading back to the fallback on any failure.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ WARMUP_RESAMPLE_CAP = 500
 KAPPA = 1.0
 RETAIN_FLOOR = 0.02
 ASSISTANT_RETRIES = 2
+ASSISTANT_TIMEOUT_S = 120.0
 ASSISTANT_ROLES = ("summarizer", "proposer", "ranker", "reseeder")
 
 _ROLE_STREAM = {
@@ -89,9 +90,8 @@ class SearchConfig:
     candidates_per_step: int = 5
     l_max: int = DEFAULT_L_MAX
     master_seed: int = 0
-    assistant_mode: str = "fallback"            # "fallback" | "external"
+    # role -> argv; exactly the roles named here run externally
     assistant_commands: dict[str, list[str]] = field(default_factory=dict)
-    assistant_timeout: float = 120.0
     random_select: bool = False                 # ablation: uniform candidate choice
     run_id: str | None = None
 
@@ -108,8 +108,16 @@ class SearchConfig:
             raise ControllerError(
                 f"candidates_per_step must be >= 1, got {self.candidates_per_step}"
             )
-        if self.assistant_mode not in ("fallback", "external"):
-            raise ControllerError(f"unknown assistant mode {self.assistant_mode!r}")
+        for role, command in self.assistant_commands.items():
+            if role not in ASSISTANT_ROLES:
+                raise ControllerError(
+                    f"unknown assistant role {role!r}, expected one of "
+                    f"{', '.join(ASSISTANT_ROLES)}"
+                )
+            if not command:
+                raise ControllerError(f"empty assistant command for role {role!r}")
+        if self.random_select and "ranker" in self.assistant_commands:
+            raise ControllerError("random_select leaves no choice to a ranker command")
 
     def resolved_run_id(self) -> str:
         return self.run_id if self.run_id else f"run-seed{self.master_seed}"
@@ -123,7 +131,7 @@ class SearchConfig:
             "l_max": self.l_max,
             "master_seed": self.master_seed,
             "warmup_bin_bounds": list(WARMUP_BIN_BOUNDS),
-            "assistant_mode": self.assistant_mode,
+            "assistant_mode": "external" if self.assistant_commands else "fallback",
             "assistant_commands": {k: list(v) for k, v in self.assistant_commands.items()},
             "kappa": KAPPA,
             "retain_floor": RETAIN_FLOOR,
@@ -308,7 +316,7 @@ def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
     return Guidance(findings=findings[:5], op_bias=op_bias, best_band=best_band)
 
 
-def fallback_rank(candidates: list[Candidate], history: list[EvalRecord]) -> list[int]:
+def fallback_rank(candidates: list[Candidate]) -> list[int]:
     """Full ranking by mu + KAPPA * sigma; degenerate subsets go to the tail.
 
     Candidates whose retain ratio is below RETAIN_FLOOR are demoted below every
@@ -486,55 +494,56 @@ def strip_json_payload(text: str) -> str:
     return body
 
 
+def _invoke_once(command: list[str], prompt: str) -> tuple[str | None, str]:
+    try:
+        proc = subprocess.run(
+            command,
+            input=prompt,
+            capture_output=True,
+            text=True,
+            timeout=ASSISTANT_TIMEOUT_S,
+        )
+    except FileNotFoundError:
+        return None, f"command not found: {command[0]}"
+    except subprocess.TimeoutExpired:
+        return None, f"timeout after {ASSISTANT_TIMEOUT_S}s"
+    if proc.returncode != 0:
+        return None, f"exit code {proc.returncode}"
+    if not proc.stdout.strip():
+        return None, "empty output"
+    return proc.stdout, ""
+
+
+def _json_payload(out: str):
+    """The JSON document in an assistant's output, or None if none decodes."""
+    try:
+        return json.loads(strip_json_payload(out))
+    except (json.JSONDecodeError, RecursionError):
+        return None
+
+
 class AssistantPort:
-    """Runs one external command per role with retries and fallback.
+    """Asks each role's external command, with retries; None means fallback.
 
     Protocol: rendered prompt on stdin, role-typed JSON on stdout, nonzero
     exit means failure. Failures are logged as ledger events and never fatal.
+    A role without a command returns None before any prompt is built.
     """
 
-    def __init__(
-        self,
-        commands: dict[str, list[str]],
-        timeout: float,
-        emit,
-        catalog: Catalog,
-        l_max: int,
-    ):
-        self.commands = {k: list(v) for k, v in commands.items()}
-        self.timeout = timeout
-        self.emit = emit
-        self.catalog = catalog
-        self.l_max = l_max
-        self.templates = {role: load_template(role) for role in ASSISTANT_ROLES}
+    def __init__(self, rt: _Runtime):
+        self.rt = rt
 
-    def _invoke_once(self, command: list[str], prompt: str) -> tuple[str | None, str]:
-        try:
-            proc = subprocess.run(
-                command,
-                input=prompt,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except FileNotFoundError:
-            return None, f"command not found: {command[0]}"
-        except subprocess.TimeoutExpired:
-            return None, f"timeout after {self.timeout}s"
-        if proc.returncode != 0:
-            return None, f"exit code {proc.returncode}"
-        if not proc.stdout.strip():
-            return None, "empty output"
-        return proc.stdout, ""
-
-    def _call(self, role: str, context: dict[str, str], step: int, parse):
+    def _call(self, role: str, step: int, parse, anchor: Recipe,
+              guidance: Guidance | None = None, candidates: list[Candidate] | None = None):
         """Invoke + parse with retries; None defers the call to the fallback."""
-        command = self.commands.get(role)
-        if not command:
+        command = self.rt.config.assistant_commands.get(role)
+        if command is None:
             return None
-        prompt = render_template(self.templates[role], context)
+        prompt = render_template(
+            load_template(role), _external_contexts(self.rt, anchor, guidance, candidates)
+        )
         for attempt in range(1 + ASSISTANT_RETRIES):
-            out, error = self._invoke_once(command, prompt)
+            out, error = _invoke_once(command, prompt)
             if out is None:
                 self._failure(role, step, attempt, error)
                 if error.startswith("command not found"):
@@ -549,7 +558,7 @@ class AssistantPort:
     def _failure(self, role: str, step: int, attempt: int, error: str) -> None:
         logger.warning("assistant %s failed (step %d, attempt %d): %s",
                        role, step, attempt, error)
-        self.emit({
+        self.rt.emit({
             "type": "assistant_failure",
             "step": step,
             "role": role,
@@ -557,20 +566,19 @@ class AssistantPort:
             "error": error,
         })
 
-    def summarize(self, context: dict[str, str], step: int) -> Guidance | None:
+    def summarize(self, step: int, anchor: Recipe) -> Guidance | None:
         def parse(out: str):
             lines = [ln.strip() for ln in out.strip().splitlines() if ln.strip()]
             if not lines:
                 return None, "no findings"
             return Guidance(findings=lines[:5], source="external"), ""
 
-        return self._call("summarizer", context, step, parse)
+        return self._call("summarizer", step, parse, anchor)
 
-    def propose(self, context: dict[str, str], step: int) -> list[Recipe] | None:
+    def propose(self, step: int, anchor: Recipe, guidance: Guidance) -> list[Recipe] | None:
         def parse(out: str):
-            try:
-                doc = json.loads(strip_json_payload(out))
-            except (json.JSONDecodeError, RecursionError):
+            doc = _json_payload(out)
+            if doc is None:
                 return None, "unparsable JSON"
             if isinstance(doc, dict):
                 doc = [doc]
@@ -579,21 +587,27 @@ class AssistantPort:
             recipes = []
             for item in doc:
                 try:
-                    recipes.append(recipe_from_obj(item, self.catalog, self.l_max))
+                    recipes.append(
+                        recipe_from_obj(item, self.rt.catalog, self.rt.config.l_max)
+                    )
                 except RecipeValidationError as exc:
                     logger.info("dropping invalid proposed recipe: %s", exc)
             if not recipes:
                 return None, "no valid recipes"
             return recipes, ""
 
-        return self._call("proposer", context, step, parse)
+        return self._call("proposer", step, parse, anchor, guidance)
 
-    def rank(self, context: dict[str, str], step: int, n: int) -> tuple[list[int], dict] | None:
+    def rank(
+        self, step: int, anchor: Recipe, guidance: Guidance, candidates: list[Candidate],
+    ) -> tuple[list[int], dict] | None:
+        n = len(candidates)
+
         def parse(out: str):
+            doc = _json_payload(out)
             try:
-                doc = json.loads(strip_json_payload(out))
                 ranking = [int(i) for i in doc["ranking"]]
-            except (KeyError, TypeError, ValueError, RecursionError):
+            except (KeyError, TypeError, ValueError):
                 return None, "missing or invalid ranking"
             if sorted(ranking) != list(range(n)):
                 return None, f"ranking is not a permutation of 0..{n - 1}"
@@ -604,26 +618,26 @@ class AssistantPort:
             }
             return (ranking, meta), ""
 
-        return self._call("ranker", context, step, parse)
+        return self._call("ranker", step, parse, anchor, guidance, candidates)
 
-    def reseed(self, context: dict[str, str], step: int) -> Recipe | None:
+    def reseed(self, step: int, anchor: Recipe, guidance: Guidance) -> Recipe | None:
         def parse(out: str):
-            try:
-                doc = json.loads(strip_json_payload(out))
-            except (json.JSONDecodeError, RecursionError):
+            doc = _json_payload(out)
+            if doc is None:
                 return None, "unparsable JSON"
             if not isinstance(doc, list):
                 return None, "not a step array"
             try:
-                recipe = recipe_from_obj({"steps": doc}, self.catalog, self.l_max)
+                recipe = recipe_from_obj(
+                    {"steps": doc}, self.rt.catalog, self.rt.config.l_max
+                )
             except RecipeValidationError as exc:
                 return None, f"invalid motif: {exc}"
             if len(recipe) > 3 or recipe.operators() == [MIX]:
                 return None, "motif out of bounds"
             return recipe, ""
 
-        return self._call("reseeder", context, step, parse)
-
+        return self._call("reseeder", step, parse, anchor, guidance)
 
 # ---------------------------------------------------------------------------
 # Context rendering for assistant prompts
@@ -858,9 +872,10 @@ def _fallback_propose(
 
 
 def _external_contexts(
-    rt: _Runtime, step: int, anchor: Recipe, guidance: Guidance | None,
+    rt: _Runtime, anchor: Recipe, guidance: Guidance | None,
     candidates: list[Candidate] | None,
 ) -> dict[str, str]:
+    """The placeholder values of the role prompt templates."""
     config = rt.config
     records = rt.history.records
     anchor_record = next(
@@ -875,7 +890,6 @@ def _external_contexts(
         "current_recipe": describe_recipe(anchor),
         "current_score": f"{anchor_record.score:.4f}" if anchor_record else "not yet evaluated",
         "state_section": _state_section(anchor_record.state) if anchor_record else "unavailable",
-        "anchor_section": describe_recipe(anchor),
         "insights_section": guidance.rendered() if guidance else "none yet",
         "mix_note": (
             "The mix operator unions the current subset with a previously "
@@ -883,7 +897,6 @@ def _external_contexts(
         ),
         "n_evaluations": str(len(records)),
         "budget_total": str(config.budget),
-        "budget_remaining": str(config.budget - len(records)),
         "best_score": f"{rt.history.incumbent().score:.4f}" if records else "n/a",
         "phase": "explore" if len(records) < (config.budget + WARMUP_COUNT) // 2 else "exploit",
     }
@@ -927,37 +940,22 @@ def run_search(
     config.validate()
     catalog = catalog or default_catalog(len(pool))
     rt = _Runtime(config, pool, signals, oracle, catalog, sink)
-    port = None
-    if config.assistant_mode == "external":
-        port = AssistantPort(
-            config.assistant_commands, config.assistant_timeout, rt.emit,
-            catalog, config.l_max,
-        )
+    port = AssistantPort(rt)
 
-    warmup_records, anchor = _run_warmup(rt)
+    _, anchor = _run_warmup(rt)
     stagnation = 0
 
     for step in range(WARMUP_COUNT + 1, config.budget + 1):
         records = rt.history.records
 
-        guidance = None
-        if port is not None:
-            ctx = _external_contexts(rt, step, anchor, None, None)
-            guidance = port.summarize(ctx, step)
-        if guidance is None:
-            guidance = fallback_summarize(records, catalog)
+        guidance = port.summarize(step, anchor) or fallback_summarize(records, catalog)
         rt.emit(guidance.to_event(step))
 
-        candidates: list[Candidate] | None = None
-        if port is not None:
-            ctx = _external_contexts(rt, step, anchor, guidance, None)
-            proposed = port.propose(ctx, step)
-            if proposed:
-                materialized = [rt.try_materialize(r) for r in proposed]
-                candidates = [c for c in materialized if c is not None]
-                candidates = candidates[: config.candidates_per_step] or None
-        if not candidates:
-            candidates = _fallback_propose(rt, step, anchor, guidance)
+        proposed = port.propose(step, anchor, guidance) or []
+        candidates = [c for c in map(rt.try_materialize, proposed) if c is not None]
+        candidates = candidates[: config.candidates_per_step] or _fallback_propose(
+            rt, step, anchor, guidance
+        )
 
         gp = fit_gp(
             np.stack([r.encoding for r in records]),
@@ -966,19 +964,12 @@ def run_search(
         for cand in candidates:
             cand.mu, cand.sigma = predict_gp(gp, cand.encoding)
 
-        ranking = None
-        rank_meta: dict = {}
         if config.random_select:
             rng = role_rng(config.master_seed, step, "rank")
-            order = list(rng.permutation(len(candidates)))
-            ranking = [int(i) for i in order]
-        elif port is not None:
-            ctx = _external_contexts(rt, step, anchor, guidance, candidates)
-            ranked = port.rank(ctx, step, len(candidates))
-            if ranked is not None:
-                ranking, rank_meta = ranked
-        if ranking is None:
-            ranking = fallback_rank(candidates, records)
+            ranking, rank_meta = [int(i) for i in rng.permutation(len(candidates))], {}
+        else:
+            ranking, rank_meta = (port.rank(step, anchor, guidance, candidates)
+                                  or (fallback_rank(candidates), {}))
 
         rank_of = {cand_idx: pos for pos, cand_idx in enumerate(ranking)}
         rt.emit({
@@ -999,21 +990,16 @@ def run_search(
             **({"rank_meta": rank_meta} if any(rank_meta.values()) else {}),
         })
 
-        record, improved = rt.evaluate(step, candidates[ranking[0]], is_warmup=False)
+        _, improved = rt.evaluate(step, candidates[ranking[0]], is_warmup=False)
         if improved:
             stagnation = 0
         else:
             stagnation += 1
 
         if stagnation >= config.patience:
-            new_anchor = None
-            if port is not None:
-                ctx = _external_contexts(rt, step, anchor, guidance, None)
-                new_anchor = port.reseed(ctx, step)
-            if new_anchor is None:
-                rng = role_rng(config.master_seed, step, "reseed")
-                new_anchor = fallback_reseed(rt.history.records, catalog, rng, config.l_max)
-            anchor = new_anchor
+            anchor = port.reseed(step, anchor, guidance) or fallback_reseed(
+                records, catalog, role_rng(config.master_seed, step, "reseed"), config.l_max
+            )
             rt.seed_phase += 1
             stagnation = 0
             rt.emit({

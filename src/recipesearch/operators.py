@@ -338,42 +338,8 @@ def apply_top_fraction(subset: Subset, scores: np.ndarray, alpha: float) -> Subs
 
 
 # ---------------------------------------------------------------------------
-# Benchmark-relevance scoring and selection
+# Benchmark-relevance selection
 # ---------------------------------------------------------------------------
-
-def _as_dense_vector(vec, dim: int | None = None) -> np.ndarray:
-    """Accept a dense array or an iterable of (index, value) pairs."""
-    if isinstance(vec, np.ndarray):
-        return vec.astype(np.float64, copy=False)
-    pairs = list(vec)
-    if pairs and np.ndim(pairs[0]) == 0:
-        return np.asarray(pairs, dtype=np.float64)
-    size = dim if dim is not None else (max((int(i) for i, _ in pairs), default=-1) + 1)
-    out = np.zeros(size, dtype=np.float64)
-    for i, v in pairs:
-        out[int(i)] = float(v)
-    return out
-
-
-def score_mona(sparse_a, target_t) -> float:
-    """Weighted-Jaccard similarity of two nonnegative sparse vectors.
-
-    Accepts dense arrays or (index, value) pair lists. Symmetric, in [0, 1].
-    Two all-zero vectors are rejected: that is a broken signal file, not a
-    meaningful similarity.
-    """
-    a = _as_dense_vector(sparse_a)
-    t = _as_dense_vector(target_t)
-    size = max(a.size, t.size)
-    a = np.pad(a, (0, size - a.size))
-    t = np.pad(t, (0, size - t.size))
-    if (a < 0).any() or (t < 0).any():
-        raise OperatorError("relevance score requires nonnegative vectors")
-    denom = np.maximum(a, t).sum()
-    if denom == 0.0:
-        raise OperatorError("relevance score undefined for two all-zero vectors")
-    return float(np.minimum(a, t).sum() / denom)
-
 
 def apply_mona_union(subset: Subset, signals: SignalTable, fraction: float) -> Subset:
     """Per-benchmark top-fraction by relevance, unioned across benchmarks."""

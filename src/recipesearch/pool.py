@@ -84,7 +84,6 @@ class SignalTable:
     ngram_entropy: np.ndarray
     activations: sp.csr_matrix
     benchmarks: tuple[str, ...]
-    targets: dict[str, np.ndarray]       # benchmark -> dense (sae_dim,) vector
     relevance: np.ndarray                # (n, n_benchmarks) weighted-Jaccard scores
     has_activations: np.ndarray          # bool mask: sample has >=1 active feature
     pool_snar: np.ndarray                # per-feature activation rate of the pool
@@ -335,7 +334,6 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         ngram_entropy=ngram,
         activations=activations,
         benchmarks=benchmarks,
-        targets=targets,
         relevance=relevance,
         has_activations=has_act,
         pool_snar=pool_snar,

@@ -9,6 +9,7 @@ loop.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -91,16 +92,12 @@ def make_synthetic_pool(
     seed: int = 0,
     work_dir: str | None = None,
 ) -> tuple[CanonicalPool, SignalTable]:
-    """Generate and load a synthetic pool through the real ingestion path."""
-    import tempfile
+    """Generate and load a synthetic pool through the real ingestion path.
 
-    if work_dir is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = write_synthetic_dataset(tmp, n_samples, sae_dim, benchmarks, seed)
-            pool = load_pool(paths[0])
-            signals = load_signals(paths[1], paths[2], pool)
-            return pool, signals
-    paths = write_synthetic_dataset(work_dir, n_samples, sae_dim, benchmarks, seed)
-    pool = load_pool(paths[0])
-    signals = load_signals(paths[1], paths[2], pool)
-    return pool, signals
+    The files go to ``work_dir``, or to a temporary directory that is removed
+    once they are loaded.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_synthetic_dataset(work_dir or tmp, n_samples, sae_dim, benchmarks, seed)
+        pool = load_pool(paths[0])
+        return pool, load_signals(paths[1], paths[2], pool)

@@ -27,7 +27,6 @@ from recipesearch.operators import (
     apply_top_fraction,
     default_catalog,
     minibatch_kmeans,
-    score_mona,
 )
 from recipesearch.oracle import (
     EvalRequest,
@@ -41,6 +40,7 @@ from recipesearch.state import compute_state
 from recipesearch.surrogate import fit_gp, predict_gp
 from recipesearch.synthetic import make_synthetic_pool
 
+from conftest import TINY_TARGETS
 from test_surrogate import (
     TWO_POINT_MU_AT_X1,
     TWO_POINT_SIGMA_AT_X1,
@@ -135,14 +135,20 @@ def test_c1_encoding_fidelity(announce):
         assert encode_recipe(recipe, catalog).tolist() == [1, 0.70, 0, 0.00, 1, 0.30]
 
 
-def test_c2_operator_formula_suite(pool200, announce):
+def test_c2_operator_formula_suite(pool200, tiny, announce):
     with criterion(announce, 2, "operator formula suite (relevance, entropy, top-frac, mix, dedup)", limit_s=5.0):
-        # weighted-Jaccard relevance score
-        assert score_mona([(0, 1.0), (3, 0.5)], [(0, 1.0), (3, 0.5)]) == 1.0
-        assert score_mona([(0, 1.0)], [(1, 1.0)]) == 0.0
-        assert score_mona([(0, 1.0)], [(0, 0.5), (1, 0.5)]) == pytest.approx(
-            1 / 3, abs=1e-12
-        )
+        # weighted-Jaccard relevance of each sample to each benchmark target,
+        # as ingestion computes it, against a dense reference
+        _, tiny_signals = tiny
+        targets = np.zeros((TINY_TARGETS["sae_dim"], len(tiny_signals.benchmarks)))
+        for col, name in enumerate(tiny_signals.benchmarks):
+            for i, v in TINY_TARGETS["benchmarks"][name]:
+                targets[i, col] = v
+        acts = tiny_signals.activations.toarray()
+        reference = [[np.minimum(a, t).sum() / np.maximum(a, t).sum() for t in targets.T]
+                     for a in acts]
+        assert tiny_signals.relevance == pytest.approx(np.array(reference), abs=1e-12)
+        assert tiny_signals.relevance[:, 0] == pytest.approx([1 / 3, 1.0, 0.0, 0.0], abs=1e-12)
         # unigram entropy in bits
         def sample_of(text):
             return Sample("x", text, "", "s", len(text.split()))
@@ -326,10 +332,9 @@ def test_c8_degradation(pool200, announce):
                    SyntheticOracle(spec), sink=fallback_events.append)
         failing = [sys.executable, "-c", "import sys; sys.exit(1)"]
         config = SearchConfig(
-            budget=10, master_seed=31, assistant_mode="external",
+            budget=10, master_seed=31,
             assistant_commands={r: failing for r in
                                 ("summarizer", "proposer", "ranker", "reseeder")},
-            assistant_timeout=30.0,
         )
         run_search(config, pool, signals, SyntheticOracle(spec),
                    sink=degraded_events.append)

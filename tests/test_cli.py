@@ -208,6 +208,13 @@ class TestLedgerLifecycle:
         ("run", ["--l-max", "0"]),
         ("baseline", ["--l-max", "0"]),
         ("baseline", ["--budget", "0"]),
+        ("run", ["--assistant-cmd", "summarizer"]),
+        ("run", ["--assistant-cmd", "propser=cmd"]),
+        ("run", ["--assistant-cmd", "ranker= "]),
+        ("run", ["--assistant-cmd", "ranker=cmd 'unclosed"]),
+        ("run", ["--random-select", "--assistant-cmd", "ranker=cmd"]),
+        ("run", ["--oracle", "command"]),
+        ("baseline", ["--oracle", "command"]),
     ])
     def test_bad_config_rejected_before_ledger(
         self, synth_files, tmp_path, capsys, command, flags
@@ -356,13 +363,28 @@ class TestRun:
             "print('a finding')\n"
         )
         cmd = shlex.join([sys.executable, str(script), str(argv_file)]) + " 'two words'"
-        extra = ["--budget", "4", "--assistant-mode", "external"]
+        extra = ["--budget", "4"]
         if via == "flag":
             extra += ["--assistant-cmd", f"summarizer={cmd}"]
         else:
             monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD_SUMMARIZER", cmd)
         assert main(run_argv("run", synth_files, tmp_path / "out", *extra)) == 0
         assert json.loads(argv_file.read_text()) == ["two words"]
+        config = ledger_lines(tmp_path / "out" / "ledger.jsonl")[0]["config"]
+        assert config["assistant_mode"] == "external"
+        assert list(config["assistant_commands"]) == ["summarizer"]
+
+    def test_default_assistant_env_makes_every_role_external(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD", "no-such-assistant-command")
+        assert main(run_argv("run", synth_files, tmp_path / "out", "--budget", "4")) == 0
+        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
+        assert events[0]["config"]["assistant_mode"] == "external"
+        assert sorted(events[0]["config"]["assistant_commands"]) == [
+            "proposer", "ranker", "reseeder", "summarizer"]
+        failed = [e["role"] for e in events if e["type"] == "assistant_failure"]
+        assert failed == ["summarizer", "proposer", "ranker"]
 
     def test_fallback_runs_byte_identical(self, synth_files, tmp_path):
         spec = write_spec(tmp_path, PLANTED_SPEC)
@@ -640,7 +662,7 @@ def deep_argv(name, synth_files, tmp_path):
     cmd = shlex.join([sys.executable, str(script)])
     return run_argv("run", synth_files, out_dir, "--budget", "8", "--master-seed", "4",
                     "--oracle-spec", write_spec(tmp_path, PLANTED_SPEC),
-                    "--assistant-mode", "external", "--assistant-cmd", f"{name}={cmd}")
+                    "--assistant-cmd", f"{name}={cmd}")
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_CASES))

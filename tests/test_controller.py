@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from recipesearch import controller
 from recipesearch.controller import (
     Candidate,
     ControllerError,
@@ -341,7 +342,7 @@ class TestFallbackRank:
 
     def test_acquisition_arithmetic(self):
         cands = [self.make_candidate(5.0, 0.0), self.make_candidate(4.0, 2.0)]
-        ranking = fallback_rank(cands, [])
+        ranking = fallback_rank(cands)
         assert ranking[0] == 1  # 4 + 2 = 6 beats 5 + 0 = 5
 
     def test_retain_floor_demotion(self):
@@ -350,7 +351,7 @@ class TestFallbackRank:
             self.make_candidate(1.0, 0.0, retain=0.5),
             self.make_candidate(2.0, 0.0, retain=0.4),
         ]
-        ranking = fallback_rank(cands, [])
+        ranking = fallback_rank(cands)
         assert ranking[-1] == 0  # degenerate subset goes to the tail
         assert ranking == [2, 1, 0]
 
@@ -359,11 +360,11 @@ class TestFallbackRank:
         sigmas = [0.5, 0.1, 2.0, 0.0, 0.2]
         cands = [self.make_candidate(m, s) for m, s in zip(mus, sigmas)]
         expected = sorted(range(5), key=lambda i: (-(mus[i] + sigmas[i]), i))
-        assert fallback_rank(cands, []) == expected
+        assert fallback_rank(cands) == expected
 
     def test_tie_by_candidate_index(self):
         cands = [self.make_candidate(1.0, 0.0), self.make_candidate(1.0, 0.0)]
-        assert fallback_rank(cands, []) == [0, 1]
+        assert fallback_rank(cands) == [0, 1]
 
 
 class TestFallbackReseed:
@@ -486,8 +487,7 @@ class TestExternalAssistants:
         cmd = self.write_stub(tmp_path, "proposer.py", PROPOSER_STUB)
         events = []
         config = SearchConfig(
-            budget=5, master_seed=20, assistant_mode="external",
-            assistant_commands={"proposer": cmd}, assistant_timeout=30.0,
+            budget=5, master_seed=20, assistant_commands={"proposer": cmd},
         )
         result = run_search(config, pool, signals, constant_oracle(),
                             sink=events.append)
@@ -501,8 +501,7 @@ class TestExternalAssistants:
         pool, signals = small_pool
         cmd = self.write_stub(tmp_path, "fenced.py", PROPOSER_FENCED_STUB)
         config = SearchConfig(
-            budget=4, master_seed=21, assistant_mode="external",
-            assistant_commands={"proposer": cmd}, assistant_timeout=30.0,
+            budget=4, master_seed=21, assistant_commands={"proposer": cmd},
         )
         result = run_search(config, pool, signals, constant_oracle())
         assert result.records[3].recipe.operators() == ["ngram_topfrac"]
@@ -512,8 +511,7 @@ class TestExternalAssistants:
         cmd = self.write_stub(tmp_path, "ranker.py", RANKER_MISSING_KEY_STUB)
         events = []
         config = SearchConfig(
-            budget=5, master_seed=22, assistant_mode="external",
-            assistant_commands={"ranker": cmd}, assistant_timeout=30.0,
+            budget=5, master_seed=22, assistant_commands={"ranker": cmd},
         )
         result = run_search(config, pool, signals, constant_oracle(),
                             sink=events.append)
@@ -525,6 +523,34 @@ class TestExternalAssistants:
             by_step.setdefault(e["step"], []).append(e["attempt"])
         assert all(attempts == [0, 1, 2] for attempts in by_step.values())
         assert len(result.records) == 5  # degradation is never fatal
+
+    def test_fallback_builds_no_prompt(self, small_pool, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a fallback role built a prompt")
+
+        monkeypatch.setattr(controller, "_external_contexts", forbidden)
+        monkeypatch.setattr(controller, "load_template", forbidden)
+        pool, signals = small_pool
+        events = []
+        run_search(SearchConfig(budget=12, patience=1, master_seed=24), pool, signals,
+                   constant_oracle(), sink=events.append)
+        # every role was asked: guidance each step, at least one reseed
+        assert any(e["type"] == "reseed" for e in events)
+
+    def test_only_roles_with_a_command_build_prompts(self, small_pool, tmp_path, monkeypatch):
+        built = []
+        real_contexts = controller._external_contexts
+
+        def counting(rt, anchor, guidance, candidates):
+            built.append(candidates is None)
+            return real_contexts(rt, anchor, guidance, candidates)
+
+        monkeypatch.setattr(controller, "_external_contexts", counting)
+        pool, signals = small_pool
+        cmd = self.write_stub(tmp_path, "proposer.py", PROPOSER_STUB)
+        run_search(SearchConfig(budget=6, master_seed=20, assistant_commands={"proposer": cmd}),
+                   pool, signals, constant_oracle())
+        assert built == [True] * 3  # one proposer prompt per search step
 
     def test_permanently_failing_assistant_matches_fallback_structure(
         self, small_pool, tmp_path
@@ -539,10 +565,9 @@ class TestExternalAssistants:
         run_search(SearchConfig(budget=8, master_seed=23), pool, signals,
                    SyntheticOracle(spec), sink=fallback_events.append)
         config = SearchConfig(
-            budget=8, master_seed=23, assistant_mode="external",
+            budget=8, master_seed=23,
             assistant_commands={role: fail_cmd for role in
                                 ("summarizer", "proposer", "ranker", "reseeder")},
-            assistant_timeout=30.0,
         )
         run_search(config, pool, signals, SyntheticOracle(spec),
                    sink=external_events.append)

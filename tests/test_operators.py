@@ -24,11 +24,10 @@ from recipesearch.operators import (
     apply_top_fraction,
     default_catalog,
     minibatch_kmeans,
-    score_mona,
     semdedup_greedy_pass,
     validate_spec,
 )
-from recipesearch.pool import load_pool, load_signals
+from recipesearch.pool import PoolError, load_pool, load_signals
 
 from conftest import write_jsonl
 
@@ -176,37 +175,68 @@ class TestDigestProperties:
             assert subset.content_hash() == per_id_digest(subset.ids())
 
 
+def dense_relevance(a, t):
+    """Reference weighted Jaccard of two dense nonnegative vectors."""
+    return np.minimum(a, t).sum() / np.maximum(a, t).sum()
+
+
+def relevance_of(tmp_path, vectors, target):
+    """``signals.relevance`` of a pool whose samples activate ``vectors``."""
+    def pairs(vec):
+        return [[i, float(v)] for i, v in enumerate(vec) if v]
+
+    ids = [f"x{i}" for i in range(len(vectors))]
+    write_jsonl(tmp_path / "pool.jsonl", [
+        {"id": sid, "instruction": "i", "response": "r", "source": "s"} for sid in ids
+    ])
+    write_jsonl(tmp_path / "signals.jsonl", [
+        {"id": sid, "ifd": 1.0, "varentropy": 1.0, "ao": 1.0, "sparse": pairs(vec)}
+        for sid, vec in zip(ids, vectors)
+    ])
+    (tmp_path / "targets.json").write_text(
+        json.dumps({"sae_dim": len(target), "benchmarks": {"t": pairs(target)}})
+    )
+    pool = load_pool(str(tmp_path / "pool.jsonl"))
+    signals = load_signals(str(tmp_path / "signals.jsonl"), str(tmp_path / "targets.json"), pool)
+    return signals.relevance[:, 0]
+
+
 class TestMonaScore:
-    def test_identical_vectors(self):
-        v = [(0, 0.3), (5, 1.2)]
-        assert score_mona(v, v) == pytest.approx(1.0)
+    """The relevance that ingestion computes, against ``dense_relevance``."""
 
-    def test_disjoint_supports(self):
-        assert score_mona([(0, 1.0)], [(1, 1.0)]) == 0.0
+    def test_identical_vectors(self, tmp_path):
+        v = [0.3, 0, 0, 0, 0, 1.2]
+        assert relevance_of(tmp_path, [v], v)[0] == pytest.approx(1.0)
 
-    def test_hand_case(self):
-        got = score_mona([(0, 1.0)], [(0, 0.5), (1, 0.5)])
+    def test_disjoint_supports(self, tmp_path):
+        assert relevance_of(tmp_path, [[1.0, 0.0]], [0.0, 1.0])[0] == 0.0
+
+    def test_hand_case(self, tmp_path):
+        got = relevance_of(tmp_path, [[1.0, 0.0]], [0.5, 0.5])[0]
         assert got == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_symmetry_and_range(self):
+    def test_symmetry_and_range(self, tmp_path):
         rng = np.random.default_rng(17)
-        for _ in range(100):
+        for _ in range(20):
             a = rng.uniform(0, 2, size=8) * (rng.random(8) < 0.5)
             t = rng.uniform(0, 2, size=8) * (rng.random(8) < 0.5)
-            if a.sum() == 0 and t.sum() == 0:
+            if not (a.any() and t.any()):
                 continue
-            s_at = score_mona(a, t)
-            assert s_at == pytest.approx(score_mona(t, a), abs=1e-14)
+            s_at = relevance_of(tmp_path, [a], t)[0]
+            assert s_at == pytest.approx(relevance_of(tmp_path, [t], a)[0], abs=1e-14)
             assert 0.0 <= s_at <= 1.0
 
-    def test_both_zero_rejected(self):
-        with pytest.raises(OperatorError, match="all-zero"):
-            score_mona(np.zeros(4), np.zeros(4))
+    def test_both_zero_rejected(self, tmp_path):
+        assert relevance_of(tmp_path, [np.zeros(4)], [1.0, 0, 0, 0])[0] == 0.0
+        with pytest.raises(PoolError, match="all-zero"):
+            relevance_of(tmp_path, [np.zeros(4)], np.zeros(4))
 
-    def test_dense_and_pairs_agree(self):
-        dense_a = np.array([1.0, 0.0, 0.0])
-        dense_t = np.array([0.5, 0.5, 0.0])
-        assert score_mona(dense_a, dense_t) == pytest.approx(1 / 3, abs=1e-12)
+    def test_dense_and_pairs_agree(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vectors = rng.uniform(0, 2, size=(50, 16)) * (rng.random((50, 16)) < 0.3)
+        target = rng.uniform(0.1, 2, size=16) * (np.arange(16) % 3 == 0)
+        expected = [dense_relevance(a, target) for a in vectors]
+        assert relevance_of(tmp_path, vectors, target) == pytest.approx(expected, abs=1e-12)
 
 
 def signals_for_targets(tmp_path, tiny_files, pool, benchmarks):
