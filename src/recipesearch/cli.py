@@ -208,7 +208,10 @@ def _assistant_commands(args) -> dict[str, list[str]]:
     """Role argv from ``--assistant-cmd`` and the environment, split shell-style.
 
     ``RECIPESEARCH_ASSISTANT_CMD_<ROLE>`` overrides the flag for its role;
-    ``RECIPESEARCH_ASSISTANT_CMD`` fills in every role still without one.
+    ``RECIPESEARCH_ASSISTANT_CMD`` fills in every role still without one,
+    except the ranker under ``--random-select``, which leaves it no choice.
+    A ranker command given by flag or by its own variable is still rejected
+    there, by ``SearchConfig.validate``.
     """
     commands: dict[str, list[str]] = {}
     for spec in args.assistant_cmd or []:
@@ -221,7 +224,9 @@ def _assistant_commands(args) -> dict[str, list[str]]:
         name = f"{ENV_ASSISTANT_PREFIX}_{role.upper()}"
         if os.environ.get(name):
             commands[role] = _split_command(os.environ[name], name)
-        elif default_env and role not in commands:
+        elif default_env and role not in commands and not (
+            role == "ranker" and args.random_select
+        ):
             commands[role] = _split_command(default_env, ENV_ASSISTANT_PREFIX)
     return commands
 

@@ -605,9 +605,9 @@ class AssistantPort:
 
         def parse(out: str):
             doc = _json_payload(out)
-            try:
-                ranking = [int(i) for i in doc["ranking"]]
-            except (KeyError, TypeError, ValueError):
+            ranking = doc.get("ranking") if isinstance(doc, dict) else None
+            # only JSON integers: int() would pass 1.7 as 1 and true as 1
+            if not isinstance(ranking, list) or any(type(i) is not int for i in ranking):
                 return None, "missing or invalid ranking"
             if sorted(ranking) != list(range(n)):
                 return None, f"ranking is not a permutation of 0..{n - 1}"

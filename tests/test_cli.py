@@ -386,6 +386,28 @@ class TestRun:
         failed = [e["role"] for e in events if e["type"] == "assistant_failure"]
         assert failed == ["summarizer", "proposer", "ranker"]
 
+    def test_default_assistant_env_skips_ranker_under_random_select(
+        self, synth_files, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD", "no-such-assistant-command")
+        argv = run_argv("run", synth_files, tmp_path / "out", "--budget", "4",
+                        "--random-select")
+        assert main(argv) == 0
+        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
+        assert sorted(events[0]["config"]["assistant_commands"]) == [
+            "proposer", "reseeder", "summarizer"]
+        failed = [e["role"] for e in events if e["type"] == "assistant_failure"]
+        assert failed == ["summarizer", "proposer"]
+
+    def test_ranker_env_rejected_under_random_select(
+        self, synth_files, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD_RANKER", "cmd")
+        out_dir = tmp_path / "out"
+        assert main(run_argv("run", synth_files, out_dir, "--random-select")) == 2
+        assert "config rejected:" in capsys.readouterr().err
+        assert not (out_dir / "ledger.jsonl").exists()
+
     def test_fallback_runs_byte_identical(self, synth_files, tmp_path):
         spec = write_spec(tmp_path, PLANTED_SPEC)
         blobs = []

@@ -524,6 +524,21 @@ class TestExternalAssistants:
         assert all(attempts == [0, 1, 2] for attempts in by_step.values())
         assert len(result.records) == 5  # degradation is never fatal
 
+    @pytest.mark.parametrize("ranking", ["[1.7, 0.2]", "[true, 0]"])
+    def test_ranker_non_integer_indices_fall_back(self, small_pool, tmp_path, ranking):
+        pool, signals = small_pool
+        body = f"import sys\nsys.stdin.read()\nprint('{{\"ranking\": {ranking}}}')\n"
+        cmd = self.write_stub(tmp_path, "ranker.py", body)
+        events = []
+        config = SearchConfig(
+            budget=5, master_seed=22, candidates_per_step=2,
+            assistant_commands={"ranker": cmd},
+        )
+        run_search(config, pool, signals, constant_oracle(), sink=events.append)
+        failures = [e for e in events if e["type"] == "assistant_failure"]
+        assert failures
+        assert all(e["error"] == "missing or invalid ranking" for e in failures)
+
     def test_fallback_builds_no_prompt(self, small_pool, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a fallback role built a prompt")

@@ -180,8 +180,11 @@ def dense_relevance(a, t):
     return np.minimum(a, t).sum() / np.maximum(a, t).sum()
 
 
-def relevance_of(tmp_path, vectors, target):
-    """``signals.relevance`` of a pool whose samples activate ``vectors``."""
+def relevance_matrix(tmp_path, vectors, targets):
+    """``signals.relevance`` of a pool whose samples activate ``vectors``.
+
+    Target ``i`` is benchmark ``t{i:03d}``, so column order is target order.
+    """
     def pairs(vec):
         return [[i, float(v)] for i, v in enumerate(vec) if v]
 
@@ -193,12 +196,18 @@ def relevance_of(tmp_path, vectors, target):
         {"id": sid, "ifd": 1.0, "varentropy": 1.0, "ao": 1.0, "sparse": pairs(vec)}
         for sid, vec in zip(ids, vectors)
     ])
+    benchmarks = {f"t{i:03d}": pairs(t) for i, t in enumerate(targets)}
     (tmp_path / "targets.json").write_text(
-        json.dumps({"sae_dim": len(target), "benchmarks": {"t": pairs(target)}})
+        json.dumps({"sae_dim": len(targets[0]), "benchmarks": benchmarks})
     )
     pool = load_pool(str(tmp_path / "pool.jsonl"))
     signals = load_signals(str(tmp_path / "signals.jsonl"), str(tmp_path / "targets.json"), pool)
-    return signals.relevance[:, 0]
+    return signals.relevance
+
+
+def relevance_of(tmp_path, vectors, target):
+    """The relevance of each of ``vectors`` to the one ``target``."""
+    return relevance_matrix(tmp_path, vectors, [target])[:, 0]
 
 
 class TestMonaScore:
@@ -217,14 +226,28 @@ class TestMonaScore:
 
     def test_symmetry_and_range(self, tmp_path):
         rng = np.random.default_rng(17)
-        for _ in range(20):
+        pairs = []
+        for _ in range(100):
             a = rng.uniform(0, 2, size=8) * (rng.random(8) < 0.5)
             t = rng.uniform(0, 2, size=8) * (rng.random(8) < 0.5)
-            if not (a.any() and t.any()):
+            if a.sum() == 0 and t.sum() == 0:
                 continue
-            s_at = relevance_of(tmp_path, [a], t)[0]
-            assert s_at == pytest.approx(relevance_of(tmp_path, [t], a)[0], abs=1e-14)
-            assert 0.0 <= s_at <= 1.0
+            pairs.append((a, t))
+
+        def scores(rows, targets):
+            """Score each pair as sample ``rows[i]`` against target ``targets[i]``."""
+            keep = [i for i, t in enumerate(targets) if t.any()]  # targets must be nonzero
+            relevance = relevance_matrix(tmp_path, [rows[i] for i in keep],
+                                         [targets[i] for i in keep])
+            return dict(zip(keep, np.diag(relevance)))
+
+        s_at = scores([a for a, _ in pairs], [t for _, t in pairs])
+        s_ta = scores([t for _, t in pairs], [a for a, _ in pairs])
+        for i in range(len(pairs)):
+            # a pair with one all-zero side is scored one way only, and must be 0
+            forward, backward = s_at.get(i, 0.0), s_ta.get(i, 0.0)
+            assert forward == pytest.approx(backward, abs=1e-14)
+            assert 0.0 <= forward <= 1.0
 
     def test_both_zero_rejected(self, tmp_path):
         assert relevance_of(tmp_path, [np.zeros(4)], [1.0, 0, 0, 0])[0] == 0.0
