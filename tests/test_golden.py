@@ -9,7 +9,9 @@ reseed the anchor.
 
 ``semdedup_grid.npz`` pins SemDedup's k-means labels and keep masks over a
 grid of pools, cluster counts, thresholds and seeds; ``semdedup_grid.py``
-wrote it and recomputes it here.
+wrote it and recomputes it here. ``manifests/`` pins the manifest and
+pool-digest bytes of a pool of awkward text; ``manifests.py`` wrote it and
+recomputes it here.
 """
 
 from __future__ import annotations
@@ -69,15 +71,15 @@ def test_golden_runs_cover_semdedup_mix_and_reseed(name):
     assert any(e["type"] == "reseed" for e in events)
 
 
-def _load_grid_module():
-    spec = importlib.util.spec_from_file_location("semdedup_grid", GOLDEN / "semdedup_grid.py")
+def _load_golden_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_semdedup_grid_matches_golden():
-    grid = _load_grid_module()
+    grid = _load_golden_module("semdedup_grid")
     with np.load(grid.FIXTURE) as golden:
         expected = dict(golden)
     actual = grid.compute_grid()
@@ -85,3 +87,11 @@ def test_semdedup_grid_matches_golden():
     for key in sorted(expected):
         assert actual[key].shape == expected[key].shape, key
         assert np.array_equal(actual[key], expected[key]), key
+
+
+def test_manifests_match_golden():
+    manifests = _load_golden_module("manifests")
+    actual = manifests.compute_files()
+    assert sorted(actual) == sorted(p.name for p in manifests.FIXTURE_DIR.iterdir())
+    for name, data in sorted(actual.items()):
+        assert data == (manifests.FIXTURE_DIR / name).read_bytes(), name
