@@ -42,7 +42,6 @@ from .pool import (
     PoolError,
     Sample,
     SignalTable,
-    compute_ngram_entropy,
     load_pool,
     load_signals,
 )

@@ -173,17 +173,25 @@ def _load_data(args):
     return pool, signals
 
 
-def _build_oracle(args, pool, signals, out_dir: Path):
-    """The run's oracle, or None after reporting a rejected spec."""
+def _check_oracle_args(args) -> None:
+    """Reject oracle settings that are wrong whatever the data."""
     timeout = args.oracle_timeout
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
         raise ConfigRejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
+    if args.oracle == "command" and not args.oracle_cmd:
+        raise ConfigRejected("--oracle command requires --oracle-cmd")
+
+
+def _build_oracle(args, pool, signals, out_dir: Path):
+    """The run's oracle, or None after reporting a rejected spec.
+
+    The settings must have passed :func:`_check_oracle_args`. A command
+    oracle creates its manifest directory under ``out_dir``.
+    """
     if args.oracle == "command":
-        if not args.oracle_cmd:
-            raise ConfigRejected("--oracle command requires --oracle-cmd")
         kwargs = {}
-        if timeout is not None:
-            kwargs["timeout"] = timeout
+        if args.oracle_timeout is not None:
+            kwargs["timeout"] = args.oracle_timeout
         return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"), pool, **kwargs)
     if not args.oracle_spec:
         return SyntheticOracle(SyntheticOracleSpec(family="constant", value=0.0))
@@ -367,13 +375,6 @@ def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
 
 
 def cmd_run(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        pool, signals = _load_data(args)
-    except (PoolError, OSError) as exc:
-        print(f"ingestion failed: {exc}", file=sys.stderr)
-        return 1
     config = SearchConfig(
         budget=args.budget,
         patience=args.patience,
@@ -388,10 +389,18 @@ def cmd_run(args) -> int:
         config.validate()
     except ControllerError as exc:
         raise ConfigRejected(exc) from exc
+    _check_oracle_args(args)
+    try:
+        pool, signals = _load_data(args)
+    except (PoolError, OSError) as exc:
+        print(f"ingestion failed: {exc}", file=sys.stderr)
+        return 1
     catalog = default_catalog(len(pool))
+    out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, pool, signals, out_dir)
     if oracle is None:
         return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
     header = {
         "type": "header",
@@ -472,11 +481,10 @@ def _baseline_candidates(args, rt: _Runtime, recipes: list[Recipe], rng):
 
 
 def cmd_baseline(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for flag, value in (("--budget", args.budget), ("--l-max", args.l_max)):
         if value < 1:
             raise ConfigRejected(f"{flag} must be >= 1, got {value}")
+    _check_oracle_args(args)
     try:
         pool, signals = _load_data(args)
     except (PoolError, OSError) as exc:
@@ -490,6 +498,7 @@ def cmd_baseline(args) -> int:
         if violations:
             _print_rejection(violations)
             return 2
+    out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, pool, signals, out_dir)
     if oracle is None:
         return 2

@@ -15,6 +15,7 @@ import json
 import subprocess
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +50,30 @@ class EvalOutcome:
     cache_hit: bool = False
 
 
+# A manifest record line: the bytes of json.dumps(record, sort_keys=True).
+_RECORD = '{"id": %s, "instruction": %s, "response": %s, "source": %s}\n'
+
+
 def write_manifest(path: str, pool: CanonicalPool, request: EvalRequest) -> None:
-    """Write the subset manifest: one header line, then full records in pool order."""
+    """Write the subset manifest: one header line, then full records in pool order.
+
+    Each record line holds ``id``, ``instruction``, ``response`` and
+    ``source``, formatted from the escaped strings into exactly the bytes of
+    ``json.dumps(record, sort_keys=True)``.
+    """
     header = {
         "run_id": request.run_id,
         "step": request.step,
         "recipe": recipe_to_obj(request.recipe),
         "subset_size": len(request.subset),
     }
+    q = encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for pos in request.subset.positions:
-            s = pool.samples[pos]
-            rec = {
-                "id": s.id,
-                "instruction": s.instruction,
-                "response": s.response,
-                "source": s.source,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(
+            _RECORD % (q(s.id), q(s.instruction), q(s.response), q(s.source))
+            for s in map(pool.samples.__getitem__, request.subset.positions.tolist())
+        )
 
 
 class CommandOracle:

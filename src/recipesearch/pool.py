@@ -12,10 +12,13 @@ read a pool and its signal table concurrently.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from scipy import sparse as sp
@@ -58,10 +61,18 @@ class CanonicalPool:
         return len(self.samples)
 
     def content_digest(self) -> str:
-        """Digest over canonical sample content, stable across loads."""
+        """Digest over canonical sample content, stable across loads.
+
+        SHA-256 over the bytes of ``json.dumps([id, instruction, response,
+        source])`` of each sample in pool order, formatted from the escaped
+        strings.
+        """
         h = hashlib.sha256()
         for s in self.samples:
-            h.update(json.dumps([s.id, s.instruction, s.response, s.source]).encode())
+            h.update(("[%s, %s, %s, %s]" % (
+                encode_basestring_ascii(s.id), encode_basestring_ascii(s.instruction),
+                encode_basestring_ascii(s.response), encode_basestring_ascii(s.source),
+            )).encode())
         return h.hexdigest()
 
 
@@ -99,24 +110,29 @@ class SignalTable:
         return getattr(self, name)
 
 
-def normalized_tokens(text: str) -> list[str]:
-    """Lowercased whitespace tokens; punctuation is kept attached."""
-    return text.lower().split()
+def _unigram_entropy(samples) -> np.ndarray:
+    """Shannon entropy in bits of each sample's unigram distribution.
 
-
-def compute_ngram_entropy(sample: Sample) -> float:
-    """Shannon entropy in bits of the unigram distribution of a sample.
-
-    Tokens come from the lowercased, whitespace-split concatenation of
-    instruction and response. An empty token stream yields 0.0 so degenerate
-    samples survive ingestion and can be removed by selectors instead.
+    Tokens are the lowercased whitespace tokens of the instruction, then of
+    the response; punctuation stays attached. An empty token stream yields
+    0.0 so degenerate samples survive ingestion and can be removed by
+    selectors instead. Counts keep their first-occurrence order, and the
+    samples with the same number of distinct tokens form one matrix whose
+    contiguous rows are each reduced as a lone sample's counts would be, so
+    every value is the one-sample value bit for bit.
     """
-    tokens = normalized_tokens(sample.instruction) + normalized_tokens(sample.response)
-    if not tokens:
-        return 0.0
-    counts = np.array(list(Counter(tokens).values()), dtype=np.float64)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    counts = [
+        list(Counter(s.instruction.lower().split() + s.response.lower().split()).values())
+        for s in samples
+    ]
+    sizes = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+    out = np.zeros(len(counts))
+    for size in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == size)
+        c = np.array([counts[r] for r in rows], dtype=np.float64)
+        p = c / c.sum(axis=1, keepdims=True)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
 
 
 def _token_count(instruction: str, response: str) -> int:
@@ -147,7 +163,13 @@ def load_pool(path: str) -> CanonicalPool:
             for key in required:
                 if key not in rec:
                     raise PoolError(f"missing required field {key!r} at line {lineno}")
-            sid = str(rec["id"])
+            fields = [rec[key] for key in required]
+            for key, value in zip(required, fields):
+                if type(value) is not str:
+                    raise PoolError(
+                        f"field {key!r} must be a JSON string, got {value!r} at line {lineno}"
+                    )
+            sid, instruction, response, source = fields
             if not sid:
                 raise PoolError(f"empty id at line {lineno}")
             if sid in index:
@@ -158,10 +180,10 @@ def load_pool(path: str) -> CanonicalPool:
                 raise PoolError(f"id is not encodable as UTF-8 at line {lineno}") from exc
             sample = Sample(
                 id=sid,
-                instruction=str(rec["instruction"]),
-                response=str(rec["response"]),
-                source=str(rec["source"]),
-                token_count=_token_count(str(rec["instruction"]), str(rec["response"])),
+                instruction=instruction,
+                response=response,
+                source=source,
+                token_count=_token_count(instruction, response),
             )
             index[sid] = len(samples)
             samples.append(sample)
@@ -187,29 +209,131 @@ def load_pool(path: str) -> CanonicalPool:
     )
 
 
-def _parse_sparse_pairs(pairs, sae_dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and sort (index, value) pairs; zero values are dropped."""
-    idx: list[int] = []
-    val: list[float] = []
+# The Python types ``json.loads`` gives a JSON integer and a JSON number.
+# ``bool`` subclasses ``int`` but is in neither set, so true and false fail.
+_INTEGER = frozenset((int,))
+_NUMBER = frozenset((int, float))
+
+_SCALARS = ("ifd", "varentropy", "ao")
+
+
+def _as_float(value) -> float:
+    """A JSON number as a float; an integer too large for one is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _pairs_problem(pairs, sae_dim: int) -> str | None:
+    """The first problem of one sparse vector, in the order ingestion reports it.
+
+    Entry by entry: its shape, the JSON types of index and value, the index
+    range, then the value; after the last entry, the smallest feature index
+    repeated among the nonzero values.
+    """
+    if type(pairs) is not list:
+        return f"sparse must be an array of [index, value] pairs, got {pairs!r}"
+    active = []
     for pair in pairs:
-        if len(pair) != 2:
-            raise PoolError(f"{what}: sparse entry must be [index, value], got {pair!r}")
-        i, v = int(pair[0]), float(pair[1])
+        if type(pair) is not list or len(pair) != 2:
+            return f"sparse entry must be [index, value], got {pair!r}"
+        i, v = pair
+        if type(i) not in _INTEGER:
+            return f"feature index must be a JSON integer, got {i!r}"
+        if type(v) not in _NUMBER:
+            return f"sparse value must be a JSON number, got {v!r}"
         if i < 0 or i >= sae_dim:
-            raise PoolError(f"{what}: feature index out of range ({i} >= sae_dim {sae_dim})")
-        if v < 0 or not math.isfinite(v):
-            raise PoolError(f"{what}: negative or non-finite sparse value {v}")
-        if v == 0.0:
-            continue
-        idx.append(i)
-        val.append(v)
-    arr = np.asarray(idx, dtype=np.int64)
-    order = np.argsort(arr, kind="stable")
-    arr = arr[order]
-    if arr.size > 1 and (np.diff(arr) == 0).any():
-        dup = int(arr[np.flatnonzero(np.diff(arr) == 0)[0]])
-        raise PoolError(f"{what}: duplicate feature index {dup}")
-    return arr, np.asarray(val, dtype=np.float64)[order]
+            return f"feature index out of range ({i} >= sae_dim {sae_dim})"
+        v = _as_float(v)
+        if not 0.0 <= v < math.inf:
+            return f"negative or non-finite sparse value {v}"
+        if v:
+            active.append(i)
+    repeated = [i for i, c in Counter(active).items() if c > 1]
+    return f"duplicate feature index {min(repeated)}" if repeated else None
+
+
+def _record_problem(rec: dict, sae_dim: int) -> str | None:
+    """The first problem of a signals record's fields, in the order ingestion reports it."""
+    for name in _SCALARS:
+        if name not in rec:
+            return f"missing field {name!r}"
+        value = rec[name]
+        if type(value) not in _NUMBER:
+            return f"{name} must be a JSON number, got {value!r}"
+        value = _as_float(value)
+        if not 0.0 <= value < math.inf:
+            return f"negative or non-finite {name} value {value}"
+    return _pairs_problem(rec.get("sparse", []), sae_dim)
+
+
+# What appending a value of the wrong JSON shape or size to a buffer raises.
+_BUFFER_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _append_pairs(pairs, indices: array, values: array) -> int:
+    """Append one sparse vector's indices and values; return its entry count.
+
+    Unless ``pairs`` is a list of [JSON integer, JSON number] pairs that fit
+    the buffers, one of ``_BUFFER_ERRORS`` is raised, possibly after part of
+    the vector was appended. Ranges are left to :func:`_sparse_csr`.
+    """
+    if type(pairs) is not list:
+        raise TypeError("sparse is not a list")
+    if not pairs:
+        return 0
+    idx, val = zip(*pairs, strict=True)
+    if not (_INTEGER.issuperset(map(type, idx)) and _NUMBER.issuperset(map(type, val))):
+        raise TypeError("sparse entry of the wrong JSON type")
+    indices.extend(idx)
+    values.extend(val)
+    return len(idx)
+
+
+def _sparse_csr(rows: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                n_rows: int, sae_dim: int):
+    """Check flat (row, index, value) entries and order them as CSR parts.
+
+    Returns the sorted rows that hold an index outside ``[0, sae_dim)``, a
+    negative or non-finite value, or an index repeated among the row's
+    nonzero values; then ``indptr``, ``indices`` and ``data`` of the nonzero
+    entries ordered by (row, index).
+    """
+    bad = (indices < 0) | (indices >= sae_dim) | ~((values >= 0) & (values < np.inf))
+    bad_rows = rows[bad]
+    nonzero = values != 0
+    rows, indices, values = rows[nonzero], indices[nonzero], values[nonzero]
+    order = np.lexsort((indices, rows))
+    rows, indices, values = rows[order], indices[order], values[order]
+    repeated = (rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])
+    bad_rows = np.union1d(bad_rows, rows[1:][repeated])
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return bad_rows, indptr, indices, values
+
+
+def _sparse_vector(pairs, sae_dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices and values of one sparse vector, checked as a one-row file."""
+    indices, values = array("q"), array("d")
+    try:
+        count = _append_pairs(pairs, indices, values)
+    except _BUFFER_ERRORS:
+        pass
+    else:
+        bad, _, idx, val = _sparse_csr(
+            np.zeros(count, dtype=np.int64), np.frombuffer(indices, dtype=np.int64),
+            np.frombuffer(values), 1, sae_dim,
+        )
+        if not bad.size:
+            return idx, val
+    raise PoolError(f"{what}: {_pairs_problem(pairs, sae_dim)}")
+
+
+def _read_record(path: str, lineno: int) -> dict:
+    """The JSON object on line ``lineno`` of a file, read as the pass read it."""
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(next(itertools.islice(fh, lineno - 1, None)).strip())
 
 
 def _weighted_jaccard_matrix(matrix: sp.csr_matrix, target: np.ndarray) -> np.ndarray:
@@ -228,45 +352,58 @@ def _weighted_jaccard_matrix(matrix: sp.csr_matrix, target: np.ndarray) -> np.nd
     return out
 
 
-def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTable:
-    """Ingest cached signals and benchmark targets, validated against a pool.
-
-    The signals JSONL must cover every pool id exactly once; the targets JSON
-    supplies ``sae_dim`` and one sparse target vector per benchmark. Unigram
-    entropy is filled in natively for every sample. Raises :class:`PoolError`
-    on unknown ids, missing coverage, out-of-range feature indices, negative
-    values, or an all-zero IFD/varentropy column (which would make the
-    pool-relative ratios in the state vector undefined).
-    """
-    with open(targets_path, encoding="utf-8") as fh:
+def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
+    """``sae_dim`` and the dense target vector of each benchmark."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            tgt_doc = json.load(fh)
+            doc = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise PoolError(f"targets file {targets_path}: invalid JSON: {exc}") from exc
-    if not isinstance(tgt_doc, dict):
-        raise PoolError(f"targets file {targets_path}: expected a JSON object")
-    sae_dim = int(tgt_doc.get("sae_dim", 0))
-    if sae_dim <= 0:
-        raise PoolError(f"targets file {targets_path}: sae_dim must be a positive integer")
-    bench_doc = tgt_doc.get("benchmarks", {})
+            raise PoolError(f"targets file {path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PoolError(f"targets file {path}: expected a JSON object")
+    sae_dim = doc.get("sae_dim", 0)
+    if type(sae_dim) not in _INTEGER or sae_dim <= 0:
+        raise PoolError(f"targets file {path}: sae_dim must be a positive integer")
+    bench_doc = doc.get("benchmarks", {})
     if not bench_doc:
-        raise PoolError(f"targets file {targets_path}: no benchmarks defined")
+        raise PoolError(f"targets file {path}: no benchmarks defined")
+    if type(bench_doc) is not dict:
+        raise PoolError(f"targets file {path}: benchmarks must be an object of sparse vectors")
     targets: dict[str, np.ndarray] = {}
     for name in sorted(bench_doc):
-        t_idx, t_val = _parse_sparse_pairs(bench_doc[name], sae_dim, f"target {name!r}")
+        t_idx, t_val = _sparse_vector(bench_doc[name], sae_dim, f"target {name!r}")
         if t_idx.size == 0:
             raise PoolError(f"target {name!r} is all-zero")
         dense = np.zeros(sae_dim, dtype=np.float64)
         dense[t_idx] = t_val
         dense.setflags(write=False)
         targets[name] = dense
+    return sae_dim, targets
 
+
+def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTable:
+    """Ingest cached signals and benchmark targets, validated against a pool.
+
+    The signals JSONL must cover every pool id exactly once; the targets JSON
+    supplies ``sae_dim`` and one sparse target vector per benchmark. Unigram
+    entropy is filled in natively for every sample. Raises :class:`PoolError`
+    on unknown ids, missing coverage, values of the wrong JSON type,
+    out-of-range feature indices, negative values, or an all-zero
+    IFD/varentropy column (which would make the pool-relative ratios in the
+    state vector undefined). Of several bad lines, the first is reported.
+
+    One pass appends each line's fields to flat buffers and stops at the
+    first line whose JSON shape or types are off; ranges, values and
+    repeated feature indices of the lines before it are then checked in
+    numpy, and the earliest bad line is re-read for its message.
+    """
+    sae_dim, targets = _load_targets(targets_path)
     n = len(pool)
-    ifd = np.full(n, np.nan)
-    varentropy = np.full(n, np.nan)
-    ao = np.full(n, np.nan)
-    rows: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0, np.int64), np.empty(0))] * n
-    seen = np.zeros(n, dtype=bool)
+    index = pool.index
+    seen = bytearray(n)
+    positions, lines, entry_counts = array("q"), array("q"), array("q")
+    scalars, indices, values = array("d"), array("q"), array("d")
+    stop = None  # the message for the line the pass stopped at
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -275,44 +412,69 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
             try:
                 rec = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:
-                raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise PoolError(f"expected a JSON object at line {lineno}")
-            sid = str(rec.get("id", ""))
-            if sid not in pool.index:
-                raise PoolError(f"signals line {lineno}: id {sid!r} not in pool")
-            pos = pool.index[sid]
+                stop = f"invalid JSON at line {lineno}: {exc}"
+                break
+            if type(rec) is not dict:
+                stop = f"expected a JSON object at line {lineno}"
+                break
+            sid = rec.get("id", "")
+            pos = index.get(sid) if type(sid) is str else None
+            if pos is None:
+                stop = f"signals line {lineno}: id {sid!r} not in pool"
+                break
             if seen[pos]:
-                raise PoolError(f"signals line {lineno}: duplicate signals for id {sid!r}")
-            seen[pos] = True
-            for name, arr in (("ifd", ifd), ("varentropy", varentropy), ("ao", ao)):
-                if name not in rec:
-                    raise PoolError(f"signals line {lineno}: missing field {name!r}")
-                value = float(rec[name])
-                if value < 0 or not math.isfinite(value):
-                    raise PoolError(
-                        f"signals line {lineno}: negative or non-finite {name} value {value}"
-                    )
-                arr[pos] = value
-            rows[pos] = _parse_sparse_pairs(
-                rec.get("sparse", []), sae_dim, f"signals line {lineno}"
-            )
-    missing = int(n - seen.sum())
+                stop = f"signals line {lineno}: duplicate signals for id {sid!r}"
+                break
+            row = (rec.get("ifd"), rec.get("varentropy"), rec.get("ao"))
+            try:
+                if not _NUMBER.issuperset(map(type, row)):
+                    raise TypeError("signal of the wrong JSON type")
+                scalars.extend(row)
+                count = _append_pairs(rec.get("sparse", []), indices, values)
+            except _BUFFER_ERRORS:
+                stop = f"signals line {lineno}: {_record_problem(rec, sae_dim)}"
+                break
+            seen[pos] = 1
+            positions.append(pos)
+            lines.append(lineno)
+            entry_counts.append(count)
+
+    # Buffers may end with part of the line the pass stopped at.
+    n_rows = len(positions)
+    pos_arr = np.frombuffer(positions, dtype=np.int64)
+    count_arr = np.frombuffer(entry_counts, dtype=np.int64)
+    n_entries = int(count_arr.sum())
+    scalar_rows = np.frombuffer(scalars)[: 3 * n_rows].reshape(n_rows, 3)
+    bad_pos, indptr, act_indices, act_data = _sparse_csr(
+        np.repeat(pos_arr, count_arr),
+        np.frombuffer(indices, dtype=np.int64)[:n_entries],
+        np.frombuffer(values)[:n_entries],
+        n, sae_dim,
+    )
+    line_arr = np.frombuffer(lines, dtype=np.int64)
+    line_at = np.zeros(n, dtype=np.int64)
+    line_at[pos_arr] = line_arr
+    bad_scalar = ~((scalar_rows >= 0) & (scalar_rows < np.inf)).all(axis=1)
+    bad_lines = np.concatenate([line_arr[bad_scalar], line_at[bad_pos]])
+    if bad_lines.size:
+        lineno = int(bad_lines.min())
+        problem = _record_problem(_read_record(path, lineno), sae_dim)
+        raise PoolError(f"signals line {lineno}: {problem}")
+    if stop is not None:
+        raise PoolError(stop)
+    missing = n - n_rows
     if missing:
         raise PoolError(f"missing signals for {missing} sample(s)")
+    ifd, varentropy, ao = (np.full(n, np.nan) for _ in _SCALARS)
+    for k, column in enumerate((ifd, varentropy, ao)):
+        column[pos_arr] = scalar_rows[:, k]
     if not ifd.any():
         raise PoolError("all-zero ifd column")
     if not varentropy.any():
         raise PoolError("all-zero varentropy column")
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for pos, (r_idx, _) in enumerate(rows):
-        indptr[pos + 1] = indptr[pos] + r_idx.size
-    indices = np.concatenate([r[0] for r in rows]) if n else np.empty(0, np.int64)
-    data = np.concatenate([r[1] for r in rows]) if n else np.empty(0)
-    activations = sp.csr_matrix((data, indices, indptr), shape=(n, sae_dim))
-
-    ngram = np.array([compute_ngram_entropy(s) for s in pool.samples])
+    activations = sp.csr_matrix((act_data, act_indices, indptr), shape=(n, sae_dim))
+    ngram = _unigram_entropy(pool.samples)
     benchmarks = tuple(sorted(targets))
     relevance = np.column_stack(
         [_weighted_jaccard_matrix(activations, targets[b]) for b in benchmarks]

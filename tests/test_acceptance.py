@@ -34,13 +34,13 @@ from recipesearch.oracle import (
     SyntheticOracleSpec,
     evaluate_synthetic,
 )
-from recipesearch.pool import Sample, compute_ngram_entropy
 from recipesearch.recipe import Recipe, encode_recipe, execute_recipe
 from recipesearch.state import compute_state
 from recipesearch.surrogate import fit_gp, predict_gp
 from recipesearch.synthetic import make_synthetic_pool
 
 from conftest import TINY_TARGETS
+from test_pool import ingested_entropy
 from test_surrogate import (
     TWO_POINT_MU_AT_X1,
     TWO_POINT_SIGMA_AT_X1,
@@ -135,7 +135,7 @@ def test_c1_encoding_fidelity(announce):
         assert encode_recipe(recipe, catalog).tolist() == [1, 0.70, 0, 0.00, 1, 0.30]
 
 
-def test_c2_operator_formula_suite(pool200, tiny, announce):
+def test_c2_operator_formula_suite(pool200, tiny, tmp_path, announce):
     with criterion(announce, 2, "operator formula suite (relevance, entropy, top-frac, mix, dedup)", limit_s=5.0):
         # weighted-Jaccard relevance of each sample to each benchmark target,
         # as ingestion computes it, against a dense reference
@@ -149,15 +149,11 @@ def test_c2_operator_formula_suite(pool200, tiny, announce):
                      for a in acts]
         assert tiny_signals.relevance == pytest.approx(np.array(reference), abs=1e-12)
         assert tiny_signals.relevance[:, 0] == pytest.approx([1 / 3, 1.0, 0.0, 0.0], abs=1e-12)
-        # unigram entropy in bits
-        def sample_of(text):
-            return Sample("x", text, "", "s", len(text.split()))
-
-        assert compute_ngram_entropy(sample_of("a a a a")) == 0.0
-        assert compute_ngram_entropy(sample_of("a b")) == pytest.approx(1.0, abs=1e-12)
-        assert compute_ngram_entropy(sample_of("a a b b c c")) == pytest.approx(
-            math.log2(3), abs=1e-12
-        )
+        # unigram entropy in bits, as ingestion computes it
+        entropy = ingested_entropy(tmp_path, [("a a a a", ""), ("a b", ""), ("a a b b c c", "")])
+        assert entropy[0] == 0.0
+        assert entropy[1] == pytest.approx(1.0, abs=1e-12)
+        assert entropy[2] == pytest.approx(math.log2(3), abs=1e-12)
         # ceil(alpha * n) retention counts
         pool, signals = pool200
         for alpha, n in ((0.30, 10), (0.5, 7), (1.0, 13), (0.07, 25)):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from recipesearch import cli
 from recipesearch.cli import main
 from recipesearch.controller import _Runtime
 from recipesearch.operators import default_catalog
@@ -65,6 +66,47 @@ class TestIngestCheck:
         args[3] = "/no/such/file.jsonl"
         assert main(["ingest-check"] + args) == 1
         assert "ingest-check failed" in capsys.readouterr().err
+
+
+# file -> (field edit on its second record, or on the targets object; message)
+WRONG_TYPES = {
+    "sparse_not_array": ("signals", {"sparse": 5}, "signals line 2: sparse must be an array"),
+    "float_index": ("signals", {"sparse": [[3.7, 1.0]]},
+                    "signals line 2: feature index must be a JSON integer, got 3.7"),
+    "bool_index": ("signals", {"sparse": [[True, 2]]},
+                   "signals line 2: feature index must be a JSON integer, got True"),
+    "string_ifd": ("signals", {"ifd": "0.5"}, "signals line 2: ifd must be a JSON number"),
+    "bool_varentropy": ("signals", {"varentropy": True},
+                        "signals line 2: varentropy must be a JSON number"),
+    "string_sae_dim": ("targets", {"sae_dim": "8.9"}, "sae_dim must be a positive integer"),
+    "null_instruction": ("pool", {"instruction": None},
+                         "field 'instruction' must be a JSON string, got None at line 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["ingest-check", "run", "baseline"])
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_json_type_fails_ingestion(synth_files, tmp_path, capsys, command, case):
+    which, edit, message = WRONG_TYPES[case]
+    files = list(synth_files)
+    index = ("pool", "signals", "targets").index(which)
+    source = Path(files[index])
+    files[index] = str(tmp_path / source.name)
+    if which == "targets":
+        Path(files[index]).write_text(json.dumps({**json.loads(source.read_text()), **edit}))
+    else:
+        rows = [json.loads(line) for line in source.read_text().splitlines()]
+        rows[1].update(edit)
+        write_jsonl(files[index], rows)
+    if command == "ingest-check":
+        argv, prefix = ["ingest-check", *data_args(files)], "ingest-check failed: "
+    else:
+        argv, prefix = run_argv(command, files, tmp_path / "out"), "ingestion failed: "
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestExec:
@@ -217,12 +259,16 @@ class TestLedgerLifecycle:
         ("baseline", ["--oracle", "command"]),
     ])
     def test_bad_config_rejected_before_ledger(
-        self, synth_files, tmp_path, capsys, command, flags
+        self, synth_files, tmp_path, capsys, monkeypatch, command, flags
     ):
+        def no_ingestion(path):
+            raise AssertionError("a setting check ran after ingestion")
+
+        monkeypatch.setattr(cli, "load_pool", no_ingestion)
         out_dir = tmp_path / "out"
         assert main(run_argv(command, synth_files, out_dir, *flags)) == 2
         assert "config rejected:" in capsys.readouterr().err
-        assert not (out_dir / "ledger.jsonl").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
     @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])

@@ -2,26 +2,78 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from recipesearch.pool import (
-    PoolError,
-    Sample,
-    compute_ngram_entropy,
-    load_pool,
-    load_signals,
-)
+from recipesearch.pool import PoolError, load_pool, load_signals
 
 from conftest import TINY_POOL_ROWS, TINY_SIGNAL_ROWS, TINY_TARGETS, write_jsonl
 
 
-def make_sample(instruction, response):
-    return Sample(
-        id="x", instruction=instruction, response=response, source="s",
-        token_count=len(instruction.split()) + len(response.split()),
-    )
+# ---------------------------------------------------------------------------
+# Per-sample and per-row references
+# ---------------------------------------------------------------------------
+
+def compute_ngram_entropy(instruction: str, response: str) -> float:
+    """Shannon entropy in bits of one sample's unigram distribution.
+
+    Lowercased whitespace tokens of the instruction, then of the response;
+    counts in first-occurrence order; an empty token stream gives 0.0.
+    """
+    tokens = instruction.lower().split() + response.lower().split()
+    if not tokens:
+        return 0.0
+    counts = np.array(list(Counter(tokens).values()), dtype=np.float64)
+    p = counts / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def reference_csr(rows: list[list], n: int) -> tuple[list, list, list]:
+    """indptr, indices and data of valid sparse rows, one row at a time:
+    zero values dropped, the rest sorted by feature index."""
+    indptr, indices, data = [0], [], []
+    for pairs in rows:
+        kept = sorted((i, float(v)) for i, v in pairs if float(v) != 0.0)
+        indices += [i for i, _ in kept]
+        data += [v for _, v in kept]
+        indptr.append(len(indices))
+    assert len(indptr) == n + 1
+    return indptr, indices, data
+
+
+def ingest(work: Path, pool_rows: list[dict], signal_lines: list[str], targets=TINY_TARGETS):
+    """Write a pool, signals given as raw lines, and targets; load all three."""
+    write_jsonl(work / "pool.jsonl", pool_rows)
+    (work / "signals.jsonl").write_text("".join(line + "\n" for line in signal_lines),
+                                        encoding="utf-8")
+    (work / "targets.json").write_text(json.dumps(targets), encoding="utf-8")
+    pool = load_pool(str(work / "pool.jsonl"))
+    return pool, load_signals(str(work / "signals.jsonl"), str(work / "targets.json"), pool)
+
+
+def text_pool(texts: list[tuple[str, str]]) -> list[dict]:
+    return [{"id": f"s{k}", "instruction": inst, "response": resp, "source": "s"}
+            for k, (inst, resp) in enumerate(texts)]
+
+
+def signal_line(sid: str, sparse=None, **fields) -> str:
+    rec = {"id": sid, "ifd": 0.5, "varentropy": 0.5, "ao": 1.0, **fields}
+    if sparse is not None:
+        rec["sparse"] = sparse
+    return json.dumps(rec)
+
+
+def ingested_entropy(work: Path, texts: list[tuple[str, str]]) -> np.ndarray:
+    rows = text_pool(texts)
+    lines = [signal_line(r["id"], [[0, 1.0]]) for r in rows]
+    return ingest(work, rows, lines)[1].ngram_entropy
 
 
 class TestLoadPool:
@@ -95,33 +147,56 @@ class TestLoadPool:
 
 
 class TestNgramEntropy:
-    def test_single_symbol(self):
-        assert compute_ngram_entropy(make_sample("a a", "a a")) == 0.0
+    def test_single_symbol(self, tmp_path):
+        assert ingested_entropy(tmp_path, [("a a", "a a")])[0] == 0.0
 
-    def test_uniform_two_symbols(self):
-        assert compute_ngram_entropy(make_sample("a", "b")) == pytest.approx(1.0)
+    def test_uniform_two_symbols(self, tmp_path):
+        assert ingested_entropy(tmp_path, [("a", "b")])[0] == pytest.approx(1.0)
 
-    def test_uniform_three_symbols(self):
-        got = compute_ngram_entropy(make_sample("a a b", "b c c"))
+    def test_uniform_three_symbols(self, tmp_path):
+        got = ingested_entropy(tmp_path, [("a a b", "b c c")])[0]
         assert got == pytest.approx(math.log2(3), abs=1e-12)
 
-    def test_empty_text_is_zero(self):
-        assert compute_ngram_entropy(make_sample("", "")) == 0.0
+    def test_empty_text_is_zero(self, tmp_path):
+        assert ingested_entropy(tmp_path, [("", "")])[0] == 0.0
 
-    def test_lowercase_normalization(self):
-        assert compute_ngram_entropy(make_sample("A a", "a A")) == 0.0
+    def test_lowercase_normalization(self, tmp_path):
+        assert ingested_entropy(tmp_path, [("A a", "a A")])[0] == 0.0
 
-    def test_bounds_over_random_texts(self):
+    def test_bounds_over_random_texts(self, tmp_path):
         rng = np.random.default_rng(5)
         vocab = ["w%d" % i for i in range(12)]
-        for _ in range(50):
-            words = [vocab[i] for i in rng.integers(0, len(vocab), rng.integers(1, 30))]
-            s = make_sample(" ".join(words), "")
-            h = compute_ngram_entropy(s)
-            distinct = len(set(words))
+        texts = [" ".join(vocab[i] for i in rng.integers(0, len(vocab), rng.integers(1, 30)))
+                 for _ in range(50)]
+        got = ingested_entropy(tmp_path, [(t, "") for t in texts])
+        for text, h in zip(texts, got):
+            distinct = len(set(text.split()))
             assert 0.0 <= h <= math.log2(distinct) + 1e-12
             if distinct == 1:
                 assert h == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.sampled_from([0, 1, 7, 8, 9, 128, 129, 300])
+                          | st.integers(0, 20), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(sizes=[0, 1, 7, 8, 9, 128, 129, 300, 8, 129, 1, 0], seed=0)
+    def test_column_matches_per_sample_reference_bit_for_bit(self, sizes, seed):
+        # Each sample holds exactly ``size`` distinct lowercased tokens with
+        # uneven counts; Σ and İ change form or length when lowercased.
+        rng = np.random.default_rng(seed)
+        prefixes = ["w", "W", "\u03a3", "\u03a3\u03a3", "\u0130", "x\u0130\u03a3"]
+        texts = []
+        for size in sizes:
+            tokens = [f"{prefixes[k % len(prefixes)]}{k}" for k in range(size)]
+            words = [t for t in tokens for _ in range(int(rng.integers(1, 4)))]
+            words = [w.upper() if rng.random() < 0.3 else w for w in words]
+            rng.shuffle(words)
+            cut = int(rng.integers(0, len(words) + 1))
+            texts.append((" ".join(words[:cut]), "\t".join(words[cut:])))
+        with tempfile.TemporaryDirectory() as tmp:
+            got = ingested_entropy(Path(tmp), texts)
+        expected = np.array([compute_ngram_entropy(*t) for t in texts])
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestLoadSignals:
@@ -208,3 +283,154 @@ class TestLoadSignals:
         pool = load_pool(tiny_files[0])
         with pytest.raises(PoolError, match="all-zero"):
             load_signals(tiny_files[1], str(tpath), pool)
+
+
+class TestFlatIngestion:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), n=st.integers(1, 10), sae_dim=st.integers(1, 40))
+    def test_csr_matches_per_row_reference(self, data, n, sae_dim):
+        values = (st.just(0.0) | st.just(0) | st.integers(1, 1000)
+                  | st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+        rows = []
+        for _ in range(n):
+            feats = data.draw(st.lists(st.integers(0, sae_dim - 1), unique=True, max_size=8))
+            pairs = [[f, data.draw(values)] for f in feats]
+            if feats:  # a zero-valued repeat of a feature is dropped, not a duplicate
+                repeats = data.draw(st.lists(st.sampled_from(feats), max_size=2))
+                pairs += [[f, 0.0] for f in repeats]
+            rows.append(data.draw(st.permutations(pairs)))
+        # an empty row alternates between "sparse": [] and no "sparse" key
+        lines = [signal_line(f"s{k}", pairs if pairs or k % 2 else None)
+                 for k, pairs in enumerate(rows)]
+        lines = data.draw(st.permutations(lines))
+        for _ in range(data.draw(st.integers(0, 3))):
+            blank = data.draw(st.sampled_from(["", "  "]))
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        targets = {"sae_dim": sae_dim, "benchmarks": {"t": [[0, 1.0]]}}
+        with tempfile.TemporaryDirectory() as tmp:
+            _, signals = ingest(Path(tmp), text_pool([("a b", "c")] * n), lines, targets)
+        indptr, indices, data_ = reference_csr(rows, n)
+        acts = signals.activations
+        assert acts.shape == (n, sae_dim)
+        assert acts.indptr.tolist() == indptr
+        assert acts.indices.tolist() == indices
+        assert acts.data.dtype == np.float64 and acts.data.tolist() == data_
+
+    # kind -> (signals line for id s{k} on a pool with sae_dim 8, message pattern)
+    BAD_LINES = {
+        "json": (lambda sid: '{"id": ' + json.dumps(sid) + ', "ifd": ', r"invalid JSON at line"),
+        "list": (lambda sid: "[1, 2]", r"expected a JSON object at line"),
+        "unknown id": (lambda sid: signal_line("zz"), r"id 'zz' not in pool"),
+        "missing": (lambda sid: json.dumps({"id": sid, "varentropy": 0.5, "ao": 1.0}),
+                    r"missing field 'ifd'"),
+        "string signal": (lambda sid: signal_line(sid, ao="1.5"),
+                          r"ao must be a JSON number, got '1.5'"),
+        "negative": (lambda sid: signal_line(sid, varentropy=-1),
+                     r"negative or non-finite varentropy value -1\.0"),
+        "range": (lambda sid: signal_line(sid, [[1, 1.0], [8, 1.0]]),
+                  r"feature index out of range \(8 >= sae_dim 8\)"),
+        "float index": (lambda sid: signal_line(sid, [[3.7, 1.0]]),
+                        r"feature index must be a JSON integer, got 3\.7"),
+        "duplicate": (lambda sid: signal_line(sid, [[5, 1.0], [2, 1.0], [5, 0.5]]),
+                      r"duplicate feature index 5"),
+        "nan value": (lambda sid: signal_line(sid, [[2, float("nan")]]),
+                      r"negative or non-finite sparse value nan"),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(kinds=st.permutations(sorted(BAD_LINES)), first=st.integers(0, 3),
+           gap=st.integers(1, 3))
+    def test_first_bad_line_is_reported(self, kinds, first, gap):
+        early, late = kinds[0], kinds[1]
+        n = first + gap + 2
+        lines = [signal_line(f"s{k}", [[0, 1.0]]) for k in range(n)]
+        lines[first] = self.BAD_LINES[early][0](f"s{first}")
+        lines[first + gap] = self.BAD_LINES[late][0](f"s{first + gap}")
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(PoolError) as info:
+            ingest(Path(tmp), text_pool([("a", "b")] * n), lines)
+        message = str(info.value)
+        assert f"line {first + 1}" in message
+        assert re.search(self.BAD_LINES[early][1], message), message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ifd": -1.0, "varentropy": None}, "negative or non-finite ifd value -1.0"),
+        ({"varentropy": None, "sparse": [[9, 1.0]]}, "missing field 'varentropy'"),
+        ({"ao": float("inf"), "sparse": [[9, 1.0]]}, "negative or non-finite ao value inf"),
+        ({"sparse": [[9, 1.0], [1]]}, "feature index out of range (9 >= sae_dim 8)"),
+        ({"sparse": [[1], [9, 1.0]]}, "sparse entry must be [index, value], got [1]"),
+        ({"sparse": [[1, 1.0], [1, 2.0], [9, 1.0]]},
+         "feature index out of range (9 >= sae_dim 8)"),
+        ({"sparse": [[1, -2], [1, 2.0]]}, "negative or non-finite sparse value -2.0"),
+        ({"sparse": [[2 ** 70, 1.0]]},
+         f"feature index out of range ({2 ** 70} >= sae_dim 8)"),
+        ({"sparse": [[1, 10 ** 400]]}, "negative or non-finite sparse value inf"),
+        ({"ifd": 10 ** 400}, "negative or non-finite ifd value inf"),
+    ])
+    def test_problems_within_one_line_in_field_order(self, tmp_path, fields, message):
+        rec = {"id": "s1", "ifd": 0.5, "varentropy": 0.5, "ao": 1.0, "sparse": [], **fields}
+        rec = {k: v for k, v in rec.items() if v is not None}
+        lines = [signal_line("s0", [[0, 1.0]]), json.dumps(rec)]
+        with pytest.raises(PoolError) as info:
+            ingest(tmp_path, text_pool([("a", "b")] * 2), lines)
+        assert str(info.value) == f"signals line 2: {message}"
+
+
+    def test_bad_line_padded_with_non_json_whitespace(self, tmp_path):
+        # str.strip() removes \x1f and \u2028 before decoding; json.loads would not
+        lines = ["\x1f" + signal_line("s0", [[9, 1.0]]) + "\u2028"]
+        with pytest.raises(PoolError, match=r"^signals line 1: feature index out of range"):
+            ingest(tmp_path, text_pool([("a", "b")]), lines)
+
+
+class TestStrictTypes:
+    @pytest.mark.parametrize("fields, message", [
+        ({"sparse": 5}, "sparse must be an array of [index, value] pairs, got 5"),
+        ({"sparse": None}, "sparse must be an array of [index, value] pairs, got None"),
+        ({"sparse": [[3.7, 1.0]]}, "feature index must be a JSON integer, got 3.7"),
+        ({"sparse": [[True, 2]]}, "feature index must be a JSON integer, got True"),
+        ({"sparse": [[1, "2"]]}, "sparse value must be a JSON number, got '2'"),
+        ({"sparse": [[1, False]]}, "sparse value must be a JSON number, got False"),
+        ({"sparse": ["ab"]}, "sparse entry must be [index, value], got 'ab'"),
+        ({"sparse": [{"a": 1, "b": 2}]},
+         "sparse entry must be [index, value], got {'a': 1, 'b': 2}"),
+        ({"ifd": "0.5"}, "ifd must be a JSON number, got '0.5'"),
+        ({"varentropy": True}, "varentropy must be a JSON number, got True"),
+        ({"ao": [1.0]}, "ao must be a JSON number, got [1.0]"),
+    ])
+    def test_signal_types(self, tmp_path, fields, message):
+        rec = {"id": "s0", "ifd": 0.5, "varentropy": 0.5, "ao": 1.0, "sparse": [[0, 1.0]]}
+        lines = [json.dumps({**rec, **fields})]
+        with pytest.raises(PoolError) as info:
+            ingest(tmp_path, text_pool([("a", "b")]), lines)
+        assert str(info.value) == f"signals line 1: {message}"
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(TINY_TARGETS, sae_dim="8.9"), "sae_dim must be a positive integer"),
+        (dict(TINY_TARGETS, sae_dim=8.0), "sae_dim must be a positive integer"),
+        (dict(TINY_TARGETS, sae_dim=True), "sae_dim must be a positive integer"),
+        (dict(TINY_TARGETS, benchmarks=["t1"]), "benchmarks must be an object"),
+        (dict(TINY_TARGETS, benchmarks={"t1": [[0.0, 1.0]]}),
+         "target 't1': feature index must be a JSON integer, got 0.0"),
+        (dict(TINY_TARGETS, benchmarks={"t1": 5}),
+         "target 't1': sparse must be an array of [index, value] pairs, got 5"),
+        (dict(TINY_TARGETS, benchmarks={"t1": [[1, 1.0], [1, 0.5]]}),
+         "target 't1': duplicate feature index 1"),
+        (dict(TINY_TARGETS, benchmarks={"t1": [[8, 1.0]]}),
+         "target 't1': feature index out of range (8 >= sae_dim 8)"),
+    ])
+    def test_target_types(self, tmp_path, doc, message):
+        with pytest.raises(PoolError, match=re.escape(message)):
+            ingest(tmp_path, text_pool([("a", "b")]), [signal_line("s0", [[0, 1.0]])], doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("instruction", None), ("response", 3), ("source", ["s"]), ("id", 7),
+    ])
+    def test_pool_fields_are_strings(self, tmp_path, key, value):
+        path = tmp_path / "pool.jsonl"
+        write_jsonl(path, [TINY_POOL_ROWS[0], dict(TINY_POOL_ROWS[1], **{key: value})])
+        with pytest.raises(PoolError) as info:
+            load_pool(str(path))
+        assert str(info.value) == (
+            f"field {key!r} must be a JSON string, got {value!r} at line 2"
+        )
