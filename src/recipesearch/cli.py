@@ -5,10 +5,11 @@ write an append-only JSONL ledger: header line first, then eval and event
 lines in step order. A run that completes ends with a result line, a
 baseline with its last eval line, and either one that fails with an abort
 line. A run also writes the best-recipe JSON and the selected-subset
-manifest. A rejected setting exits 2 with ``config rejected:`` before any
-ledger is opened. Baseline suites are recipe sources evaluated by the
-search's own runtime, so their eval events match a run's. Reports are pure
-functions of ledger bytes and come out as CSV files.
+manifest. Every failure is a :class:`CommandError` that ``main`` prints;
+a rejected setting exits 2 with ``config rejected:`` before any ledger is
+opened. Baseline suites are recipe sources evaluated by the search's own
+runtime, so their eval events match a run's. Reports are pure functions of
+ledger bytes and come out as CSV files.
 """
 
 from __future__ import annotations
@@ -86,8 +87,17 @@ SINGLE_OP_MONA_FRACTION = 0.05
 SINGLE_OP_SEMDEDUP_TAU = 0.75
 
 
-class ConfigRejected(ValueError):
-    """A setting that ``main`` rejects with exit 2 before any ledger opens."""
+class CommandError(Exception):
+    """``CommandError(exit_code, message)``: ``main`` prints the message on stderr."""
+
+
+def _config_rejected(reason) -> CommandError:
+    """A setting rejected before any ledger opens."""
+    return CommandError(2, f"config rejected: {reason}")
+
+
+def _recipe_rejected(code: int, violations: list[str]) -> CommandError:
+    return CommandError(code, "\n".join(["recipe rejected:", *(f"  - {v}" for v in violations)]))
 
 
 def _jsonable(value):
@@ -120,8 +130,23 @@ class RunLedger:
         self._fh.close()
 
 
+def _readable_eval(event: dict) -> bool:
+    """Whether an eval line holds everything the reports read from it."""
+    if not all(type(event.get(k)) in (int, float) for k in ("score", "step", "subset_size")):
+        return False
+    try:
+        state_from_dict(event["state"])
+        return all(type(s["operator"]) is str for s in event["recipe"]["steps"])
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+        return False
+
+
 def read_ledger(path: str) -> tuple[list[dict], int]:
-    """Parse a ledger; corrupt lines (not one JSON object) are skipped and counted."""
+    """Parse a ledger; corrupt lines are skipped and counted.
+
+    A line is corrupt when it is not one JSON object, or when it is an eval
+    line the reports cannot read (see :func:`_readable_eval`).
+    """
     events: list[dict] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -133,7 +158,7 @@ def read_ledger(path: str) -> tuple[list[dict], int]:
                 event = json.loads(line)
             except (json.JSONDecodeError, RecursionError):
                 event = None
-            if isinstance(event, dict):
+            if isinstance(event, dict) and (event.get("type") != "eval" or _readable_eval(event)):
                 events.append(event)
             else:
                 skipped += 1
@@ -167,23 +192,26 @@ def _add_oracle_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_data(args):
-    pool = load_pool(args.pool)
-    signals = load_signals(args.signals, args.targets, pool)
-    return pool, signals
+def _load_data(args, prefix: str):
+    """The pool and its signals; a file that fails ingestion exits 1 after ``prefix``."""
+    try:
+        pool = load_pool(args.pool)
+        return pool, load_signals(args.signals, args.targets, pool)
+    except (PoolError, OSError) as exc:
+        raise CommandError(1, f"{prefix}: {exc}") from exc
 
 
 def _check_oracle_args(args) -> None:
     """Reject oracle settings that are wrong whatever the data."""
     timeout = args.oracle_timeout
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-        raise ConfigRejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
+        raise _config_rejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
     if args.oracle == "command" and not args.oracle_cmd:
-        raise ConfigRejected("--oracle command requires --oracle-cmd")
+        raise _config_rejected("--oracle command requires --oracle-cmd")
 
 
 def _build_oracle(args, pool, signals, out_dir: Path):
-    """The run's oracle, or None after reporting a rejected spec.
+    """The run's oracle; a rejected spec exits 2.
 
     The settings must have passed :func:`_check_oracle_args`. A command
     oracle creates its manifest directory under ``out_dir``.
@@ -201,15 +229,14 @@ def _build_oracle(args, pool, signals, out_dir: Path):
         names = flat_field_names(signals.benchmarks)
         return SyntheticOracle(SyntheticOracleSpec.from_dict(doc, names))
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"oracle spec rejected: {exc}", file=sys.stderr)
-        return None
+        raise CommandError(2, f"oracle spec rejected: {exc}") from exc
 
 
 def _split_command(text: str, source: str) -> list[str]:
     try:
         return shlex.split(text)
     except ValueError as exc:
-        raise ConfigRejected(f"{source}: {exc}") from exc
+        raise _config_rejected(f"{source}: {exc}") from exc
 
 
 def _assistant_commands(args) -> dict[str, list[str]]:
@@ -225,7 +252,7 @@ def _assistant_commands(args) -> dict[str, list[str]]:
     for spec in args.assistant_cmd or []:
         role, _, cmd = spec.partition("=")
         if not cmd:
-            raise ConfigRejected(f"--assistant-cmd must look like role=command, got {spec!r}")
+            raise _config_rejected(f"--assistant-cmd must look like role=command, got {spec!r}")
         commands[role] = _split_command(cmd, f"--assistant-cmd {role}")
     default_env = os.environ.get(ENV_ASSISTANT_PREFIX)
     for role in ASSISTANT_ROLES:
@@ -244,22 +271,12 @@ def _assistant_commands(args) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest_check(args) -> int:
-    try:
-        pool, signals = _load_data(args)
-    except (PoolError, OSError) as exc:
-        print(f"ingest-check failed: {exc}", file=sys.stderr)
-        return 1
+    pool, signals = _load_data(args, "ingest-check failed")
     print(f"pool: {len(pool)} samples, {pool.total_tokens} tokens")
     print(f"pool digest: {pool.content_digest()}")
     print(f"signals: sae_dim {signals.sae_dim}, benchmarks {', '.join(signals.benchmarks)}")
     print(f"mean ifd {signals.pool_mean_ifd:.4f}, mean varentropy {signals.pool_mean_varentropy:.4f}")
     return 0
-
-
-def _print_rejection(violations: list[str]) -> None:
-    print("recipe rejected:", file=sys.stderr)
-    for violation in violations:
-        print(f"  - {violation}", file=sys.stderr)
 
 
 def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
@@ -270,7 +287,7 @@ def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
     if not seeds:
         return recipe
     if any(s < 0 for s in seeds):
-        raise SystemExit("seed overrides must be nonnegative integers")
+        raise _recipe_rejected(1, ["seed overrides must be nonnegative integers"])
     if not stochastic:
         logger.warning("recipe has no stochastic steps; seed overrides ignored")
         print("warning: recipe has no stochastic steps; seed overrides ignored",
@@ -278,8 +295,8 @@ def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
         return recipe
     if len(seeds) != len(stochastic):
         names = ", ".join(f"step {i + 1} ({op})" for i, op in stochastic)
-        raise SystemExit(
-            f"{len(seeds)} seed override(s) for {len(stochastic)} stochastic step(s): {names}"
+        raise _recipe_rejected(
+            1, [f"{len(seeds)} seed override(s) for {len(stochastic)} stochastic step(s): {names}"]
         )
     steps = list(recipe.steps)
     for (i, _), seed in zip(stochastic, seeds):
@@ -290,36 +307,30 @@ def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
 
 
 def cmd_exec(args) -> int:
-    try:
-        pool, signals = _load_data(args)
-    except (PoolError, OSError) as exc:
-        print(f"ingestion failed: {exc}", file=sys.stderr)
-        return 1
+    pool, signals = _load_data(args, "ingestion failed")
     catalog = default_catalog(len(pool))
     try:
         text = Path(args.recipe).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"ingestion failed: recipe {args.recipe}: {exc}", file=sys.stderr)
-        return 1
+        raise CommandError(1, f"ingestion failed: recipe {args.recipe}: {exc}") from exc
     try:
         recipe = parse_recipe(text, catalog, args.l_max)
     except RecipeValidationError as exc:
-        _print_rejection(exc.violations)
-        return 1
+        raise _recipe_rejected(1, exc.violations) from exc
     recipe = _apply_seed_overrides(recipe, args.seeds)
     try:
         subset = execute_recipe(recipe, pool, signals)
-    except ExecutionError as exc:
-        print(f"execution aborted: {exc}", file=sys.stderr)
-        return 1
-    state = compute_state(subset, pool, signals)
+        state = compute_state(subset, pool, signals)
+    except (ExecutionError, StateError) as exc:
+        raise CommandError(1, f"execution aborted: {exc}") from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    state_path = Path(args.state_out or str(out) + ".state.json")
+    for path in (out, state_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     request = EvalRequest(
         run_id=args.run_id or "exec", step=0, recipe=recipe, subset=subset,
     )
     write_manifest(str(out), pool, request)
-    state_path = args.state_out or str(out) + ".state.json"
     with open(state_path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(state.to_dict()), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -354,7 +365,7 @@ def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
     """Write the ledger header, run ``body(ledger)``, and close the ledger.
 
     On any exception the ledger ends with an ``abort`` line. A run failure
-    prints one line and returns 1; anything else re-raises.
+    then exits 1; anything else re-raises.
     """
     ledger = RunLedger(str(out_dir / "ledger.jsonl"))
     ledger.write(header)
@@ -366,9 +377,9 @@ def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
         ledger.write({"type": "abort", "error": error})
         if not expected:
             raise
-        print(f"{label} aborted: {exc} (partial ledger kept at {ledger.path})",
-              file=sys.stderr)
-        return 1
+        raise CommandError(
+            1, f"{label} aborted: {exc} (partial ledger kept at {ledger.path})"
+        ) from exc
     finally:
         ledger.close()
     return 0
@@ -388,18 +399,12 @@ def cmd_run(args) -> int:
     try:
         config.validate()
     except ControllerError as exc:
-        raise ConfigRejected(exc) from exc
+        raise _config_rejected(exc) from exc
     _check_oracle_args(args)
-    try:
-        pool, signals = _load_data(args)
-    except (PoolError, OSError) as exc:
-        print(f"ingestion failed: {exc}", file=sys.stderr)
-        return 1
+    pool, signals = _load_data(args, "ingestion failed")
     catalog = default_catalog(len(pool))
     out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, pool, signals, out_dir)
-    if oracle is None:
-        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
     header = {
@@ -483,25 +488,18 @@ def _baseline_candidates(args, rt: _Runtime, recipes: list[Recipe], rng):
 def cmd_baseline(args) -> int:
     for flag, value in (("--budget", args.budget), ("--l-max", args.l_max)):
         if value < 1:
-            raise ConfigRejected(f"{flag} must be >= 1, got {value}")
+            raise _config_rejected(f"{flag} must be >= 1, got {value}")
     _check_oracle_args(args)
-    try:
-        pool, signals = _load_data(args)
-    except (PoolError, OSError) as exc:
-        print(f"ingestion failed: {exc}", file=sys.stderr)
-        return 1
+    pool, signals = _load_data(args, "ingestion failed")
     catalog = default_catalog(len(pool))
     rng = role_rng(args.master_seed, 0, "baseline")
     recipes = _suite_recipes(args, len(pool), rng)
     for recipe in recipes:
         violations = validate_recipe(recipe, catalog, args.l_max)
         if violations:
-            _print_rejection(violations)
-            return 2
+            raise _recipe_rejected(2, violations)
     out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, pool, signals, out_dir)
-    if oracle is None:
-        return 2
     run_id = args.run_id or f"baseline-{args.suite}-seed{args.master_seed}"
     header = {
         "type": "header",
@@ -586,8 +584,7 @@ def cmd_report(args) -> int:
         try:
             events, skipped = read_ledger(path)
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"ingestion failed: ledger {path}: {exc}", file=sys.stderr)
-            return 1
+            raise CommandError(1, f"ingestion failed: ledger {path}: {exc}") from exc
         skipped_total += skipped
         all_rows[path] = _eval_rows(events)
         summaries.append(_ledger_summary(path, events))
@@ -730,9 +727,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigRejected as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return 2
+    except CommandError as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

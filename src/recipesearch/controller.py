@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .operators import MIX, Catalog, OperatorSpec, Subset, default_catalog
-from .oracle import EvalCache, EvalRequest
+from .oracle import EvalCache, EvalRequest, OracleError
 from .pool import CanonicalPool, SignalTable
 from .recipe import (
     DEFAULT_L_MAX,
@@ -723,7 +723,10 @@ class _Runtime:
         return None
 
     def evaluate(self, step: int, cand: Candidate, is_warmup: bool) -> tuple[EvalRecord, bool]:
-        """One budget unit: cache-aware oracle evaluation plus ledger append."""
+        """One budget unit: cache-aware oracle evaluation plus ledger append.
+
+        A non-finite score raises OracleError before it is cached or recorded.
+        """
         subset_hash = cand.subset.content_hash()
         outcome = self.cache.lookup(subset_hash)
         if outcome is None:
@@ -734,6 +737,8 @@ class _Runtime:
                 subset=cand.subset,
             )
             outcome = self.oracle.evaluate(request, cand.state)
+            if not np.isfinite(outcome.score):
+                raise OracleError(f"non-finite score from the oracle: {outcome.score}")
             self.cache.store(subset_hash, outcome)
         record = EvalRecord(
             step=step,

@@ -130,8 +130,6 @@ class CommandOracle:
             raise OracleError(
                 f"unparsable evaluation output: {proc.stdout.strip()[:500]}"
             ) from exc
-        if not np.isfinite(score):
-            raise OracleError(f"non-finite score from evaluation command: {score}")
         return EvalOutcome(score=score, per_benchmark=per_benchmark, duration_s=duration)
 
 

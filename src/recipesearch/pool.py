@@ -12,9 +12,9 @@ read a pool and its signal table concurrently.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,6 +26,15 @@ from scipy import sparse as sp
 
 class PoolError(ValueError):
     """Raised when a pool or signals file fails validation."""
+
+
+# The widest published SAE dictionaries have 16M latents (Gao et al. 2024);
+# each benchmark target is held dense, at 8 bytes per feature.
+MAX_SAE_DIM = 2**24
+
+# Files are read with errors="surrogateescape": lines split as in a strict
+# UTF-8 read, and each byte that is not UTF-8 becomes one of these surrogates.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -144,16 +153,19 @@ def load_pool(path: str) -> CanonicalPool:
 
     Records require ``id``, ``instruction``, ``response`` and ``source``
     fields. Load order is preserved and the same file always yields an
-    identical pool. Any malformed line aborts with a diagnostic naming it.
+    identical pool. Any malformed line, one that is not UTF-8 included,
+    aborts with a diagnostic naming it.
     """
     samples: list[Sample] = []
     index: dict[str, int] = {}
     required = ("id", "instruction", "response", "source")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise PoolError(f"pool file {path}: line {lineno} is not valid UTF-8")
             try:
                 rec = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:
@@ -295,45 +307,52 @@ def _sparse_csr(rows: np.ndarray, indices: np.ndarray, values: np.ndarray,
                 n_rows: int, sae_dim: int):
     """Check flat (row, index, value) entries and order them as CSR parts.
 
-    Returns the sorted rows that hold an index outside ``[0, sae_dim)``, a
-    negative or non-finite value, or an index repeated among the row's
+    Returns whether any entry holds an index outside ``[0, sae_dim)``, a
+    negative or non-finite value, or an index repeated among its row's
     nonzero values; then ``indptr``, ``indices`` and ``data`` of the nonzero
     entries ordered by (row, index).
     """
-    bad = (indices < 0) | (indices >= sae_dim) | ~((values >= 0) & (values < np.inf))
-    bad_rows = rows[bad]
+    bad = bool(((indices < 0) | (indices >= sae_dim)
+                | ~((values >= 0) & (values < np.inf))).any())
     nonzero = values != 0
     rows, indices, values = rows[nonzero], indices[nonzero], values[nonzero]
     order = np.lexsort((indices, rows))
     rows, indices, values = rows[order], indices[order], values[order]
-    repeated = (rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])
-    bad_rows = np.union1d(bad_rows, rows[1:][repeated])
+    bad |= bool(((rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])).any())
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return bad_rows, indptr, indices, values
+    return bad, indptr, indices, values
 
 
-def _sparse_vector(pairs, sae_dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted indices and values of one sparse vector, checked as a one-row file."""
-    indices, values = array("q"), array("d")
-    try:
-        count = _append_pairs(pairs, indices, values)
-    except _BUFFER_ERRORS:
-        pass
-    else:
-        bad, _, idx, val = _sparse_csr(
-            np.zeros(count, dtype=np.int64), np.frombuffer(indices, dtype=np.int64),
-            np.frombuffer(values), 1, sae_dim,
-        )
-        if not bad.size:
-            return idx, val
-    raise PoolError(f"{what}: {_pairs_problem(pairs, sae_dim)}")
+def _first_problem(path: str, index: dict[str, int], sae_dim: int) -> str | None:
+    """The message for the first offending line of a signals file, or None.
 
-
-def _read_record(path: str, lineno: int) -> dict:
-    """The JSON object on line ``lineno`` of a file, read as the pass read it."""
-    with open(path, encoding="utf-8") as fh:
-        return json.loads(next(itertools.islice(fh, lineno - 1, None)).strip())
+    The reference walk behind every line message of :func:`load_signals`.
+    """
+    seen: set[str] = set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if _NOT_UTF8.search(line):
+                return f"signals file {path}: line {lineno} is not valid UTF-8"
+            try:
+                rec = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                return f"invalid JSON at line {lineno}: {exc}"
+            if type(rec) is not dict:
+                return f"expected a JSON object at line {lineno}"
+            sid = rec.get("id", "")
+            if type(sid) is not str or sid not in index:
+                return f"signals line {lineno}: id {sid!r} not in pool"
+            if sid in seen:
+                return f"signals line {lineno}: duplicate signals for id {sid!r}"
+            seen.add(sid)
+            problem = _record_problem(rec, sae_dim)
+            if problem is not None:
+                return f"signals line {lineno}: {problem}"
+    return None
 
 
 def _weighted_jaccard_matrix(matrix: sp.csr_matrix, target: np.ndarray) -> np.ndarray:
@@ -357,6 +376,8 @@ def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise PoolError(f"targets file {path}: not valid UTF-8 at byte {exc.start}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:
             raise PoolError(f"targets file {path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -364,6 +385,8 @@ def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
     sae_dim = doc.get("sae_dim", 0)
     if type(sae_dim) not in _INTEGER or sae_dim <= 0:
         raise PoolError(f"targets file {path}: sae_dim must be a positive integer")
+    if sae_dim > MAX_SAE_DIM:
+        raise PoolError(f"targets file {path}: sae_dim {sae_dim} exceeds 2**24 ({MAX_SAE_DIM})")
     bench_doc = doc.get("benchmarks", {})
     if not bench_doc:
         raise PoolError(f"targets file {path}: no benchmarks defined")
@@ -371,11 +394,16 @@ def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
         raise PoolError(f"targets file {path}: benchmarks must be an object of sparse vectors")
     targets: dict[str, np.ndarray] = {}
     for name in sorted(bench_doc):
-        t_idx, t_val = _sparse_vector(bench_doc[name], sae_dim, f"target {name!r}")
-        if t_idx.size == 0:
-            raise PoolError(f"target {name!r} is all-zero")
+        pairs = bench_doc[name]
+        problem = _pairs_problem(pairs, sae_dim)
+        if problem is not None:
+            raise PoolError(f"target {name!r}: {problem}")
         dense = np.zeros(sae_dim, dtype=np.float64)
-        dense[t_idx] = t_val
+        for i, v in pairs:
+            if v:
+                dense[i] = float(v)
+        if not dense.any():
+            raise PoolError(f"target {name!r} is all-zero")
         dense.setflags(write=False)
         targets[name] = dense
     return sae_dim, targets
@@ -395,49 +423,38 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     One pass appends each line's fields to flat buffers and stops at the
     first line whose JSON shape or types are off; ranges, values and
     repeated feature indices of the lines before it are then checked in
-    numpy, and the earliest bad line is re-read for its message.
+    numpy. The pass only detects problems: on any, :func:`_first_problem`
+    re-reads the file for the message of its first offending line.
     """
     sae_dim, targets = _load_targets(targets_path)
     n = len(pool)
     index = pool.index
     seen = bytearray(n)
-    positions, lines, entry_counts = array("q"), array("q"), array("q")
+    positions, entry_counts = array("q"), array("q")
     scalars, indices, values = array("d"), array("q"), array("d")
-    stop = None  # the message for the line the pass stopped at
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    complete = False  # the pass read every line without a problem
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
-            try:
+            if not line.isascii() and _NOT_UTF8.search(line):
+                break
+            try:  # an object whose id is a pool id, else KeyError or TypeError
                 rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                stop = f"invalid JSON at line {lineno}: {exc}"
-                break
-            if type(rec) is not dict:
-                stop = f"expected a JSON object at line {lineno}"
-                break
-            sid = rec.get("id", "")
-            pos = index.get(sid) if type(sid) is str else None
-            if pos is None:
-                stop = f"signals line {lineno}: id {sid!r} not in pool"
-                break
-            if seen[pos]:
-                stop = f"signals line {lineno}: duplicate signals for id {sid!r}"
-                break
-            row = (rec.get("ifd"), rec.get("varentropy"), rec.get("ao"))
-            try:
-                if not _NUMBER.issuperset(map(type, row)):
-                    raise TypeError("signal of the wrong JSON type")
+                pos = index[rec["id"]]
+                row = (rec.get("ifd"), rec.get("varentropy"), rec.get("ao"))
+                if seen[pos] or not _NUMBER.issuperset(map(type, row)):
+                    break
                 scalars.extend(row)
                 count = _append_pairs(rec.get("sparse", []), indices, values)
-            except _BUFFER_ERRORS:
-                stop = f"signals line {lineno}: {_record_problem(rec, sae_dim)}"
+            except (KeyError, RecursionError, *_BUFFER_ERRORS):
                 break
             seen[pos] = 1
             positions.append(pos)
-            lines.append(lineno)
             entry_counts.append(count)
+        else:
+            complete = True
 
     # Buffers may end with part of the line the pass stopped at.
     n_rows = len(positions)
@@ -445,23 +462,14 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     count_arr = np.frombuffer(entry_counts, dtype=np.int64)
     n_entries = int(count_arr.sum())
     scalar_rows = np.frombuffer(scalars)[: 3 * n_rows].reshape(n_rows, 3)
-    bad_pos, indptr, act_indices, act_data = _sparse_csr(
+    bad, indptr, act_indices, act_data = _sparse_csr(
         np.repeat(pos_arr, count_arr),
         np.frombuffer(indices, dtype=np.int64)[:n_entries],
         np.frombuffer(values)[:n_entries],
         n, sae_dim,
     )
-    line_arr = np.frombuffer(lines, dtype=np.int64)
-    line_at = np.zeros(n, dtype=np.int64)
-    line_at[pos_arr] = line_arr
-    bad_scalar = ~((scalar_rows >= 0) & (scalar_rows < np.inf)).all(axis=1)
-    bad_lines = np.concatenate([line_arr[bad_scalar], line_at[bad_pos]])
-    if bad_lines.size:
-        lineno = int(bad_lines.min())
-        problem = _record_problem(_read_record(path, lineno), sae_dim)
-        raise PoolError(f"signals line {lineno}: {problem}")
-    if stop is not None:
-        raise PoolError(stop)
+    if bad or not complete or not ((scalar_rows >= 0) & (scalar_rows < np.inf)).all():
+        raise PoolError(_first_problem(path, index, sae_dim))
     missing = n - n_rows
     if missing:
         raise PoolError(f"missing signals for {missing} sample(s)")

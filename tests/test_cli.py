@@ -175,18 +175,24 @@ class TestExec:
         assert code == 0
         assert "seed overrides ignored" in capsys.readouterr().err
 
-    def test_seed_count_mismatch_names_steps(self, synth_files, tmp_path):
+    def test_seed_count_mismatch_names_steps(self, synth_files, tmp_path, capsys):
         recipe_path = tmp_path / "recipe.json"
         recipe_path.write_text(json.dumps(FOUR_STEP_RECIPE))
-        with pytest.raises(SystemExit) as err:
-            main(
-                ["exec"] + data_args(synth_files)
-                + ["--recipe", str(recipe_path), "--out", str(tmp_path / "x.jsonl"),
-                   "--seeds", "42"]
-            )
-        msg = str(err.value)
+        code = main(
+            ["exec"] + data_args(synth_files)
+            + ["--recipe", str(recipe_path), "--out", str(tmp_path / "x.jsonl"),
+               "--seeds", "42"]
+        )
+        assert code == 1
+        msg = capsys.readouterr().err
         assert "step 3 (semdedup)" in msg and "step 4 (random_k)" in msg
 
+
+    def test_state_out_creates_its_directory(self, synth_files, tmp_path):
+        state_out = tmp_path / "new" / "dir" / "state.json"
+        argv = exec_argv(synth_files, tmp_path, IFD_HALF, "--state-out", str(state_out))
+        assert main(argv) == 0
+        assert "retain_ratio" in json.loads(state_out.read_text())
 
     @pytest.mark.parametrize("k", ["5.0", "abc"])
     def test_string_integer_param_rejected(self, synth_files, tmp_path, capsys, k):
@@ -561,6 +567,118 @@ class TestBaseline:
         )
 
 
+# ---------------------------------------------------------------------------
+# One failure path: documented exit code and stderr prefix, never a traceback
+# ---------------------------------------------------------------------------
+
+OVERFLOW_SPEC = {  # finite weights whose score overflows to -inf
+    "family": "planted_quadratic", "weights": {"retain_ratio": 1e308},
+    "targets": {"retain_ratio": 10.0},
+}
+
+
+def non_utf8_copy(tmp_path, source, line=2):
+    """A copy of a data file whose ``line`` holds the byte 0xff inside a string."""
+    lines = Path(source).read_bytes().splitlines(keepends=True)
+    if len(lines) == 1:  # the targets file: one JSON document
+        line = 1
+    lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+    target = tmp_path / f"bad_{Path(source).name}"
+    target.write_bytes(b"".join(lines))
+    return str(target)
+
+
+def with_file(synth_files, which, path):
+    files = list(synth_files)
+    files[("pool", "signals", "targets").index(which)] = path
+    return files
+
+
+def exec_argv(synth_files, tmp_path, recipe, *extra):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps(recipe))
+    return ["exec", *data_args(synth_files), "--recipe", str(recipe_path),
+            "--out", str(tmp_path / "m.jsonl"), *extra]
+
+
+def no_activations(synth_files, tmp_path):
+    rows = [json.loads(line) for line in Path(synth_files[1]).read_text().splitlines()]
+    write_jsonl(tmp_path / "empty_sparse.jsonl", [dict(row, sparse=[]) for row in rows])
+    return with_file(synth_files, "signals", str(tmp_path / "empty_sparse.jsonl"))
+
+
+def nan_scorer(tmp_path):
+    stub = tmp_path / "nan_scorer.py"
+    stub.write_text("print('{\"score\": NaN}')\n")
+    return ["--oracle", "command", "--oracle-cmd", sys.executable, str(stub)]
+
+
+IFD_HALF = {"steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]}
+
+# case -> (argv from (synth_files, tmp_path), exit code, stderr prefix)
+FAILURES = {
+    "config": (lambda f, t: run_argv("run", f, t / "out", "--l-max", "0"),
+               2, "config rejected: "),
+    "ingestion": (lambda f, t: run_argv("run", with_file(f, "signals", "/no/such"), t / "out"),
+                  1, "ingestion failed: "),
+    "ingest_check_pool_not_utf8": (
+        lambda f, t: ["ingest-check", *data_args(with_file(f, "pool", non_utf8_copy(t, f[0])))],
+        1, "ingest-check failed: pool file "),
+    "signals_not_utf8": (
+        lambda f, t: run_argv("run", with_file(f, "signals", non_utf8_copy(t, f[1])), t / "out"),
+        1, "ingestion failed: signals file "),
+    "targets_not_utf8": (
+        lambda f, t: run_argv("baseline", with_file(f, "targets", non_utf8_copy(t, f[2])),
+                              t / "out"),
+        1, "ingestion failed: targets file "),
+    "oracle_spec": (lambda f, t: run_argv("run", f, t / "out", "--oracle-spec",
+                                          write_spec(t, BAD_SPECS["unknown_field"])),
+                    2, "oracle spec rejected: "),
+    "exec_recipe_rejected": (
+        lambda f, t: exec_argv(f, t, {"steps": [{"operator": "random_k", "params": {"k": "x"}}]}),
+        1, "recipe rejected:\n  - "),
+    "baseline_recipe_rejected": (
+        lambda f, t: ["baseline", *data_args(f), "--suite", "single_op", "--fraction", "0",
+                      "--out-dir", str(t / "out")],
+        2, "recipe rejected:\n  - "),
+    "seed_mismatch": (lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "42"),
+                      1, "recipe rejected:\n  - 1 seed override(s) for 2 stochastic step(s)"),
+    "negative_seed": (lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "7", "-1"),
+                      1, "recipe rejected:\n  - seed overrides must be nonnegative"),
+    "execution_aborted": (
+        lambda f, t: exec_argv(f, t, {"steps": [{"operator": "semdedup", "params": {
+            "n_clusters": 5000, "tau": 0.9, "seed": 0}}]}),
+        1, "execution aborted: step 1: n_clusters 5000 exceeds subset size 200"),
+    "exec_state_error": (lambda f, t: exec_argv(no_activations(f, t), t, IFD_HALF),
+                         1, "execution aborted: no subset sample carries activation"),
+    "run_score_overflow": (
+        lambda f, t: run_argv("run", f, t / "out", "--oracle-spec", write_spec(t, OVERFLOW_SPEC)),
+        1, "run aborted: non-finite score from the oracle: -inf"),
+    "baseline_score_overflow": (
+        lambda f, t: run_argv("baseline", f, t / "out",
+                              "--oracle-spec", write_spec(t, OVERFLOW_SPEC)),
+        1, "baseline aborted: non-finite score from the oracle: -inf"),
+    "run_nan_scorer": (lambda f, t: run_argv("run", f, t / "out", *nan_scorer(t)),
+                       1, "run aborted: non-finite score from the oracle: nan"),
+    "baseline_nan_scorer": (lambda f, t: run_argv("baseline", f, t / "out", *nan_scorer(t)),
+                            1, "baseline aborted: non-finite score from the oracle: nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_exits_with_documented_code_and_prefix(synth_files, tmp_path, capsys, case):
+    argv, code, prefix = FAILURES[case]
+    assert main(argv(synth_files, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+    ledger = tmp_path / "out" / "ledger.jsonl"
+    if ledger.exists():  # only a run failure opens a ledger, and it ends with abort
+        assert code == 1 and "aborted: " in prefix
+        assert ledger_lines(ledger)[-1]["type"] == "abort"
+        assert "Infinity" not in ledger.read_text() and "NaN" not in ledger.read_text()
+
+
 def handmade_eval(step, score, ops, retain=0.5, size=100):
     return {
         "type": "eval", "step": step, "score": score, "subset_size": size,
@@ -618,6 +736,28 @@ class TestReport:
         out_dir = tmp_path / "rep"
         assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
         assert "skipped 1 corrupt ledger line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        {"type": "eval", "step": 1},
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), score="1.0"),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), subset_size=None),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={}),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],
+                                                           "score_per_task": [0.5]}),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": [{"params": {}}]}),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": "ifd_topfrac"}),
+    ])
+    def test_unreadable_eval_line_skipped_like_a_corrupt_one(self, tmp_path, capsys, line):
+        ledger = tmp_path / "evals.jsonl"
+        write_jsonl(ledger, [{"type": "header", "run_id": "e"},
+                             handmade_eval(1, 1.0, ["ifd_topfrac"]), line,
+                             handmade_eval(3, 2.0, ["ao_topfrac", "ifd_topfrac"])])
+        out_dir = tmp_path / "rep"
+        assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped 1 corrupt ledger line" in err and "Traceback" not in err
+        with open(out_dir / "curves.csv") as fh:
+            assert [r["step"] for r in csv.DictReader(fh)] == ["1", "3"]
 
     def test_line_not_an_object_skipped(self, tmp_path, capsys):
         ledger = tmp_path / "list.jsonl"

@@ -21,7 +21,7 @@ from recipesearch.controller import (
     strip_json_payload,
 )
 from recipesearch.operators import MIX, OperatorSpec, default_catalog
-from recipesearch.oracle import SyntheticOracle, SyntheticOracleSpec
+from recipesearch.oracle import OracleError, SyntheticOracle, SyntheticOracleSpec
 from recipesearch.recipe import Recipe
 from recipesearch.state import StateVector
 from recipesearch.synthetic import make_synthetic_pool
@@ -154,6 +154,17 @@ class TestWarmup:
 
 
 class TestSearchStructure:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_aborts_before_it_is_recorded(self, small_pool, bad):
+        pool, signals = small_pool
+        events = []
+        oracle = ScriptedOracle([1.0, bad])
+        with pytest.raises(OracleError, match="non-finite score from the oracle"):
+            run_search(SearchConfig(budget=6, master_seed=2), pool, signals, oracle,
+                       sink=events.append)
+        assert oracle.calls == 2
+        assert [e["score"] for e in events if e["type"] == "eval"] == [1.0]
+
     def test_constant_oracle_contract(self, small_pool):
         pool, signals = small_pool
         events = []

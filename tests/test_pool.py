@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from recipesearch.pool import PoolError, load_pool, load_signals
+from recipesearch.pool import PoolError, _first_problem, load_pool, load_signals
 
 from conftest import TINY_POOL_ROWS, TINY_SIGNAL_ROWS, TINY_TARGETS, write_jsonl
 
@@ -376,6 +376,45 @@ class TestFlatIngestion:
         assert str(info.value) == f"signals line 2: {message}"
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_every_rejection_is_the_reference_walk_message(self, data, n):
+        # One good line per pool id, in any order, with up to three lines
+        # inserted: bad in any way BAD_LINES knows, not UTF-8, blank, or a
+        # repeated or unknown id (s{n} is not in the pool).
+        def good(i, v):
+            return signal_line(i, [[v % 8, 1.0]])
+
+        sid = st.integers(0, n).map(lambda k: f"s{k}")
+        lines = [good(f"s{k}", k) for k in data.draw(st.permutations(range(n)))]
+        noise = st.one_of(
+            st.builds(lambda kind, i: self.BAD_LINES[kind][0](i),
+                      st.sampled_from(sorted(self.BAD_LINES)), sid),
+            sid.map(lambda i: good(i, 3)[:-1] + ', "x": "\udcff"}'),
+            st.builds(good, sid, st.integers(0, 7)),
+            st.just(""),
+        )
+        for line in data.draw(st.lists(noise, max_size=3)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            write_jsonl(work / "pool.jsonl", text_pool([("a", "b")] * n))
+            (work / "targets.json").write_text(json.dumps(TINY_TARGETS))
+            text = "".join(line + "\n" for line in lines)
+            (work / "signals.jsonl").write_bytes(text.encode("utf-8", "surrogateescape"))
+            pool = load_pool(str(work / "pool.jsonl"))
+            problem = _first_problem(str(work / "signals.jsonl"), pool.index, 8)
+            try:
+                load_signals(str(work / "signals.jsonl"), str(work / "targets.json"), pool)
+            except PoolError as exc:
+                message = str(exc)
+            else:
+                message = None
+        if problem is not None:
+            assert message == problem
+        else:
+            assert message is None or message.startswith("missing signals for")
+
     def test_bad_line_padded_with_non_json_whitespace(self, tmp_path):
         # str.strip() removes \x1f and \u2028 before decoding; json.loads would not
         lines = ["\x1f" + signal_line("s0", [[9, 1.0]]) + "\u2028"]
@@ -418,10 +457,38 @@ class TestStrictTypes:
          "target 't1': duplicate feature index 1"),
         (dict(TINY_TARGETS, benchmarks={"t1": [[8, 1.0]]}),
          "target 't1': feature index out of range (8 >= sae_dim 8)"),
+        (dict(TINY_TARGETS, sae_dim=2 ** 24 + 1), "sae_dim 16777217 exceeds 2**24 (16777216)"),
+        (dict(TINY_TARGETS, sae_dim=2 ** 64), f"sae_dim {2 ** 64} exceeds 2**24"),
     ])
     def test_target_types(self, tmp_path, doc, message):
         with pytest.raises(PoolError, match=re.escape(message)):
             ingest(tmp_path, text_pool([("a", "b")]), [signal_line("s0", [[0, 1.0]])], doc)
+
+    @pytest.mark.parametrize("which, message", [
+        ("pool", "pool file {}: line 3 is not valid UTF-8"),
+        ("signals", "signals file {}: line 3 is not valid UTF-8"),
+        ("targets", "targets file {}: not valid UTF-8 at byte 1"),
+    ])
+    def test_file_not_utf8_names_file_and_line(self, tmp_path, which, message):
+        # 0xff is never UTF-8; "\xc3\xa9" is, and the pass must keep it
+        rows = {"pool": [dict(r, response="caf\u00e9") for r in TINY_POOL_ROWS],
+                "signals": TINY_SIGNAL_ROWS}
+        for name, rec in rows.items():
+            text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rec)
+            (tmp_path / f"{name}.jsonl").write_bytes(text.encode())
+        (tmp_path / "targets.json").write_text(json.dumps(TINY_TARGETS))
+        path = tmp_path / ("targets.json" if which == "targets" else f"{which}.jsonl")
+        data = path.read_bytes()
+        if which == "targets":
+            path.write_bytes(b"{\xff" + data[1:])
+        else:
+            lines = data.splitlines(keepends=True)
+            lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+            path.write_bytes(b"".join(lines))
+        with pytest.raises(PoolError) as info:
+            pool = load_pool(str(tmp_path / "pool.jsonl"))
+            load_signals(str(tmp_path / "signals.jsonl"), str(tmp_path / "targets.json"), pool)
+        assert str(info.value) == message.format(path)
 
     @pytest.mark.parametrize("key, value", [
         ("instruction", None), ("response", 3), ("source", ["s"]), ("id", 7),
