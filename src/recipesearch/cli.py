@@ -135,6 +135,7 @@ def _readable_eval(event: dict) -> bool:
     if not all(type(event.get(k)) in (int, float) for k in ("score", "step", "subset_size")):
         return False
     try:
+        float(event["score"])  # OverflowError for an integer too large for a float
         state_from_dict(event["state"])
         return all(type(s["operator"]) is str for s in event["recipe"]["steps"])
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
@@ -156,7 +157,7 @@ def read_ledger(path: str) -> tuple[list[dict], int]:
                 continue
             try:
                 event = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):
                 event = None
             if isinstance(event, dict) and (event.get("type") != "eval" or _readable_eval(event)):
                 events.append(event)

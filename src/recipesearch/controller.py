@@ -518,7 +518,7 @@ def _json_payload(out: str):
     """The JSON document in an assistant's output, or None if none decodes."""
     try:
         return json.loads(strip_json_payload(out))
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         return None
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -257,6 +258,8 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
         if ps.kind == "fraction":
             try:
                 v = float(value)
+            except OverflowError:  # an integer too large for a float
+                v = math.inf
             except (TypeError, ValueError):
                 problems.append(f"{spec.operator}: {key} must be a number")
                 continue
@@ -265,6 +268,8 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
         elif ps.kind in ("int", "seed"):
             if not _is_integral(value):
                 problems.append(f"{spec.operator}: {key} must be an integer")
+            elif abs(value) > sys.float_info.max:  # an integer too large for a float
+                problems.append(f"{spec.operator}: {key} out of range")
             elif ps.kind == "seed" and int(value) < 0:
                 problems.append(f"{spec.operator}: {key} must be nonnegative")
             elif ps.kind == "int" and int(value) < int(ps.minimum):

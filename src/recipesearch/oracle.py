@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -126,7 +127,7 @@ class CommandOracle:
             if per_benchmark is not None:
                 per_benchmark = {str(k): float(v) for k, v in per_benchmark.items()}
         except (AttributeError, IndexError, KeyError, TypeError, ValueError,
-                RecursionError) as exc:
+                OverflowError, RecursionError) as exc:
             raise OracleError(
                 f"unparsable evaluation output: {proc.stdout.strip()[:500]}"
             ) from exc
@@ -188,10 +189,11 @@ class SyntheticOracleSpec:
                 numbers[f"{table}.{name}"] = value
                 if field_names is not None and name not in field_names:
                     problems.append(f"{table}: unknown state field {name!r}")
-        problems += [
-            f"{key} must be a number, got {value!r}" for key, value in numbers.items()
-            if isinstance(value, bool) or not isinstance(value, (int, float))
-        ]
+        for key, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                problems.append(f"{key} must be a number, got {value!r}")
+            elif isinstance(value, int) and abs(value) > sys.float_info.max:
+                problems.append(f"{key} is an integer too large for a float")
         seed = doc.get("noise_seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             problems.append(f"noise_seed must be a nonnegative integer, got {seed!r}")

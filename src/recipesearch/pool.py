@@ -168,7 +168,7 @@ def load_pool(path: str) -> CanonicalPool:
                 raise PoolError(f"pool file {path}: line {lineno} is not valid UTF-8")
             try:
                 rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
             if not isinstance(rec, dict):
                 raise PoolError(f"expected a JSON object at line {lineno}")
@@ -339,7 +339,7 @@ def _first_problem(path: str, index: dict[str, int], sae_dim: int) -> str | None
                 return f"signals file {path}: line {lineno} is not valid UTF-8"
             try:
                 rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 return f"invalid JSON at line {lineno}: {exc}"
             if type(rec) is not dict:
                 return f"expected a JSON object at line {lineno}"
@@ -378,7 +378,7 @@ def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:
             raise PoolError(f"targets file {path}: not valid UTF-8 at byte {exc.start}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise PoolError(f"targets file {path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PoolError(f"targets file {path}: expected a JSON object")

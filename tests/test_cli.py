@@ -36,6 +36,7 @@ PLANTED_SPEC = {
 BAD_SPECS = {
     "unknown_field": {"family": "planted_quadratic", "weights": {"retain": 1.0}},
     "string_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": "x"}},
+    "huge_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": 10**400}},
 }
 
 
@@ -607,10 +608,15 @@ def no_activations(synth_files, tmp_path):
     return with_file(synth_files, "signals", str(tmp_path / "empty_sparse.jsonl"))
 
 
-def nan_scorer(tmp_path):
-    stub = tmp_path / "nan_scorer.py"
-    stub.write_text("print('{\"score\": NaN}')\n")
+def printing_scorer(tmp_path, line):
+    """Oracle flags for a command scorer that prints ``line``."""
+    stub = tmp_path / "scorer.py"
+    stub.write_text(f"print({line!r})\n")
     return ["--oracle", "command", "--oracle-cmd", sys.executable, str(stub)]
+
+
+def nan_scorer(tmp_path):
+    return printing_scorer(tmp_path, '{"score": NaN}')
 
 
 IFD_HALF = {"steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]}
@@ -658,6 +664,14 @@ FAILURES = {
         lambda f, t: run_argv("baseline", f, t / "out",
                               "--oracle-spec", write_spec(t, OVERFLOW_SPEC)),
         1, "baseline aborted: non-finite score from the oracle: -inf"),
+    "exec_fraction_overflow": (
+        lambda f, t: exec_argv(f, t, {"steps": [{"operator": "ifd_topfrac",
+                                                 "params": {"fraction": 10**400}}]}),
+        1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction out of (0,1]"),
+    "run_score_too_large_for_a_float": (
+        lambda f, t: run_argv("run", f, t / "out",
+                              *printing_scorer(t, '{"score": 1%s}' % ("0" * 400))),
+        1, "run aborted: unparsable evaluation output"),
     "run_nan_scorer": (lambda f, t: run_argv("run", f, t / "out", *nan_scorer(t)),
                        1, "run aborted: non-finite score from the oracle: nan"),
     "baseline_nan_scorer": (lambda f, t: run_argv("baseline", f, t / "out", *nan_scorer(t)),
@@ -746,6 +760,7 @@ class TestReport:
                                                            "score_per_task": [0.5]}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": [{"params": {}}]}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": "ifd_topfrac"}),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), score=10**400),
     ])
     def test_unreadable_eval_line_skipped_like_a_corrupt_one(self, tmp_path, capsys, line):
         ledger = tmp_path / "evals.jsonl"
@@ -818,7 +833,12 @@ class TestReport:
 # Deeply nested JSON at every decode site
 # ---------------------------------------------------------------------------
 
-DEEP_JSON = "[" * 50000 + "]" * 50000
+# JSON documents that no decode site may turn into a traceback: nesting past
+# the recursion limit, and an integer past the int-string conversion limit
+UNDECODABLE_JSON = {
+    "deep": "[" * 50000 + "]" * 50000,
+    "huge_integer": "[" + "9" * 5000 + "]",
+}
 
 # entry point -> (exit code, message on stderr or in the assistant_failure events)
 DEEP_CASES = {
@@ -836,10 +856,10 @@ DEEP_CASES = {
 ROLES = ("proposer", "ranker", "reseeder")
 
 
-def deep_argv(name, synth_files, tmp_path):
-    """argv of one CLI entry point whose JSON input is DEEP_JSON."""
+def deep_argv(name, synth_files, tmp_path, payload):
+    """argv of one CLI entry point whose JSON input is ``payload``."""
     deep = tmp_path / "deep.json"
-    deep.write_text(DEEP_JSON)
+    deep.write_text(payload)
     out_dir = tmp_path / "out"
     if name == "exec_recipe":
         return ["exec", *data_args(synth_files),
@@ -849,14 +869,14 @@ def deep_argv(name, synth_files, tmp_path):
         write_jsonl(ledger, [{"type": "header", "run_id": "d"},
                              handmade_eval(1, 1.0, ["ifd_topfrac"])])
         with open(ledger, "a") as fh:
-            fh.write(DEEP_JSON + "\n")
+            fh.write(payload + "\n")
         return ["report", str(ledger), "--out-dir", str(out_dir)]
     if name in ("pool", "signals", "targets"):
         files = list(synth_files)
         index = ("pool", "signals", "targets").index(name)
         text = "" if name == "targets" else Path(files[index]).read_text()
         files[index] = str(tmp_path / Path(files[index]).name)
-        Path(files[index]).write_text(text + DEEP_JSON + "\n")
+        Path(files[index]).write_text(text + payload + "\n")
         return ["ingest-check", *data_args(files)]
     if name == "oracle_spec":
         return run_argv("run", synth_files, out_dir, "--oracle-spec", str(deep))
@@ -876,14 +896,17 @@ def deep_argv(name, synth_files, tmp_path):
 @pytest.mark.parametrize("name", sorted(DEEP_CASES))
 def test_deeply_nested_json_takes_the_decode_error_path(synth_files, tmp_path, capsys, name):
     code, message = DEEP_CASES[name]
-    assert main(deep_argv(name, synth_files, tmp_path)) == code
-    err = capsys.readouterr().err
-    if name in ROLES:
-        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
-        failures = {(e["role"], e["error"]) for e in events
-                    if e["type"] == "assistant_failure"}
-        assert failures == {(name, message)}
-        assert events[-1]["type"] == "result"
-    else:
-        assert message in err
+    for kind, payload in UNDECODABLE_JSON.items():
+        work = tmp_path / kind
+        work.mkdir()
+        assert main(deep_argv(name, synth_files, work, payload)) == code, kind
+        err = capsys.readouterr().err
         assert "Traceback" not in err
+        if name in ROLES:
+            events = ledger_lines(work / "out" / "ledger.jsonl")
+            failures = {(e["role"], e["error"]) for e in events
+                        if e["type"] == "assistant_failure"}
+            assert failures == {(name, message)}, kind
+            assert events[-1]["type"] == "result"
+        else:
+            assert message in err, kind

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recipesearch import controller
 from recipesearch.controller import (
     Candidate,
     ControllerError,
     EvalRecord,
+    Guidance,
     SearchConfig,
     fallback_rank,
     fallback_reseed,
@@ -605,3 +609,138 @@ class TestExternalAssistants:
         # the degraded run falls back onto the same deterministic streams
         assert [e["subset_hash"] for e in f_evals] == [e["subset_hash"] for e in x_evals]
         assert [e["score"] for e in f_evals] == [e["score"] for e in x_evals]
+
+
+# ---------------------------------------------------------------------------
+# Role calls: every assistant_failure text, and parsers that never raise
+# ---------------------------------------------------------------------------
+
+ROLE_STEP = 4
+FOUR_STEPS = json.dumps([{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}] * 4)
+
+
+@pytest.fixture(scope="module")
+def role_setup(small_pool):
+    """Pool, signals and two materialized candidates for the ranker."""
+    pool, signals = small_pool
+    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
+                             default_catalog(len(pool)), None)
+    candidates = [
+        rt.materialize(Recipe((OperatorSpec("ifd_topfrac", {"fraction": f}),)))
+        for f in (0.3, 0.6)
+    ]
+    return pool, signals, candidates
+
+
+def ask(role_setup, role, command):
+    """One call of ``role`` through ``command``: its value and its failure events."""
+    pool, signals, candidates = role_setup
+    events = []
+    rt = controller._Runtime(
+        SearchConfig(budget=5, assistant_commands={role: command}), pool, signals,
+        constant_oracle(), default_catalog(len(pool)), events.append,
+    )
+    anchor, guidance = candidates[0].recipe, Guidance(findings=["a finding"])
+    port = controller.AssistantPort(rt)
+    value = {
+        "summarizer": lambda: port.summarize(ROLE_STEP, anchor),
+        "proposer": lambda: port.propose(ROLE_STEP, anchor, guidance),
+        "ranker": lambda: port.rank(ROLE_STEP, anchor, guidance, candidates),
+        "reseeder": lambda: port.reseed(ROLE_STEP, anchor, guidance),
+    }[role]()
+    return value, [e for e in events if e["type"] == "assistant_failure"]
+
+
+def printing(out):
+    """A stand-in for the role command's process that prints ``out``."""
+    return mock.patch.object(controller, "_invoke_once", lambda command, prompt: (out, ""))
+
+
+# role -> (its output, the error of each of its three failed attempts)
+PARSE_FAILURES = {
+    "summarizer_blank": ("summarizer", " \n\t\n", "no findings"),
+    "proposer_not_json": ("proposer", "no json here", "unparsable JSON"),
+    "proposer_scalar": ("proposer", "42", "not a JSON array"),
+    "proposer_no_valid_recipe": ("proposer", '[{"steps": []}, {"steps": 3}]',
+                                 "no valid recipes"),
+    "ranker_no_ranking": ("ranker", '{"confidence": "high"}', "missing or invalid ranking"),
+    "ranker_not_a_permutation": ("ranker", '{"ranking": [0, 0]}',
+                                 "ranking is not a permutation of 0..1"),
+    "reseeder_not_json": ("reseeder", "no json here", "unparsable JSON"),
+    "reseeder_object": ("reseeder", '{"steps": []}', "not a step array"),
+    "reseeder_invalid_motif": ("reseeder", '[{"operator": "nope"}]',
+                               "invalid motif: step 1: unknown operator 'nope'"),
+    "reseeder_lone_mix": ("reseeder", '[{"operator": "mix", "params": {}}]',
+                          "motif out of bounds"),
+    "reseeder_too_long": ("reseeder", FOUR_STEPS, "motif out of bounds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_FAILURES))
+def test_parse_failure_is_retried_with_its_reason(role_setup, case):
+    role, out, error = PARSE_FAILURES[case]
+    with printing(out):
+        value, failures = ask(role_setup, role, ["assistant"])
+    assert value is None
+    assert [(e["role"], e["step"], e["attempt"], e["error"]) for e in failures] == [
+        (role, ROLE_STEP, attempt, error) for attempt in range(3)
+    ]
+
+
+# command -> (the error of each failed attempt, attempts made)
+INVOKE_FAILURES = {
+    "missing_binary": (["/nonexistent/assistant-bin"],
+                       "command not found: /nonexistent/assistant-bin", 1),
+    "nonzero_exit": ([sys.executable, "-c", "import sys; sys.stdin.read(); sys.exit(3)"],
+                     "exit code 3", 3),
+    "no_output": ([sys.executable, "-c", "import sys; sys.stdin.read(); print('  ')"],
+                  "empty output", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVOKE_FAILURES))
+def test_invocation_failure_reasons(role_setup, case):
+    command, error, attempts = INVOKE_FAILURES[case]
+    value, failures = ask(role_setup, "proposer", command)
+    assert value is None
+    assert [(e["attempt"], e["error"]) for e in failures] == [
+        (attempt, error) for attempt in range(attempts)
+    ]
+
+
+# Keys and operator names that steer generated documents into the parsers' deeper paths.
+_KEYS = st.sampled_from(["steps", "operator", "params", "fraction", "k", "seed",
+                         "n_clusters", "tau", "source", "ranking", "confidence"])
+_NAMES = st.sampled_from(["ifd_topfrac", "random_k", "semdedup", "mix", "incumbent"])
+_JSON_SCALARS = st.one_of(
+    st.sampled_from(["null", "true", "false", "NaN", "Infinity", "-Infinity"]),
+    st.integers().map(str),
+    st.sampled_from([400, 5000]).map(lambda n: "9" * n),  # past a float, past int()
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.one_of(st.text(max_size=8), _NAMES, _KEYS).map(json.dumps),
+)
+JSON_TEXT = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.dictionaries(st.one_of(_KEYS, st.text(max_size=4)), inner, max_size=4).map(
+            lambda d: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in d.items()) + "}"
+        ),
+    ),
+    max_leaves=12,
+)
+ROLE_OUTPUT = st.one_of(st.text(), JSON_TEXT, JSON_TEXT.map(lambda t: f"```json\n{t}\n```"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(role=st.sampled_from(controller.ASSISTANT_ROLES), out=ROLE_OUTPUT)
+@example(role="proposer", out="[" + "9" * 5000 + "]")
+@example(role="reseeder", out='[{"operator": "ifd_topfrac", "params": {"fraction": 1%s}}]'
+         % ("0" * 400))
+def test_role_parsers_give_a_value_or_a_reason(role_setup, role, out):
+    with printing(out):
+        value, failures = ask(role_setup, role, ["assistant"])
+    if value is None:
+        assert len(failures) == 3 and all(e["error"] for e in failures)
+    else:
+        assert failures == []
