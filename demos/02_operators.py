@@ -29,7 +29,7 @@ def main():
 
     # scalar-signal selectors are one routine over different columns
     for column in ("ifd", "varentropy", "ngram_entropy", "ao"):
-        scores = signals.column(column)[full.positions]
+        scores = getattr(signals, column)[full.positions]
         kept = apply_top_fraction(full, scores, 0.3)
         print(f"top 30% by {column:14s} -> {len(kept):3d} samples "
               f"(first ids: {', '.join(kept.ids()[:4])})")

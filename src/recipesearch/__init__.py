@@ -16,7 +16,6 @@ from .controller import (
     fallback_reseed,
     fallback_summarize,
     run_search,
-    run_warmup,
 )
 from .operators import (
     Catalog,

@@ -100,20 +100,6 @@ def _recipe_rejected(code: int, violations: list[str]) -> CommandError:
     return CommandError(code, "\n".join(["recipe rejected:", *(f"  - {v}" for v in violations)]))
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 class RunLedger:
     """Append-only JSONL run ledger: header first, one JSON object per line."""
 
@@ -123,7 +109,7 @@ class RunLedger:
         self._fh = open(self.path, "w", encoding="utf-8")
 
     def write(self, event: dict) -> None:
-        self._fh.write(json.dumps(_jsonable(event), sort_keys=True) + "\n")
+        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -333,7 +319,7 @@ def cmd_exec(args) -> int:
     )
     write_manifest(str(out), pool, request)
     with open(state_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(state.to_dict()), fh, sort_keys=True, indent=2)
+        json.dump(state.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"selected {len(subset)} of {len(pool)} samples -> {out}")
     print(f"state vector -> {state_path}")
@@ -348,7 +334,7 @@ def _write_run_outputs(out_dir: Path, result, pool) -> None:
         "subset_size": len(result.incumbent_ids),
     }
     with open(out_dir / "best_recipe.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(best), fh, sort_keys=True, indent=2)
+        json.dump(best, fh, sort_keys=True, indent=2)
         fh.write("\n")
     request = EvalRequest(
         run_id="best", step=result.incumbent_step,

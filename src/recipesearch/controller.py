@@ -53,6 +53,8 @@ logger = logging.getLogger(__name__)
 
 WARMUP_COUNT = 3
 WARMUP_BIN_BOUNDS = (1.0 / 3.0, 2.0 / 3.0)
+# The (lo, hi] retain-ratio bands: one warmup probe each, and the summarizer's bands.
+RETAIN_BANDS = tuple(zip((0.0, *WARMUP_BIN_BOUNDS), (*WARMUP_BIN_BOUNDS, 1.0)))
 WARMUP_RESAMPLE_CAP = 500
 # UCB exploration weight of the fallback ranker, and the retain ratio below
 # which it demotes a candidate as degenerate.
@@ -60,7 +62,6 @@ KAPPA = 1.0
 RETAIN_FLOOR = 0.02
 ASSISTANT_RETRIES = 2
 ASSISTANT_TIMEOUT_S = 120.0
-ASSISTANT_ROLES = ("summarizer", "proposer", "ranker", "reseeder")
 
 _ROLE_STREAM = {
     "warmup": 0, "propose": 1, "rank": 2, "reseed": 3, "rescue": 4, "baseline": 5,
@@ -300,10 +301,9 @@ def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
     for fname, rho in corrs[:2]:
         findings.append(f"state field {fname} has Spearman {rho:+.3f} with score")
 
-    bounds = (0.0,) + WARMUP_BIN_BOUNDS + (1.0,)
     best_band = None
     best_mean = -np.inf
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in RETAIN_BANDS:
         mask = np.array([lo < r.state.retain_ratio <= hi for r in history])
         if mask.any() and scores[mask].mean() > best_mean:
             best_mean = float(scores[mask].mean())
@@ -461,7 +461,7 @@ def fallback_reseed(
 
 
 # ---------------------------------------------------------------------------
-# External assistant port
+# External assistant roles
 # ---------------------------------------------------------------------------
 
 def load_template(role: str) -> str:
@@ -522,122 +522,102 @@ def _json_payload(out: str):
         return None
 
 
-class AssistantPort:
-    """Asks each role's external command, with retries; None means fallback.
+def _parse_findings(out: str, rt: _Runtime, candidates) -> tuple[Guidance | None, str]:
+    lines = [ln.strip() for ln in out.strip().splitlines() if ln.strip()]
+    if not lines:
+        return None, "no findings"
+    return Guidance(findings=lines[:5], source="external"), ""
+
+
+def _parse_recipes(out: str, rt: _Runtime, candidates) -> tuple[list[Recipe] | None, str]:
+    doc = _json_payload(out)
+    if doc is None:
+        return None, "unparsable JSON"
+    if isinstance(doc, dict):
+        doc = [doc]
+    if not isinstance(doc, list):
+        return None, "not a JSON array"
+    recipes = []
+    for item in doc:
+        try:
+            recipes.append(recipe_from_obj(item, rt.catalog, rt.config.l_max))
+        except RecipeValidationError as exc:
+            logger.info("dropping invalid proposed recipe: %s", exc)
+    if not recipes:
+        return None, "no valid recipes"
+    return recipes, ""
+
+
+def _parse_ranking(out: str, rt: _Runtime, candidates) -> tuple[tuple | None, str]:
+    doc = _json_payload(out)
+    ranking = doc.get("ranking") if isinstance(doc, dict) else None
+    # only JSON integers: int() would pass 1.7 as 1 and true as 1
+    if not isinstance(ranking, list) or any(type(i) is not int for i in ranking):
+        return None, "missing or invalid ranking"
+    n = len(candidates)
+    if sorted(ranking) != list(range(n)):
+        return None, f"ranking is not a permutation of 0..{n - 1}"
+    return (ranking, {k: doc.get(k) for k in ("confidence", "rationale", "eval_rationale")}), ""
+
+
+def _parse_motif(out: str, rt: _Runtime, candidates) -> tuple[Recipe | None, str]:
+    doc = _json_payload(out)
+    if doc is None:
+        return None, "unparsable JSON"
+    if not isinstance(doc, list):
+        return None, "not a step array"
+    try:
+        recipe = recipe_from_obj({"steps": doc}, rt.catalog, rt.config.l_max)
+    except RecipeValidationError as exc:
+        return None, f"invalid motif: {exc}"
+    if len(recipe) > 3 or recipe.operators() == [MIX]:
+        return None, "motif out of bounds"
+    return recipe, ""
+
+
+# Role -> parser of its command's output, giving (value, "") or (None, reason).
+_ROLE_PARSERS = {
+    "summarizer": _parse_findings,
+    "proposer": _parse_recipes,
+    "ranker": _parse_ranking,
+    "reseeder": _parse_motif,
+}
+ASSISTANT_ROLES = tuple(_ROLE_PARSERS)
+
+
+def ask_role(rt: _Runtime, role: str, step: int, anchor: Recipe,
+             guidance: Guidance | None = None, candidates: list[Candidate] | None = None):
+    """The role's parsed answer from its command, or None to use the fallback.
 
     Protocol: rendered prompt on stdin, role-typed JSON on stdout, nonzero
-    exit means failure. Failures are logged as ledger events and never fatal.
-    A role without a command returns None before any prompt is built.
+    exit means failure. A role without a command returns None before any
+    prompt is built. Each failed attempt, of 1 + ASSISTANT_RETRIES, is an
+    ``assistant_failure`` event; a missing binary is not retried.
     """
-
-    def __init__(self, rt: _Runtime):
-        self.rt = rt
-
-    def _call(self, role: str, step: int, parse, anchor: Recipe,
-              guidance: Guidance | None = None, candidates: list[Candidate] | None = None):
-        """Invoke + parse with retries; None defers the call to the fallback."""
-        command = self.rt.config.assistant_commands.get(role)
-        if command is None:
-            return None
-        prompt = render_template(
-            load_template(role), _external_contexts(self.rt, anchor, guidance, candidates)
-        )
-        for attempt in range(1 + ASSISTANT_RETRIES):
-            out, error = _invoke_once(command, prompt)
-            if out is None:
-                self._failure(role, step, attempt, error)
-                if error.startswith("command not found"):
-                    return None  # retrying a missing binary is pointless
-                continue
-            parsed, error = parse(out)
-            if parsed is not None:
-                return parsed
-            self._failure(role, step, attempt, error)
+    command = rt.config.assistant_commands.get(role)
+    if command is None:
         return None
-
-    def _failure(self, role: str, step: int, attempt: int, error: str) -> None:
+    prompt = render_template(
+        load_template(role), _external_contexts(rt, anchor, guidance, candidates)
+    )
+    for attempt in range(1 + ASSISTANT_RETRIES):
+        out, error = _invoke_once(command, prompt)
+        if out is not None:
+            value, error = _ROLE_PARSERS[role](out, rt, candidates)
+            if value is not None:
+                return value
         logger.warning("assistant %s failed (step %d, attempt %d): %s",
                        role, step, attempt, error)
-        self.rt.emit({
+        rt.emit({
             "type": "assistant_failure",
             "step": step,
             "role": role,
             "attempt": attempt,
             "error": error,
         })
-
-    def summarize(self, step: int, anchor: Recipe) -> Guidance | None:
-        def parse(out: str):
-            lines = [ln.strip() for ln in out.strip().splitlines() if ln.strip()]
-            if not lines:
-                return None, "no findings"
-            return Guidance(findings=lines[:5], source="external"), ""
-
-        return self._call("summarizer", step, parse, anchor)
-
-    def propose(self, step: int, anchor: Recipe, guidance: Guidance) -> list[Recipe] | None:
-        def parse(out: str):
-            doc = _json_payload(out)
-            if doc is None:
-                return None, "unparsable JSON"
-            if isinstance(doc, dict):
-                doc = [doc]
-            if not isinstance(doc, list):
-                return None, "not a JSON array"
-            recipes = []
-            for item in doc:
-                try:
-                    recipes.append(
-                        recipe_from_obj(item, self.rt.catalog, self.rt.config.l_max)
-                    )
-                except RecipeValidationError as exc:
-                    logger.info("dropping invalid proposed recipe: %s", exc)
-            if not recipes:
-                return None, "no valid recipes"
-            return recipes, ""
-
-        return self._call("proposer", step, parse, anchor, guidance)
-
-    def rank(
-        self, step: int, anchor: Recipe, guidance: Guidance, candidates: list[Candidate],
-    ) -> tuple[list[int], dict] | None:
-        n = len(candidates)
-
-        def parse(out: str):
-            doc = _json_payload(out)
-            ranking = doc.get("ranking") if isinstance(doc, dict) else None
-            # only JSON integers: int() would pass 1.7 as 1 and true as 1
-            if not isinstance(ranking, list) or any(type(i) is not int for i in ranking):
-                return None, "missing or invalid ranking"
-            if sorted(ranking) != list(range(n)):
-                return None, f"ranking is not a permutation of 0..{n - 1}"
-            meta = {
-                "confidence": doc.get("confidence"),
-                "rationale": doc.get("rationale"),
-                "eval_rationale": doc.get("eval_rationale"),
-            }
-            return (ranking, meta), ""
-
-        return self._call("ranker", step, parse, anchor, guidance, candidates)
-
-    def reseed(self, step: int, anchor: Recipe, guidance: Guidance) -> Recipe | None:
-        def parse(out: str):
-            doc = _json_payload(out)
-            if doc is None:
-                return None, "unparsable JSON"
-            if not isinstance(doc, list):
-                return None, "not a step array"
-            try:
-                recipe = recipe_from_obj(
-                    {"steps": doc}, self.rt.catalog, self.rt.config.l_max
-                )
-            except RecipeValidationError as exc:
-                return None, f"invalid motif: {exc}"
-            if len(recipe) > 3 or recipe.operators() == [MIX]:
-                return None, "motif out of bounds"
-            return recipe, ""
-
-        return self._call("reseeder", step, parse, anchor, guidance)
+        if out is None and error.startswith("command not found"):
+            return None  # retrying a missing binary is pointless
+    return None
 
 # ---------------------------------------------------------------------------
 # Context rendering for assistant prompts
@@ -696,7 +676,7 @@ class _Runtime:
 
         Raises ExecutionError or StateError when the candidate aborts.
         """
-        subset = execute_recipe(recipe, self.pool, self.signals, self.history)
+        subset = execute_recipe(recipe, self.pool, self.signals, self.history.resolve_source)
         return Candidate(
             recipe=recipe,
             subset=subset,
@@ -759,18 +739,6 @@ class _Runtime:
         return record, improved
 
 
-def _warmup_bin(ratio: float) -> int:
-    if ratio <= WARMUP_BIN_BOUNDS[0]:
-        return 0
-    if ratio <= WARMUP_BIN_BOUNDS[1]:
-        return 1
-    return 2
-
-
-def _interval_distance(ratio: float, lo: float, hi: float) -> float:
-    return max(lo - ratio, ratio - hi, 0.0)
-
-
 def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
     """Probe low/medium/high retention bins, then evaluate the three probes.
 
@@ -780,10 +748,8 @@ def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
     """
     config = rt.config
     rng = role_rng(config.master_seed, 0, "warmup")
-    b1, b2 = WARMUP_BIN_BOUNDS
-    bin_edges = [(0.0, b1), (b1, b2), (b2, 1.0)]
     probes: list[Candidate] = []
-    for bin_idx, (lo, hi) in enumerate(bin_edges):
+    for bin_idx, (lo, hi) in enumerate(RETAIN_BANDS):
         found: Candidate | None = None
         nearest: tuple[float, Candidate] | None = None
         for _ in range(WARMUP_RESAMPLE_CAP):
@@ -792,10 +758,10 @@ def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
             if cand is None:
                 continue
             ratio = cand.retain_ratio
-            if _warmup_bin(ratio) == bin_idx:
+            if lo < ratio <= hi:
                 found = cand
                 break
-            dist = _interval_distance(ratio, lo, hi)
+            dist = max(lo - ratio, ratio - hi)  # ratio is outside the band
             if nearest is None or dist < nearest[0]:
                 nearest = (dist, cand)
         if found is None:
@@ -812,21 +778,6 @@ def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
         records.append(record)
     best = max(records, key=lambda r: (r.score, -r.step))
     return records, best.recipe
-
-
-def run_warmup(
-    config: SearchConfig,
-    pool: CanonicalPool,
-    signals: SignalTable,
-    oracle,
-    catalog: Catalog | None = None,
-    sink=None,
-) -> tuple[list[EvalRecord], Recipe]:
-    """Standalone warmup: three binned probes and the initial seed anchor."""
-    config.validate()
-    catalog = catalog or default_catalog(len(pool))
-    rt = _Runtime(config, pool, signals, oracle, catalog, sink)
-    return _run_warmup(rt)
 
 
 def _bias_to_insert_weights(op_bias: dict[str, float], catalog: Catalog) -> dict[str, float]:
@@ -945,7 +896,6 @@ def run_search(
     config.validate()
     catalog = catalog or default_catalog(len(pool))
     rt = _Runtime(config, pool, signals, oracle, catalog, sink)
-    port = AssistantPort(rt)
 
     _, anchor = _run_warmup(rt)
     stagnation = 0
@@ -953,10 +903,11 @@ def run_search(
     for step in range(WARMUP_COUNT + 1, config.budget + 1):
         records = rt.history.records
 
-        guidance = port.summarize(step, anchor) or fallback_summarize(records, catalog)
+        guidance = (ask_role(rt, "summarizer", step, anchor)
+                    or fallback_summarize(records, catalog))
         rt.emit(guidance.to_event(step))
 
-        proposed = port.propose(step, anchor, guidance) or []
+        proposed = ask_role(rt, "proposer", step, anchor, guidance) or []
         candidates = [c for c in map(rt.try_materialize, proposed) if c is not None]
         candidates = candidates[: config.candidates_per_step] or _fallback_propose(
             rt, step, anchor, guidance
@@ -973,7 +924,7 @@ def run_search(
             rng = role_rng(config.master_seed, step, "rank")
             ranking, rank_meta = [int(i) for i in rng.permutation(len(candidates))], {}
         else:
-            ranking, rank_meta = (port.rank(step, anchor, guidance, candidates)
+            ranking, rank_meta = (ask_role(rt, "ranker", step, anchor, guidance, candidates)
                                   or (fallback_rank(candidates), {}))
 
         rank_of = {cand_idx: pos for pos, cand_idx in enumerate(ranking)}
@@ -1002,7 +953,7 @@ def run_search(
             stagnation += 1
 
         if stagnation >= config.patience:
-            anchor = port.reseed(step, anchor, guidance) or fallback_reseed(
+            anchor = ask_role(rt, "reseeder", step, anchor, guidance) or fallback_reseed(
                 records, catalog, role_rng(config.master_seed, step, "reseed"), config.l_max
             )
             rt.seed_phase += 1

@@ -557,7 +557,7 @@ def apply_step(
     """
     op = spec.operator
     if op in SELECTOR_COLUMNS:
-        scores = signals.column(SELECTOR_COLUMNS[op])[subset.positions]
+        scores = getattr(signals, SELECTOR_COLUMNS[op])[subset.positions]
         return apply_top_fraction(subset, scores, float(spec.param("fraction")))
     if op == MONA_FILTER:
         return apply_mona_union(subset, signals, float(spec.param("fraction")))

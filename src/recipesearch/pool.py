@@ -110,14 +110,6 @@ class SignalTable:
     pool_mean_ifd: float
     pool_mean_varentropy: float
 
-    _COLUMNS = ("ifd", "varentropy", "ao", "ngram_entropy")
-
-    def column(self, name: str) -> np.ndarray:
-        """Scalar signal column by name (the selector operators' scores)."""
-        if name not in self._COLUMNS:
-            raise KeyError(f"unknown signal column {name!r}")
-        return getattr(self, name)
-
 
 def _unigram_entropy(samples) -> np.ndarray:
     """Shannon entropy in bits of each sample's unigram distribution.

@@ -154,19 +154,18 @@ def execute_recipe(
     recipe: Recipe,
     pool: CanonicalPool,
     signals: SignalTable,
-    history=None,
+    resolve_source=None,
 ) -> Subset:
     """Execute steps left to right from the full pool.
 
-    ``history`` must expose ``resolve_source(ref) -> Subset`` when the recipe
-    contains a mix step. Any step that fails, or that produces an empty
-    intermediate subset, aborts with the 1-based step index.
+    ``resolve_source`` resolves mix sources, as in :func:`apply_step`. Any
+    step that fails, or that produces an empty intermediate subset, aborts
+    with the 1-based step index.
     """
-    resolver = getattr(history, "resolve_source", None)
     subset = Subset.full(pool)
     for i, step in enumerate(recipe.steps, start=1):
         try:
-            subset = apply_step(step, subset, signals, resolve_source=resolver)
+            subset = apply_step(step, subset, signals, resolve_source=resolve_source)
         except OperatorError as exc:
             raise ExecutionError(i, str(exc)) from exc
         if len(subset) == 0:

@@ -10,7 +10,7 @@ load, because the pool is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,49 +34,29 @@ class StateVector:
     mean_varentropy: float
 
     def to_dict(self) -> dict:
-        return {
-            "score_mean": self.score_mean,
-            "score_std": self.score_std,
-            "score_per_task": dict(sorted(self.score_per_task.items())),
-            "retain_ratio": self.retain_ratio,
-            "token_ratio": self.token_ratio,
-            "distribution_drift": self.distribution_drift,
-            "mean_ifd": self.mean_ifd,
-            "mean_varentropy": self.mean_varentropy,
-        }
+        return asdict(self)
 
     def flat_fields(self) -> dict[str, float]:
         """Scalar view with per-task entries expanded, for correlations."""
-        out = {
-            "score_mean": self.score_mean,
-            "score_std": self.score_std,
-            "retain_ratio": self.retain_ratio,
-            "token_ratio": self.token_ratio,
-            "distribution_drift": self.distribution_drift,
-            "mean_ifd": self.mean_ifd,
-            "mean_varentropy": self.mean_varentropy,
-        }
+        out = {name: getattr(self, name) for name in _SCALAR_FIELDS}
         for name, value in self.score_per_task.items():
             out[f"score_per_task.{name}"] = value
         return out
 
 
+# Every field but the per-task mapping, in declaration order.
+_SCALAR_FIELDS = tuple(f.name for f in fields(StateVector) if f.name != "score_per_task")
+
+
 def flat_field_names(benchmarks) -> list[str]:
     """The keys of ``StateVector.flat_fields()`` for a pool with these benchmarks."""
-    scalars = [f.name for f in fields(StateVector) if f.name != "score_per_task"]
-    return scalars + [f"score_per_task.{name}" for name in benchmarks]
+    return [*_SCALAR_FIELDS, *(f"score_per_task.{name}" for name in benchmarks)]
 
 
 def state_from_dict(doc: dict) -> StateVector:
     return StateVector(
-        score_mean=float(doc["score_mean"]),
-        score_std=float(doc["score_std"]),
         score_per_task={k: float(v) for k, v in doc["score_per_task"].items()},
-        retain_ratio=float(doc["retain_ratio"]),
-        token_ratio=float(doc["token_ratio"]),
-        distribution_drift=float(doc["distribution_drift"]),
-        mean_ifd=float(doc["mean_ifd"]),
-        mean_varentropy=float(doc["mean_varentropy"]),
+        **{name: float(doc[name]) for name in _SCALAR_FIELDS},
     )
 
 

@@ -21,7 +21,6 @@ from recipesearch.controller import (
     fallback_summarize,
     motif_signals,
     run_search,
-    run_warmup,
     strip_json_payload,
 )
 from recipesearch.operators import MIX, OperatorSpec, default_catalog
@@ -107,6 +106,12 @@ def make_record(step, ops, score, retain=0.5, state=None):
 FR = ("ifd_topfrac", {"fraction": 0.5})
 
 
+def run_warmup(config, pool, signals, oracle):
+    """The three warmup probes of a run, and its initial seed anchor."""
+    rt = controller._Runtime(config, pool, signals, oracle, default_catalog(len(pool)), None)
+    return controller._run_warmup(rt)
+
+
 class TestWarmup:
     def test_three_probes_one_per_bin(self, small_pool):
         pool, signals = small_pool
@@ -154,7 +159,7 @@ class TestWarmup:
     def test_budget_must_exceed_warmup(self, small_pool):
         pool, signals = small_pool
         with pytest.raises(ControllerError, match="budget must exceed warmup"):
-            run_warmup(SearchConfig(budget=3), pool, signals, constant_oracle())
+            run_search(SearchConfig(budget=3), pool, signals, constant_oracle())
 
 
 class TestSearchStructure:
@@ -640,14 +645,9 @@ def ask(role_setup, role, command):
         SearchConfig(budget=5, assistant_commands={role: command}), pool, signals,
         constant_oracle(), default_catalog(len(pool)), events.append,
     )
-    anchor, guidance = candidates[0].recipe, Guidance(findings=["a finding"])
-    port = controller.AssistantPort(rt)
-    value = {
-        "summarizer": lambda: port.summarize(ROLE_STEP, anchor),
-        "proposer": lambda: port.propose(ROLE_STEP, anchor, guidance),
-        "ranker": lambda: port.rank(ROLE_STEP, anchor, guidance, candidates),
-        "reseeder": lambda: port.reseed(ROLE_STEP, anchor, guidance),
-    }[role]()
+    value = controller.ask_role(rt, role, ROLE_STEP, candidates[0].recipe,
+                                Guidance(findings=["a finding"]),
+                                candidates if role == "ranker" else None)
     return value, [e for e in events if e["type"] == "assistant_failure"]
 
 
@@ -732,15 +732,14 @@ JSON_TEXT = st.recursive(
 ROLE_OUTPUT = st.one_of(st.text(), JSON_TEXT, JSON_TEXT.map(lambda t: f"```json\n{t}\n```"))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(role=st.sampled_from(controller.ASSISTANT_ROLES), out=ROLE_OUTPUT)
 @example(role="proposer", out="[" + "9" * 5000 + "]")
 @example(role="reseeder", out='[{"operator": "ifd_topfrac", "params": {"fraction": 1%s}}]'
          % ("0" * 400))
 def test_role_parsers_give_a_value_or_a_reason(role_setup, role, out):
-    with printing(out):
-        value, failures = ask(role_setup, role, ["assistant"])
-    if value is None:
-        assert len(failures) == 3 and all(e["error"] for e in failures)
-    else:
-        assert failures == []
+    pool, signals, candidates = role_setup
+    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
+                             default_catalog(len(pool)), None)
+    value, reason = controller._ROLE_PARSERS[role](out, rt, candidates)
+    assert (value is None) == bool(reason)

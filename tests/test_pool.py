@@ -261,7 +261,7 @@ class TestLoadSignals:
     def test_signal_closure(self, tiny):
         pool, signals = tiny
         for name in ("ifd", "varentropy", "ao", "ngram_entropy"):
-            col = signals.column(name)
+            col = getattr(signals, name)
             assert col.shape == (len(pool),)
             assert np.isfinite(col).all()
         assert signals.activations.shape == (len(pool), signals.sae_dim)

@@ -24,14 +24,6 @@ from recipesearch.synthetic import write_synthetic_dataset
 from conftest import write_jsonl
 
 
-class StubHistory:
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def resolve_source(self, ref):
-        return self.mapping.get(ref)
-
-
 @pytest.fixture()
 def catalog(tiny):
     pool, _ = tiny
@@ -160,12 +152,12 @@ class TestExecute:
 
     def test_mix_resolves_history(self, tiny, catalog):
         pool, signals = tiny
-        history = StubHistory({"incumbent": Subset.from_ids(["d"], pool)})
+        sources = {"incumbent": Subset.from_ids(["d"], pool)}
         recipe = Recipe((
             OperatorSpec("ifd_topfrac", {"fraction": 0.5}),
             OperatorSpec("mix", {"source": "incumbent"}),
         ))
-        out = execute_recipe(recipe, pool, signals, history)
+        out = execute_recipe(recipe, pool, signals, sources.get)
         assert sorted(out.ids()) == ["a", "c", "d"]  # top-2 ifd is {a, c}
 
     def test_mix_without_history_aborts_with_step_index(self, tiny, catalog):
