@@ -22,6 +22,7 @@ import math
 import os
 import shlex
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,9 @@ SINGLE_OP_SEMDEDUP_TAU = 0.75
 class CommandError(Exception):
     """``CommandError(exit_code, message)``: ``main`` prints the message on stderr."""
 
+    def __str__(self) -> str:
+        return self.args[1]
+
 
 def _config_rejected(reason) -> CommandError:
     """A setting rejected before any ledger opens."""
@@ -100,12 +104,26 @@ def _recipe_rejected(code: int, violations: list[str]) -> CommandError:
     return CommandError(code, "\n".join(["recipe rejected:", *(f"  - {v}" for v in violations)]))
 
 
+@contextmanager
+def _output(directory: Path):
+    """Create ``directory`` for a block that writes into it.
+
+    An OSError in either ends the command with exit 1 and ``output failed:``,
+    naming the path that failed.
+    """
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        path = exc.filename or directory
+        raise CommandError(1, f"output failed: {path}: {exc.strerror or exc}") from exc
+
+
 class RunLedger:
     """Append-only JSONL run ledger: header first, one JSON object per line."""
 
     def __init__(self, path: str):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w", encoding="utf-8")
 
     def write(self, event: dict) -> None:
@@ -201,13 +219,14 @@ def _build_oracle(args, pool, signals, out_dir: Path):
     """The run's oracle; a rejected spec exits 2.
 
     The settings must have passed :func:`_check_oracle_args`. A command
-    oracle creates its manifest directory under ``out_dir``.
+    oracle creates ``out_dir`` and its manifest directory in it.
     """
     if args.oracle == "command":
         kwargs = {}
         if args.oracle_timeout is not None:
             kwargs["timeout"] = args.oracle_timeout
-        return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"), pool, **kwargs)
+        with _output(out_dir):
+            return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"), pool, **kwargs)
     if not args.oracle_spec:
         return SyntheticOracle(SyntheticOracleSpec(family="constant", value=0.0))
     try:
@@ -312,13 +331,12 @@ def cmd_exec(args) -> int:
         raise CommandError(1, f"execution aborted: {exc}") from exc
     out = Path(args.out)
     state_path = Path(args.state_out or str(out) + ".state.json")
-    for path in (out, state_path):
-        path.parent.mkdir(parents=True, exist_ok=True)
     request = EvalRequest(
         run_id=args.run_id or "exec", step=0, recipe=recipe, subset=subset,
     )
-    write_manifest(str(out), pool, request)
-    with open(state_path, "w", encoding="utf-8") as fh:
+    with _output(out.parent):
+        write_manifest(str(out), pool, request)
+    with _output(state_path.parent), open(state_path, "w", encoding="utf-8") as fh:
         json.dump(state.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"selected {len(subset)} of {len(pool)} samples -> {out}")
@@ -333,15 +351,16 @@ def _write_run_outputs(out_dir: Path, result, pool) -> None:
         "step": result.incumbent_step,
         "subset_size": len(result.incumbent_ids),
     }
-    with open(out_dir / "best_recipe.json", "w", encoding="utf-8") as fh:
-        json.dump(best, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     request = EvalRequest(
         run_id="best", step=result.incumbent_step,
         recipe=result.incumbent_recipe,
         subset=Subset.from_ids(result.incumbent_ids, pool),
     )
-    write_manifest(str(out_dir / "best_subset.jsonl"), pool, request)
+    with _output(out_dir):
+        with open(out_dir / "best_recipe.json", "w", encoding="utf-8") as fh:
+            json.dump(best, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        write_manifest(str(out_dir / "best_subset.jsonl"), pool, request)
 
 
 # Run failures that end a command with one line on stderr and exit code 1.
@@ -354,7 +373,8 @@ def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
     On any exception the ledger ends with an ``abort`` line. A run failure
     then exits 1; anything else re-raises.
     """
-    ledger = RunLedger(str(out_dir / "ledger.jsonl"))
+    with _output(out_dir):
+        ledger = RunLedger(str(out_dir / "ledger.jsonl"))
     ledger.write(header)
     try:
         body(ledger)
@@ -392,8 +412,8 @@ def cmd_run(args) -> int:
     catalog = default_catalog(len(pool))
     out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, pool, signals, out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
+    with _output(out_dir):
+        (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
     header = {
         "type": "header",
         "run_id": config.resolved_run_id(),
@@ -576,60 +596,59 @@ def cmd_report(args) -> int:
         all_rows[path] = _eval_rows(events)
         summaries.append(_ledger_summary(path, events))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output(out_dir):
+        with open(out_dir / "curves.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ledger", "step", "score", "best_so_far"])
+            for path, rows in all_rows.items():
+                best = _best_so_far([r["score"] for r in rows])
+                for row, b in zip(rows, best):
+                    writer.writerow([path, row["step"], row["score"], b])
 
-    with open(out_dir / "curves.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ledger", "step", "score", "best_so_far"])
-        for path, rows in all_rows.items():
-            best = _best_so_far([r["score"] for r in rows])
-            for row, b in zip(rows, best):
-                writer.writerow([path, row["step"], row["score"], b])
+        with open(out_dir / "scatter.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ledger", "step", "subset_size", "retain_ratio", "score"])
+            for path, rows in all_rows.items():
+                for row in rows:
+                    writer.writerow([
+                        path, row["step"], row["subset_size"],
+                        row["state"]["retain_ratio"], row["score"],
+                    ])
 
-    with open(out_dir / "scatter.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ledger", "step", "subset_size", "retain_ratio", "score"])
-        for path, rows in all_rows.items():
-            for row in rows:
-                writer.writerow([
-                    path, row["step"], row["subset_size"],
-                    row["state"]["retain_ratio"], row["score"],
+        with open(out_dir / "motifs.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ledger", "pair", "top_count", "bottom_count", "delta"])
+            for path, rows in all_rows.items():
+                _, pairs = tertile_counts([
+                    (r["score"], r["step"], [s["operator"] for s in r["recipe"]["steps"]])
+                    for r in rows
                 ])
+                table = sorted(
+                    ((f"{a}->{b}", top, bottom, top - bottom)
+                     for (a, b), (top, bottom) in pairs.items()),
+                    key=lambda t: (-t[3], t[0]),
+                )
+                for row in table:
+                    writer.writerow([path, *row])
 
-    with open(out_dir / "motifs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ledger", "pair", "top_count", "bottom_count", "delta"])
-        for path, rows in all_rows.items():
-            _, pairs = tertile_counts([
-                (r["score"], r["step"], [s["operator"] for s in r["recipe"]["steps"]])
-                for r in rows
-            ])
-            table = sorted(
-                ((f"{a}->{b}", top, bottom, top - bottom)
-                 for (a, b), (top, bottom) in pairs.items()),
-                key=lambda t: (-t[3], t[0]),
-            )
-            for row in table:
-                writer.writerow([path, *row])
+        with open(out_dir / "state_correlations.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ledger", "field", "spearman"])
+            for path, rows in all_rows.items():
+                fields = [state_from_dict(r["state"]).flat_fields() for r in rows]
+                for name, rho in state_correlations(fields, [r["score"] for r in rows]):
+                    writer.writerow([path, name, rho])
 
-    with open(out_dir / "state_correlations.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ledger", "field", "spearman"])
-        for path, rows in all_rows.items():
-            fields = [state_from_dict(r["state"]).flat_fields() for r in rows]
-            for name, rho in state_correlations(fields, [r["score"] for r in rows]):
-                writer.writerow([path, name, rho])
-
-    with open(out_dir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {GAP_AREA_NOTE}\n")
-        writer = csv.writer(fh)
-        columns = [
-            "ledger", "records", "best", "mean", "best_post_warmup",
-            "gap_area_post_warmup", "reseeds", "assistant_failures",
-        ]
-        writer.writerow(columns)
-        for summary in summaries:
-            writer.writerow([summary[c] for c in columns])
+        with open(out_dir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# {GAP_AREA_NOTE}\n")
+            writer = csv.writer(fh)
+            columns = [
+                "ledger", "records", "best", "mean", "best_post_warmup",
+                "gap_area_post_warmup", "reseeds", "assistant_failures",
+            ]
+            writer.writerow(columns)
+            for summary in summaries:
+                writer.writerow([summary[c] for c in columns])
 
     if skipped_total:
         print(f"warning: skipped {skipped_total} corrupt ledger line(s)", file=sys.stderr)

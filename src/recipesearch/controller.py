@@ -705,7 +705,8 @@ class _Runtime:
     def evaluate(self, step: int, cand: Candidate, is_warmup: bool) -> tuple[EvalRecord, bool]:
         """One budget unit: cache-aware oracle evaluation plus ledger append.
 
-        A non-finite score raises OracleError before it is cached or recorded.
+        A non-finite score or ``per_benchmark`` value raises OracleError
+        before it is cached or recorded.
         """
         subset_hash = cand.subset.content_hash()
         outcome = self.cache.lookup(subset_hash)
@@ -719,6 +720,11 @@ class _Runtime:
             outcome = self.oracle.evaluate(request, cand.state)
             if not np.isfinite(outcome.score):
                 raise OracleError(f"non-finite score from the oracle: {outcome.score}")
+            for name, value in (outcome.per_benchmark or {}).items():
+                if not np.isfinite(value):
+                    raise OracleError(
+                        f"non-finite per_benchmark value from the oracle: {name}: {value}"
+                    )
             self.cache.store(subset_hash, outcome)
         record = EvalRecord(
             step=step,

@@ -621,6 +621,18 @@ def nan_scorer(tmp_path):
 
 IFD_HALF = {"steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]}
 
+
+def occupied(path, kind, argv):
+    """``argv``, after a ``kind`` ("file" or "dir") is put where it writes ``path``."""
+    path.mkdir() if kind == "dir" else path.write_text("")
+    return argv
+
+
+def report_argv(tmp_path):
+    write_jsonl(tmp_path / "l.jsonl", [{"type": "header", "run_id": "r"},
+                                       handmade_eval(1, 1.0, ["ifd_topfrac"])])
+    return ["report", str(tmp_path / "l.jsonl"), "--out-dir", str(tmp_path / "out")]
+
 # case -> (argv from (synth_files, tmp_path), exit code, stderr prefix)
 FAILURES = {
     "config": (lambda f, t: run_argv("run", f, t / "out", "--l-max", "0"),
@@ -672,6 +684,26 @@ FAILURES = {
         lambda f, t: run_argv("run", f, t / "out",
                               *printing_scorer(t, '{"score": 1%s}' % ("0" * 400))),
         1, "run aborted: unparsable evaluation output"),
+    "run_nan_per_benchmark": (
+        lambda f, t: run_argv("run", f, t / "out", *printing_scorer(
+            t, '{"score": 1.0, "per_benchmark": {"g": NaN}}')),
+        1, "run aborted: non-finite per_benchmark value from the oracle: g: nan"),
+    "exec_out_is_a_directory": (
+        lambda f, t: occupied(t / "m.jsonl", "dir", exec_argv(f, t, IFD_HALF)),
+        1, "output failed: "),
+    "run_out_dir_is_a_file": (
+        lambda f, t: occupied(t / "out", "file", run_argv("run", f, t / "out")),
+        1, "output failed: "),
+    "command_oracle_out_dir_is_a_file": (
+        lambda f, t: occupied(t / "out", "file", run_argv(
+            "run", f, t / "out", *printing_scorer(t, '{"score": 1.0}'))),
+        1, "output failed: "),
+    "baseline_out_dir_is_a_file": (
+        lambda f, t: occupied(t / "out", "file", run_argv("baseline", f, t / "out")),
+        1, "output failed: "),
+    "report_out_dir_is_a_file": (
+        lambda f, t: occupied(t / "out", "file", report_argv(t)),
+        1, "output failed: "),
     "run_nan_scorer": (lambda f, t: run_argv("run", f, t / "out", *nan_scorer(t)),
                        1, "run aborted: non-finite score from the oracle: nan"),
     "baseline_nan_scorer": (lambda f, t: run_argv("baseline", f, t / "out", *nan_scorer(t)),
