@@ -108,8 +108,8 @@ def _recipe_rejected(code: int, violations: list[str]) -> CommandError:
 def _output(directory: Path):
     """Create ``directory`` for a block that writes into it.
 
-    An OSError in either ends the command with exit 1 and ``output failed:``,
-    naming the path that failed.
+    An OSError while creating it or in the block ends the command with exit 1
+    and ``output failed:``, naming the path that failed.
     """
     try:
         directory.mkdir(parents=True, exist_ok=True)

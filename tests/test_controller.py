@@ -626,7 +626,7 @@ FOUR_STEPS = json.dumps([{"operator": "ifd_topfrac", "params": {"fraction": 0.5}
 
 @pytest.fixture(scope="module")
 def role_setup(small_pool):
-    """Pool, signals and two materialized candidates for the ranker."""
+    """A runtime without role commands, and two materialized candidates for the ranker."""
     pool, signals = small_pool
     rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
                              default_catalog(len(pool)), None)
@@ -634,16 +634,16 @@ def role_setup(small_pool):
         rt.materialize(Recipe((OperatorSpec("ifd_topfrac", {"fraction": f}),)))
         for f in (0.3, 0.6)
     ]
-    return pool, signals, candidates
+    return rt, candidates
 
 
 def ask(role_setup, role, command):
     """One call of ``role`` through ``command``: its value and its failure events."""
-    pool, signals, candidates = role_setup
+    base, candidates = role_setup
     events = []
     rt = controller._Runtime(
-        SearchConfig(budget=5, assistant_commands={role: command}), pool, signals,
-        constant_oracle(), default_catalog(len(pool)), events.append,
+        SearchConfig(budget=5, assistant_commands={role: command}), base.pool, base.signals,
+        base.oracle, base.catalog, events.append,
     )
     value = controller.ask_role(rt, role, ROLE_STEP, candidates[0].recipe,
                                 Guidance(findings=["a finding"]),
@@ -738,8 +738,6 @@ ROLE_OUTPUT = st.one_of(st.text(), JSON_TEXT, JSON_TEXT.map(lambda t: f"```json\
 @example(role="reseeder", out='[{"operator": "ifd_topfrac", "params": {"fraction": 1%s}}]'
          % ("0" * 400))
 def test_role_parsers_give_a_value_or_a_reason(role_setup, role, out):
-    pool, signals, candidates = role_setup
-    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
-                             default_catalog(len(pool)), None)
+    rt, candidates = role_setup
     value, reason = controller._ROLE_PARSERS[role](out, rt, candidates)
     assert (value is None) == bool(reason)
