@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import subprocess
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -28,7 +27,7 @@ import numpy as np
 from scipy import stats
 
 from .operators import MIX, Catalog, OperatorSpec, Subset, default_catalog
-from .oracle import EvalCache, EvalRequest, OracleError
+from .oracle import NOT_STARTED, EvalCache, EvalRequest, OracleError, run_command
 from .pool import CanonicalPool, SignalTable
 from .recipe import (
     DEFAULT_L_MAX,
@@ -341,18 +340,23 @@ def state_correlations(
     ``fields`` holds one ``StateVector.flat_fields()`` mapping per evaluation.
     Needs three evaluations and non-constant scores; fields that never vary
     or give a non-finite rho are left out. Ties in |rho| go to the field name.
+    The scores and the varying fields are ranked in one call and correlated
+    in one ``np.corrcoef``, scores first; each rho has the bits of scipy's
+    two-variable Spearman call on that field and the scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) < 3 or scores.std() == 0:
+    # the std alone misses equal scores whose float std is above 0 (three of 0.1)
+    if len(scores) < 3 or scores.std() == 0 or scores.max() == scores.min():
         return []
-    out: list[tuple[str, float]] = []
-    for name in sorted(fields[0]):
-        values = np.array([f[name] for f in fields], dtype=np.float64)
-        if values.max() == values.min():
-            continue
-        rho = stats.spearmanr(values, scores).statistic
-        if np.isfinite(rho):
-            out.append((name, float(rho)))
+    names = sorted(fields[0])
+    table = np.array([[f[name] for name in names] for f in fields], dtype=np.float64)
+    varying = table.max(axis=0) != table.min(axis=0)
+    if not varying.any():
+        return []
+    ranks = stats.rankdata(np.column_stack([scores, table[:, varying]]), axis=0)
+    rhos = np.corrcoef(ranks, rowvar=False)[0, 1:]
+    kept = [name for name, keep in zip(names, varying) if keep]
+    out = [(name, float(rho)) for name, rho in zip(kept, rhos) if np.isfinite(rho)]
     out.sort(key=lambda c: (-abs(c[1]), c[0]))
     return out
 
@@ -495,18 +499,9 @@ def strip_json_payload(text: str) -> str:
 
 
 def _invoke_once(command: list[str], prompt: str) -> tuple[str | None, str]:
-    try:
-        proc = subprocess.run(
-            command,
-            input=prompt,
-            capture_output=True,
-            text=True,
-            timeout=ASSISTANT_TIMEOUT_S,
-        )
-    except FileNotFoundError:
-        return None, f"command not found: {command[0]}"
-    except subprocess.TimeoutExpired:
-        return None, f"timeout after {ASSISTANT_TIMEOUT_S}s"
+    proc, error = run_command(command, prompt, ASSISTANT_TIMEOUT_S)
+    if proc is None:
+        return None, error
     if proc.returncode != 0:
         return None, f"exit code {proc.returncode}"
     if not proc.stdout.strip():
@@ -592,7 +587,8 @@ def ask_role(rt: _Runtime, role: str, step: int, anchor: Recipe,
     Protocol: rendered prompt on stdin, role-typed JSON on stdout, nonzero
     exit means failure. A role without a command returns None before any
     prompt is built. Each failed attempt, of 1 + ASSISTANT_RETRIES, is an
-    ``assistant_failure`` event; a missing binary is not retried.
+    ``assistant_failure`` event; a command that cannot be started is not
+    retried.
     """
     command = rt.config.assistant_commands.get(role)
     if command is None:
@@ -615,8 +611,8 @@ def ask_role(rt: _Runtime, role: str, step: int, anchor: Recipe,
             "attempt": attempt,
             "error": error,
         })
-        if out is None and error.startswith("command not found"):
-            return None  # retrying a missing binary is pointless
+        if out is None and error.startswith(NOT_STARTED):
+            return None  # a command that cannot start will not start on a retry
     return None
 
 # ---------------------------------------------------------------------------

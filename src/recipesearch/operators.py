@@ -256,13 +256,13 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
             continue
         value = spec.params[key]
         if ps.kind == "fraction":
+            if not _is_number(value):
+                problems.append(f"{spec.operator}: {key} must be a number")
+                continue
             try:
                 v = float(value)
             except OverflowError:  # an integer too large for a float
                 v = math.inf
-            except (TypeError, ValueError):
-                problems.append(f"{spec.operator}: {key} must be a number")
-                continue
             if not (0.0 < v <= 1.0) or not math.isfinite(v):
                 problems.append(f"{spec.operator}: {key} out of (0,1]")
         elif ps.kind in ("int", "seed"):
@@ -282,12 +282,17 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
     return problems
 
 
-def _is_integral(value) -> bool:
-    """An integer, or a float with an integral value; never a bool or a string."""
+def _is_number(value) -> bool:
+    """An integer or a float, as a JSON number parses; never a bool or a string."""
     if isinstance(value, (bool, np.bool_)):
         return False
-    return isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    return isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _is_integral(value) -> bool:
+    """An integer, or a float with an integral value; never a bool or a string."""
+    return _is_number(value) and (
+        isinstance(value, (int, np.integer)) or float(value).is_integer()
     )
 
 

@@ -28,6 +28,9 @@ from .state import StateVector
 
 COMMAND_TIMEOUT_DEFAULT = 24 * 3600.0  # full evaluations can take hours
 
+# The reasons of ``run_command`` for a command that never started.
+NOT_STARTED = ("command not found: ", "command not runnable: ")
+
 
 class OracleError(RuntimeError):
     """Evaluation failed; the caller must flush its ledger and abort."""
@@ -77,6 +80,30 @@ def write_manifest(path: str, pool: CanonicalPool, request: EvalRequest) -> None
         )
 
 
+def run_command(
+    argv: list[str], stdin: str | None, timeout: float,
+) -> tuple[subprocess.CompletedProcess | None, str]:
+    """Run ``argv`` with ``stdin`` as its input: the finished process and "", or None and why.
+
+    The one place an external command is started; output is captured as
+    text. Any ``OSError`` of starting it (no such file, no execute bit, not
+    an executable format) gives ``command not found: <argv[0]>`` or
+    ``command not runnable: <argv[0]>: <reason>``, the ``NOT_STARTED``
+    prefixes. A command still running after ``timeout`` seconds is killed
+    and gives ``command timed out after <timeout>s``.
+    """
+    try:
+        proc = subprocess.run(argv, input=stdin, capture_output=True, text=True,
+                              timeout=timeout)
+    except FileNotFoundError:
+        return None, f"command not found: {argv[0]}"
+    except OSError as exc:
+        return None, f"command not runnable: {argv[0]}: {exc.strerror or exc}"
+    except subprocess.TimeoutExpired:
+        return None, f"command timed out after {timeout}s"
+    return proc, ""
+
+
 class CommandOracle:
     """Adapter for an external evaluation command.
 
@@ -102,19 +129,9 @@ class CommandOracle:
         manifest = str(self.manifest_dir / f"manifest_step{request.step:03d}.jsonl")
         write_manifest(manifest, self.pool, request)
         started = time.monotonic()
-        try:
-            proc = subprocess.run(
-                self.command + [manifest],
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except FileNotFoundError as exc:
-            raise OracleError(f"evaluation command not found: {self.command[0]}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise OracleError(
-                f"evaluation command timed out after {self.timeout}s"
-            ) from exc
+        proc, reason = run_command(self.command + [manifest], None, self.timeout)
+        if proc is None:
+            raise OracleError(f"evaluation {reason}")
         duration = time.monotonic() - started
         if proc.returncode != 0:
             raise OracleError(

@@ -91,8 +91,11 @@ class SignalTable:
 
     Scalar columns are float64 arrays of length ``len(pool)``. ``activations``
     is a CSR matrix of nonnegative sparse activations with explicit zeros
-    dropped, so stored entries are exactly the active features. Pool-level
-    reference statistics (pool SNAR, pool signal means, the full
+    dropped, so stored entries are exactly the active features.
+    ``pattern_t`` is the same sparsity pattern transposed, a ``(sae_dim, n)``
+    CSR matrix of 1.0 entries, so ``pattern_t @ mask`` counts the samples of
+    a 0/1 row mask that activate each feature; its arrays are read-only.
+    Pool-level reference statistics (pool SNAR, pool signal means, the full
     sample-by-benchmark relevance matrix) are computed once here because the
     pool is fixed for the lifetime of a search.
     """
@@ -103,6 +106,7 @@ class SignalTable:
     ao: np.ndarray
     ngram_entropy: np.ndarray
     activations: sp.csr_matrix
+    pattern_t: sp.csr_matrix             # (sae_dim, n) 0/1 activation pattern
     benchmarks: tuple[str, ...]
     relevance: np.ndarray                # (n, n_benchmarks) weighted-Jaccard scores
     has_activations: np.ndarray          # bool mask: sample has >=1 active feature
@@ -474,6 +478,10 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         raise PoolError("all-zero varentropy column")
 
     activations = sp.csr_matrix((act_data, act_indices, indptr), shape=(n, sae_dim))
+    # the CSR arrays of an (n, sae_dim) matrix are the CSC arrays of its transpose
+    pattern_t = sp.csc_matrix(
+        (np.ones(act_data.size), act_indices, indptr), shape=(sae_dim, n)
+    ).tocsr()
     ngram = _unigram_entropy(pool.samples)
     benchmarks = tuple(sorted(targets))
     relevance = np.column_stack(
@@ -486,7 +494,8 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         pool_snar = counts / valid
     else:
         pool_snar = np.zeros(sae_dim)
-    for arr in (ifd, varentropy, ao, ngram, relevance, has_act, pool_snar):
+    for arr in (ifd, varentropy, ao, ngram, relevance, has_act, pool_snar,
+                pattern_t.data, pattern_t.indices, pattern_t.indptr):
         arr.setflags(write=False)
     return SignalTable(
         sae_dim=sae_dim,
@@ -495,6 +504,7 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         ao=ao,
         ngram_entropy=ngram,
         activations=activations,
+        pattern_t=pattern_t,
         benchmarks=benchmarks,
         relevance=relevance,
         has_activations=has_act,

@@ -64,14 +64,16 @@ def compute_snar(subset: Subset, signals: SignalTable) -> np.ndarray:
     """Fraction of valid subset samples activating each feature, (sae_dim,).
 
     Magnitudes are ignored; samples without any cached activation are
-    excluded from the denominator. The returned array is read-only.
+    excluded from the denominator. The per-feature counts are one product of
+    ``signals.pattern_t`` with the subset's 0/1 row mask; they are integers,
+    so the rates are exact. The returned array is read-only.
     """
-    valid_pos = subset.positions[signals.has_activations[subset.positions]]
-    if valid_pos.size == 0:
+    n_valid = int(np.count_nonzero(signals.has_activations[subset.positions]))
+    if n_valid == 0:
         raise StateError("no subset sample carries activation features")
-    rows = signals.activations[valid_pos]
-    counts = np.bincount(rows.indices, minlength=signals.sae_dim)
-    rates = counts / valid_pos.size
+    row_mask = np.zeros(signals.pattern_t.shape[1])
+    row_mask[subset.positions] = 1.0
+    rates = (signals.pattern_t @ row_mask) / n_valid
     rates.setflags(write=False)
     return rates
 

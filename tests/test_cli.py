@@ -439,6 +439,18 @@ class TestRun:
         failed = [e["role"] for e in events if e["type"] == "assistant_failure"]
         assert failed == ["summarizer", "proposer", "ranker"]
 
+    def test_unrunnable_assistant_command_falls_back(self, synth_files, tmp_path, capsys):
+        argv = run_argv("run", synth_files, tmp_path / "out", "--budget", "4",
+                        "--assistant-cmd", f"proposer={unrunnable(tmp_path)}")
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
+        failures = [(e["role"], e["attempt"], e["error"]) for e in events
+                    if e["type"] == "assistant_failure"]
+        assert failures == [("proposer", 0, f"command not runnable: {tmp_path / 'scorer.sh'}"
+                                            ": Permission denied")]
+        assert events[-1]["type"] == "result"
+
     def test_default_assistant_env_skips_ranker_under_random_select(
         self, synth_files, tmp_path, monkeypatch
     ):
@@ -615,6 +627,21 @@ def printing_scorer(tmp_path, line):
     return ["--oracle", "command", "--oracle-cmd", sys.executable, str(stub)]
 
 
+def unrunnable(tmp_path):
+    """A scorer file without the execute bit."""
+    path = tmp_path / "scorer.sh"
+    path.write_text("#!/bin/sh\necho '{\"score\": 1.0}'\n")
+    path.chmod(0o644)
+    return str(path)
+
+
+def fraction_argv(op, key, value):
+    """``exec`` argv builder for one ``op`` step whose ``key`` holds ``value``."""
+    params = {"n_clusters": 2, "tau": 0.9, "seed": 0} if op == "semdedup" else {}
+    return lambda f, t: exec_argv(f, t, {"steps": [
+        {"operator": op, "params": {**params, key: value}}]})
+
+
 def nan_scorer(tmp_path):
     return printing_scorer(tmp_path, '{"score": NaN}')
 
@@ -680,6 +707,20 @@ FAILURES = {
         lambda f, t: exec_argv(f, t, {"steps": [{"operator": "ifd_topfrac",
                                                  "params": {"fraction": 10**400}}]}),
         1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction out of (0,1]"),
+    "exec_fraction_string": (fraction_argv("ifd_topfrac", "fraction", "0.5"),
+                             1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
+    "exec_tau_string": (fraction_argv("semdedup", "tau", "0.9"),
+                        1, "recipe rejected:\n  - step 1: semdedup: tau must be a number"),
+    "exec_fraction_boolean": (fraction_argv("ifd_topfrac", "fraction", True),
+                              1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
+    "run_oracle_cmd_not_executable": (
+        lambda f, t: run_argv("run", f, t / "out", "--oracle", "command",
+                              "--oracle-cmd", unrunnable(t)),
+        1, "run aborted: evaluation command not runnable: "),
+    "baseline_oracle_cmd_not_executable": (
+        lambda f, t: run_argv("baseline", f, t / "out", "--oracle", "command",
+                              "--oracle-cmd", unrunnable(t)),
+        1, "baseline aborted: evaluation command not runnable: "),
     "run_score_too_large_for_a_float": (
         lambda f, t: run_argv("run", f, t / "out",
                               *printing_scorer(t, '{"score": 1%s}' % ("0" * 400))),

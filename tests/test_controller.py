@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from recipesearch import controller
 from recipesearch.controller import (
@@ -21,6 +22,7 @@ from recipesearch.controller import (
     fallback_summarize,
     motif_signals,
     run_search,
+    state_correlations,
     strip_json_payload,
 )
 from recipesearch.operators import MIX, OperatorSpec, default_catalog
@@ -708,6 +710,26 @@ def test_invocation_failure_reasons(role_setup, case):
     ]
 
 
+# file -> (its bytes, its mode, the OSError reason of starting it)
+UNRUNNABLE_FILES = {
+    "no_execute_bit": (b"#!/bin/sh\necho '[]'\n", 0o644, "Permission denied"),
+    "not_an_executable_format": (b"\x7fELF\x00\x00", 0o755, "Exec format error"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_FILES))
+def test_unrunnable_command_fails_once_then_falls_back(role_setup, tmp_path, case):
+    content, mode, reason = UNRUNNABLE_FILES[case]
+    path = tmp_path / "assistant"
+    path.write_bytes(content)
+    path.chmod(mode)
+    value, failures = ask(role_setup, "proposer", [str(path)])
+    assert value is None
+    assert [(e["attempt"], e["error"]) for e in failures] == [
+        (0, f"command not runnable: {path}: {reason}")
+    ]
+
+
 # Keys and operator names that steer generated documents into the parsers' deeper paths.
 _KEYS = st.sampled_from(["steps", "operator", "params", "fraction", "k", "seed",
                          "n_clusters", "tau", "source", "ranking", "confidence"])
@@ -741,3 +763,64 @@ def test_role_parsers_give_a_value_or_a_reason(role_setup, role, out):
     rt, candidates = role_setup
     value, reason = controller._ROLE_PARSERS[role](out, rt, candidates)
     assert (value is None) == bool(reason)
+
+
+def spearman_loop(fields, scores):
+    """The per-field ``spearmanr`` loop that ``state_correlations`` replaces."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(scores) < 3 or scores.std() == 0:
+        return []
+    out = []
+    for name in sorted(fields[0]):
+        values = np.array([f[name] for f in fields], dtype=np.float64)
+        if values.max() == values.min():
+            continue
+        rho = stats.spearmanr(values, scores).statistic
+        if np.isfinite(rho):
+            out.append((name, float(rho)))
+    out.sort(key=lambda c: (-abs(c[1]), c[0]))
+    return out
+
+
+# One column of n values: continuous, integer-valued with ties, two values, or constant.
+def _column(n):
+    return st.one_of(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.25, 0.75]), min_size=n, max_size=n),
+        st.floats(-10, 10, allow_nan=False).map(lambda v: [v] * n),
+    )
+
+
+@st.composite
+def evaluations(draw):
+    """(one flat-field mapping per evaluation, one score per evaluation)."""
+    n = draw(st.integers(1, 40))
+    columns = draw(st.lists(_column(n), min_size=1, max_size=16))
+    names = draw(st.lists(st.text("abcdef._", min_size=1, max_size=6),
+                          min_size=len(columns), max_size=len(columns), unique=True))
+    fields = [{name: col[i] for name, col in zip(names, columns)} for i in range(n)]
+    return fields, draw(_column(n))
+
+
+# Scores that are all equal can have a float std above 0; the reference warns on them.
+@pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
+@settings(max_examples=400, deadline=None)
+@given(evaluations())
+@example(([{"a": 1.0, "b": 2.0}] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))       # no field varies
+@example(([{"a": float(i % 2), "b": 2.0} for i in range(6)],            # exactly one varies
+          [3.0, 1.0, 2.0, 2.0, 5.0, 0.0]))
+@example(([{"a": float(i)} for i in range(4)], [7.0] * 4))              # constant scores
+@example(([{"a": float(i), "b": float(-i)} for i in range(3)], [1.0, 1.0, 2.0]))
+@example(([{"a": float(i)} for i in range(3)], [0.0, 5e-324, 0.0]))  # std underflows to 0
+def test_state_correlations_match_the_spearmanr_loop_bit_for_bit(case):
+    fields, scores = case
+    bits = lambda corrs: [(name, rho.hex()) for name, rho in corrs]  # noqa: E731
+    assert bits(state_correlations(fields, scores)) == bits(spearman_loop(fields, scores))
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_correlations_drop_equal_scores_without_a_warning():
+    fields = [{"a": 1.0}, {"a": 2.0}, {"a": 3.0}]
+    assert np.std([0.1] * 3) > 0
+    assert state_correlations(fields, [0.1] * 3) == []

@@ -599,6 +599,15 @@ class TestClosureAndDispatch:
             assert problems == [
                 "random_k: k must be an integer", "random_k: seed must be an integer",
             ]
+        # fraction params take a JSON number, as ingestion does: no string, no bool
+        assert not validate_spec(OperatorSpec("ifd_topfrac", {"fraction": 1}), catalog)
+        for bad in ("0.5", True, None, [0.5]):
+            problems = validate_spec(OperatorSpec("ifd_topfrac", {"fraction": bad}), catalog)
+            assert problems == ["ifd_topfrac: fraction must be a number"]
+        problems = validate_spec(
+            OperatorSpec("semdedup", {"n_clusters": 2, "tau": "0.9", "seed": 0}), catalog
+        )
+        assert problems == ["semdedup: tau must be a number"]
 
     def test_catalog_json_is_publishable(self, tiny):
         pool, _ = tiny

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recipesearch.operators import Subset
 from recipesearch.pool import load_pool, load_signals
@@ -63,6 +67,76 @@ class TestSnar:
         only_q = Subset.from_ids(["q"], pool)
         rates = compute_snar(only_q, signals)
         assert rates.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+def snar_reference(subset, signals):
+    """SNAR as a gather of the subset's activation rows and a ``bincount``."""
+    valid_pos = subset.positions[signals.has_activations[subset.positions]]
+    if valid_pos.size == 0:
+        raise StateError("no subset sample carries activation features")
+    rows = signals.activations[valid_pos]
+    return np.bincount(rows.indices, minlength=signals.sae_dim) / valid_pos.size
+
+
+@st.composite
+def pools_and_subsets(draw):
+    """(sae_dim, each sample's active features, subset positions); some samples are bare."""
+    sae_dim = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    active = draw(st.lists(
+        st.one_of(st.just([]), st.lists(st.integers(0, sae_dim - 1), unique=True, max_size=6)),
+        min_size=n, max_size=n,
+    ))
+    positions = draw(st.one_of(
+        st.just(list(range(n))),
+        st.integers(0, n - 1).map(lambda i: [i]),
+        st.sets(st.integers(0, n - 1), min_size=1).map(sorted),
+    ))
+    return sae_dim, active, positions
+
+
+def load_active(directory, sae_dim, active):
+    """Pool and signals of samples whose sparse vectors hold ``active`` features."""
+    rows = [{"id": f"s{i:02d}", "instruction": "q", "response": "r", "source": "s"}
+            for i in range(len(active))]
+    sigs = [{"id": row["id"], "ifd": 1.0, "varentropy": 1.0, "ao": 1.0,
+             "sparse": [[j, 0.5 + j] for j in features]}
+            for row, features in zip(rows, active)]
+    write_jsonl(directory / "p.jsonl", rows)
+    write_jsonl(directory / "s.jsonl", sigs)
+    (directory / "t.json").write_text(json.dumps({"sae_dim": sae_dim,
+                                                  "benchmarks": {"t": [[0, 1.0]]}}))
+    pool = load_pool(str(directory / "p.jsonl"))
+    return pool, load_signals(str(directory / "s.jsonl"), str(directory / "t.json"), pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pools_and_subsets())
+@example((3, [[], [0, 2], []], [0, 2]))       # a subset without activations
+@example((3, [[], [0, 2], [1]], [1]))         # a subset of one
+def test_snar_matches_the_row_gather_bit_for_bit(case):
+    sae_dim, active, positions = case
+    with tempfile.TemporaryDirectory() as tmp:
+        pool, signals = load_active(Path(tmp), sae_dim, active)
+    pattern_t = signals.pattern_t
+    assert pattern_t.shape == (sae_dim, len(pool))
+    assert np.all(pattern_t.data == 1.0)
+    assert not any(a.flags.writeable for a in (pattern_t.data, pattern_t.indices,
+                                               pattern_t.indptr))
+    n_valid = int(signals.has_activations.sum())
+    if n_valid:
+        counts = pattern_t @ signals.has_activations.astype(np.float64)
+        assert np.array_equal(counts / n_valid, signals.pool_snar)
+    subset = Subset(np.array(positions), pool)
+    try:
+        expected = snar_reference(subset, signals)
+    except StateError:
+        with pytest.raises(StateError, match="no subset sample carries"):
+            compute_snar(subset, signals)
+        return
+    rates = compute_snar(subset, signals)
+    assert rates.tobytes() == expected.tobytes()
+    assert not rates.flags.writeable
 
 
 class TestComputeState:
