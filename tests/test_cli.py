@@ -447,8 +447,8 @@ class TestRun:
         events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
         failures = [(e["role"], e["attempt"], e["error"]) for e in events
                     if e["type"] == "assistant_failure"]
-        assert failures == [("proposer", 0, f"command not runnable: {tmp_path / 'scorer.sh'}"
-                                            ": Permission denied")]
+        path = tmp_path / "command.sh"
+        assert failures == [("proposer", 0, f"command not runnable: {path}: Permission denied")]
         assert events[-1]["type"] == "result"
 
     def test_default_assistant_env_skips_ranker_under_random_select(
@@ -628,8 +628,8 @@ def printing_scorer(tmp_path, line):
 
 
 def unrunnable(tmp_path):
-    """A scorer file without the execute bit."""
-    path = tmp_path / "scorer.sh"
+    """A shell script without the execute bit."""
+    path = tmp_path / "command.sh"
     path.write_text("#!/bin/sh\necho '{\"score\": 1.0}'\n")
     path.chmod(0o644)
     return str(path)
@@ -707,12 +707,15 @@ FAILURES = {
         lambda f, t: exec_argv(f, t, {"steps": [{"operator": "ifd_topfrac",
                                                  "params": {"fraction": 10**400}}]}),
         1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction out of (0,1]"),
-    "exec_fraction_string": (fraction_argv("ifd_topfrac", "fraction", "0.5"),
-                             1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
-    "exec_tau_string": (fraction_argv("semdedup", "tau", "0.9"),
-                        1, "recipe rejected:\n  - step 1: semdedup: tau must be a number"),
-    "exec_fraction_boolean": (fraction_argv("ifd_topfrac", "fraction", True),
-                              1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
+    "exec_fraction_string": (
+        fraction_argv("ifd_topfrac", "fraction", "0.5"),
+        1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
+    "exec_tau_string": (
+        fraction_argv("semdedup", "tau", "0.9"),
+        1, "recipe rejected:\n  - step 1: semdedup: tau must be a number"),
+    "exec_fraction_boolean": (
+        fraction_argv("ifd_topfrac", "fraction", True),
+        1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
     "run_oracle_cmd_not_executable": (
         lambda f, t: run_argv("run", f, t / "out", "--oracle", "command",
                               "--oracle-cmd", unrunnable(t)),
