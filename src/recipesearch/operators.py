@@ -301,7 +301,8 @@ def _valid_source(source: str) -> bool:
         return True
     if source.startswith("eval:"):
         tail = source[5:]
-        return tail.isdigit() and int(tail) >= 1
+        # ASCII digits only: str.isdigit also passes "²" and "١"; not all zeros is >= 1
+        return tail.isascii() and tail.isdigit() and tail.strip("0") != ""
     return False
 
 

@@ -155,21 +155,38 @@ def execute_recipe(
     pool: CanonicalPool,
     signals: SignalTable,
     resolve_source=None,
+    memo=None,
 ) -> Subset:
     """Execute steps left to right from the full pool.
 
     ``resolve_source`` resolves mix sources, as in :func:`apply_step`. Any
     step that fails, or that produces an empty intermediate subset, aborts
     with the 1-based step index.
+
+    ``memo`` optionally maps a step prefix (``recipe.steps[:k]``) to the
+    Subset it produced. Execution then starts after the longest prefix it
+    holds and stores each new prefix. Only the prefix before the first mix
+    step is looked up or stored: a mix source depends on the history.
     """
+    steps = recipe.steps
     subset = Subset.full(pool)
-    for i, step in enumerate(recipe.steps, start=1):
+    start = 0
+    mix_free = next((i for i, s in enumerate(steps) if s.operator == MIX), len(steps))
+    if memo is not None:
+        for k in range(mix_free, 0, -1):
+            hit = memo.get(steps[:k])
+            if hit is not None:
+                subset, start = hit, k
+                break
+    for i in range(start, len(steps)):
         try:
-            subset = apply_step(step, subset, signals, resolve_source=resolve_source)
+            subset = apply_step(steps[i], subset, signals, resolve_source=resolve_source)
         except OperatorError as exc:
-            raise ExecutionError(i, str(exc)) from exc
+            raise ExecutionError(i + 1, str(exc)) from exc
         if len(subset) == 0:
-            raise ExecutionError(i, "empty intermediate subset")
+            raise ExecutionError(i + 1, "empty intermediate subset")
+        if memo is not None and i < mix_free:
+            memo[steps[: i + 1]] = subset
     return subset
 
 

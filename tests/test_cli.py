@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recipesearch import cli
 from recipesearch.cli import main
@@ -713,6 +718,10 @@ FAILURES = {
     "exec_tau_string": (
         fraction_argv("semdedup", "tau", "0.9"),
         1, "recipe rejected:\n  - step 1: semdedup: tau must be a number"),
+    "exec_mix_source_non_ascii_digit": (
+        lambda f, t: exec_argv(f, t, {"steps": [{"operator": "mix",
+                                                 "params": {"source": "eval:\u00b2"}}]}),
+        1, "recipe rejected:\n  - step 1: mix: source must be 'incumbent' or 'eval:<t>'"),
     "exec_fraction_boolean": (
         fraction_argv("ifd_topfrac", "fraction", True),
         1, "recipe rejected:\n  - step 1: ifd_topfrac: fraction must be a number"),
@@ -767,6 +776,63 @@ def test_failure_exits_with_documented_code_and_prefix(synth_files, tmp_path, ca
         assert code == 1 and "aborted: " in prefix
         assert ledger_lines(ledger)[-1]["type"] == "abort"
         assert "Infinity" not in ledger.read_text() and "NaN" not in ledger.read_text()
+
+
+# Parameter values a recipe file may hold: mix sources with non-ASCII digits,
+# strings, booleans, numbers past a float and past int64, and nested junk.
+_SOURCES = st.one_of(
+    st.sampled_from(["incumbent", "eval:1", "eval:\u00b2", "eval:\u0661", "eval:0",
+                     "eval:" + "9" * 5000]),
+    st.text(max_size=6).map(lambda t: "eval:" + t),
+)
+_PARAM_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6), _SOURCES,
+        st.sampled_from([10**400, -(10**400), 2**63, 2**64 + 1, 1e308, -0.0]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.fixed_dictionaries(
+            {"operator": st.one_of(st.sampled_from(default_catalog(200).names()),
+                                   st.text(max_size=6))},
+            optional={"params": st.one_of(
+                st.dictionaries(st.sampled_from(["fraction", "k", "seed", "n_clusters",
+                                                 "tau", "source"]),
+                                _PARAM_VALUES, max_size=3),
+                _PARAM_VALUES)},
+        ),
+        _PARAM_VALUES,
+    ),
+    max_size=6,
+)
+RECIPE_TEXT = st.one_of(
+    st.fixed_dictionaries({"steps": _STEPS}).map(json.dumps),
+    st.fixed_dictionaries({"steps": _STEPS}).map(lambda d: json.dumps([d])),
+    _PARAM_VALUES.map(json.dumps),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=RECIPE_TEXT)
+@example(text='{"steps": [{"operator": "mix", "params": {"source": "eval:\u00b2"}}]}')
+@example(text='{"steps": [{"operator": "random_k", "params": {"k": %s}}]}' % ("9" * 5000))
+@example(text=json.dumps({"steps": [{"operator": "random_k",
+                                      "params": {"k": 2**63, "seed": 2**64 + 1}}]}))
+def test_exec_on_any_recipe_file_exits_with_a_documented_code(synth_files, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        recipe_path = Path(tmp) / "recipe.json"
+        recipe_path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["exec", *data_args(synth_files), "--recipe", str(recipe_path),
+                         "--out", str(Path(tmp) / "m.jsonl")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def handmade_eval(step, score, ops, retain=0.5, size=100):

@@ -27,8 +27,16 @@ from recipesearch.controller import (
 )
 from recipesearch.operators import MIX, OperatorSpec, default_catalog
 from recipesearch.oracle import OracleError, SyntheticOracle, SyntheticOracleSpec
-from recipesearch.recipe import Recipe
-from recipesearch.state import StateVector
+from recipesearch.recipe import (
+    DEFAULT_L_MAX,
+    ExecutionError,
+    ProposeError,
+    Recipe,
+    execute_recipe,
+    propose_local_edits,
+    sample_random_recipe,
+)
+from recipesearch.state import StateError, StateVector, compute_state
 from recipesearch.synthetic import make_synthetic_pool
 
 
@@ -665,6 +673,9 @@ PARSE_FAILURES = {
     "proposer_scalar": ("proposer", "42", "not a JSON array"),
     "proposer_no_valid_recipe": ("proposer", '[{"steps": []}, {"steps": 3}]',
                                  "no valid recipes"),
+    "proposer_non_ascii_digit_source": (
+        "proposer", '[{"steps": [{"operator": "mix", "params": {"source": "eval:\u00b2"}}]}]',
+        "no valid recipes"),
     "ranker_no_ranking": ("ranker", '{"confidence": "high"}', "missing or invalid ranking"),
     "ranker_not_a_permutation": ("ranker", '{"ranking": [0, 0]}',
                                  "ranking is not a permutation of 0..1"),
@@ -824,3 +835,88 @@ def test_state_correlations_drop_equal_scores_without_a_warning():
     fields = [{"a": 1.0}, {"a": 2.0}, {"a": 3.0}]
     assert np.std([0.1] * 3) > 0
     assert state_correlations(fields, [0.1] * 3) == []
+
+
+def fresh_outcome(rt, recipe):
+    """A recipe's subset and state from an execution without the memo, or its abort."""
+    try:
+        subset = execute_recipe(recipe, rt.pool, rt.signals, rt.history.resolve_source)
+        return subset, compute_state(subset, rt.pool, rt.signals)
+    except (ExecutionError, StateError) as exc:
+        return exc
+
+
+def memo_outcome(rt, recipe):
+    """``rt.materialize(recipe)``, or its abort."""
+    try:
+        return rt.materialize(recipe)
+    except (ExecutionError, StateError) as exc:
+        return exc
+
+
+def with_mix(recipe, rng):
+    """``recipe`` with a mix step after its first step, on a source that may not resolve."""
+    steps = list(recipe.steps[: DEFAULT_L_MAX - 1])
+    source = str(rng.choice(["incumbent", "eval:1", "eval:2", "eval:4", "eval:7"]))
+    steps.insert(int(rng.integers(1, len(steps) + 1)), OperatorSpec(MIX, {"source": source}))
+    return Recipe(tuple(steps))
+
+
+# One action of the script: draw a random recipe, edit the last recipe, add a
+# mix step to a random recipe, repeat an earlier recipe and the last two, or
+# evaluate the last candidate (which moves the incumbent and adds an eval:<t>
+# source).
+ACTIONS = st.lists(
+    st.tuples(st.sampled_from(["random", "edit", "mix", "repeat", "evaluate"]),
+              st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 8), actions=ACTIONS)
+# a mix on "incumbent", then a new incumbent, then the same recipe again
+@example(seed=0, capacity=8,
+         actions=[("mix", 17), ("random", 1), ("evaluate", 0), ("repeat", 0)])
+def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capacity, actions):
+    pool, signals = small_pool
+    catalog = default_catalog(len(pool))
+    # every new subset evaluated becomes the incumbent that a mix step resolves to
+    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, ImprovingOracle(),
+                             catalog, None)
+    rt.prefixes = controller.PrefixMemo(capacity)
+    seen = [sample_random_recipe(catalog, np.random.default_rng(seed))]
+    last_cand = rt.try_materialize(seen[0])
+    if last_cand is not None:  # so that a mix step can resolve from the start
+        rt.evaluate(1, last_cand, is_warmup=False)
+    for kind, value in actions:
+        rng = np.random.default_rng(value)
+        if kind == "evaluate":
+            if last_cand is not None:
+                rt.evaluate(len(rt.history) + 1, last_cand, is_warmup=False)
+            continue
+        if kind == "edit":
+            try:
+                recipes = propose_local_edits(seen[-1], value, 3, catalog)
+            except ProposeError:
+                continue
+        elif kind == "repeat":
+            recipes = [seen[int(rng.integers(len(seen)))], *seen[-2:]]
+        else:
+            recipes = [sample_random_recipe(catalog, rng)]
+            if kind == "mix":
+                recipes = [with_mix(recipes[0], rng)]
+        for recipe in recipes:
+            seen.append(recipe)
+            expected = fresh_outcome(rt, recipe)
+            actual = memo_outcome(rt, recipe)
+            assert len(rt.prefixes) <= capacity
+            if isinstance(expected, Exception):
+                assert type(actual) is type(expected)
+                assert str(actual) == str(expected)
+                continue
+            want_subset, want_state = expected
+            assert np.array_equal(actual.subset.positions, want_subset.positions)
+            assert actual.state.to_dict() == want_state.to_dict()
+            assert actual.subset.content_hash() == want_subset.content_hash()
+            last_cand = actual

@@ -7,6 +7,9 @@ the operators or the ledger format shows here. The two search seeds were
 chosen because their ledgers evaluate a SemDedup step and a mix step and
 reseed the anchor.
 
+The search runs also cover the run's prefix memo: a test reruns them,
+counts the operator steps applied, and checks that the memo spared some.
+
 ``semdedup_grid.npz`` pins SemDedup's k-means labels and keep masks over a
 grid of pools, cluster counts, thresholds and seeds; ``semdedup_grid.py``
 wrote it and recomputes it here. ``manifests/`` pins the manifest and
@@ -18,12 +21,15 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from recipesearch import controller, recipe
 from recipesearch.cli import main
+from recipesearch.recipe import ExecutionError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +75,44 @@ def test_golden_runs_cover_semdedup_mix_and_reseed(name):
     }
     assert {"semdedup", "mix"} <= operators
     assert any(e["type"] == "reseed" for e in events)
+
+
+@pytest.mark.parametrize("name", ["run_seed4", "run_seed5"])
+def test_golden_runs_take_prefixes_from_the_memo(synth_files, tmp_path, monkeypatch, caplog,
+                                                name):
+    """The golden ledgers pin the memoized path: fewer steps run than recipes reach.
+
+    The run's debug line reports the same step counts.
+    """
+    caplog.set_level(logging.DEBUG, logger="recipesearch.controller")
+    applied = []
+    reached = []
+    real_apply, real_materialize = recipe.apply_step, controller._Runtime.materialize
+
+    def counting_apply(*args, **kwargs):
+        applied.append(1)
+        return real_apply(*args, **kwargs)
+
+    def counting_materialize(self, candidate_recipe):
+        steps = len(candidate_recipe)
+        try:
+            return real_materialize(self, candidate_recipe)
+        except ExecutionError as exc:
+            steps = exc.step_index
+            raise
+        finally:
+            reached.append(steps)
+
+    monkeypatch.setattr(recipe, "apply_step", counting_apply)
+    monkeypatch.setattr(controller._Runtime, "materialize", counting_materialize)
+    ledger = write_ledger(name, synth_files, tmp_path)
+    assert ledger.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
+    assert 0 < len(applied) < sum(reached)
+    [line] = [r.getMessage() for r in caplog.records if "prefix memo" in r.getMessage()]
+    assert line.startswith(
+        f"materializations {len(reached)}, operator steps executed {len(applied)}, "
+        f"steps served from the prefix memo {sum(reached) - len(applied)}, states reused "
+    )
 
 
 def _load_golden_module(name: str):

@@ -586,6 +586,13 @@ class TestClosureAndDispatch:
         assert problems == ["ifd_topfrac: fraction out of (0,1]"]
         problems = validate_spec(OperatorSpec("mix", {"source": "eval:x"}), catalog)
         assert any("source" in p for p in problems)
+        # a source step is ASCII digits: "²" once broke int(), "١" once meant step 1
+        for source in ("eval:²", "eval:١", "eval:0", "eval:000", "eval: 1"):
+            assert validate_spec(OperatorSpec("mix", {"source": source}), catalog) == [
+                f"mix: source must be 'incumbent' or 'eval:<t>', got {source!r}"
+            ]
+        for source in ("eval:1", "eval:007", "eval:" + "9" * 5000):
+            assert not validate_spec(OperatorSpec("mix", {"source": source}), catalog)
         problems = validate_spec(
             OperatorSpec("random_k", {"k": 5, "seed": -1}), catalog
         )
