@@ -9,7 +9,6 @@ boundary). ``recipesearch.cli`` is the command-line entry point.
 from .controller import (
     EvalRecord,
     Guidance,
-    History,
     SearchConfig,
     SearchResult,
     fallback_rank,

@@ -526,9 +526,9 @@ def cmd_baseline(args) -> int:
     def body(ledger: RunLedger) -> None:
         rt = _Runtime(config, pool, signals, oracle, catalog, ledger.write)
         for cand in _baseline_candidates(args, rt, recipes, rng):
-            rt.evaluate(len(rt.history) + 1, cand, is_warmup=False)
-        best = rt.history.incumbent()
-        print(f"{args.suite}: {len(rt.history)} evaluations, best score {best.score:.6f} "
+            rt.evaluate(cand, is_warmup=False)
+        best = rt.incumbent()
+        print(f"{args.suite}: {len(rt.records)} evaluations, best score {best.score:.6f} "
               f"at step {best.step}")
 
     return _ledger_run(out_dir, header, body, "baseline")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from importlib import resources
@@ -179,49 +180,6 @@ class EvalRecord:
         if self.duration_s is not None:
             event["duration_s"] = self.duration_s
         return event
-
-
-class History:
-    """Append-only evaluation ledger plus subset storage for mix resolution."""
-
-    def __init__(self) -> None:
-        self.records: list[EvalRecord] = []
-        self.subsets: dict[int, Subset] = {}
-        self.incumbent_index: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def append(self, record: EvalRecord, subset: Subset) -> bool:
-        """Append a record; True iff it strictly improves the incumbent."""
-        self.records.append(record)
-        self.subsets[record.step] = subset
-        if self.incumbent_index is None:
-            self.incumbent_index = 0
-            return True
-        if record.score > self.records[self.incumbent_index].score:
-            self.incumbent_index = len(self.records) - 1
-            return True
-        return False
-
-    def incumbent(self) -> EvalRecord:
-        if self.incumbent_index is None:
-            raise ControllerError("no evaluations recorded yet")
-        return self.records[self.incumbent_index]
-
-    def resolve_source(self, ref: str) -> Subset | None:
-        """Mix source grammar: "incumbent" or "eval:<t>"."""
-        if ref == "incumbent":
-            if self.incumbent_index is None:
-                return None
-            return self.subsets.get(self.records[self.incumbent_index].step)
-        if ref.startswith("eval:"):
-            try:
-                step = int(ref[5:])
-            except ValueError:
-                return None
-            return self.subsets.get(step)
-        return None
 
 
 @dataclass(frozen=True)
@@ -656,52 +614,35 @@ def _state_section(state: StateVector) -> str:
 # The search loop
 # ---------------------------------------------------------------------------
 
-class PrefixMemo:
+class PrefixMemo(OrderedDict):
     """A bounded LRU map from a mix-free step prefix to the Subset it produced.
 
     ``execute_recipe`` reads it with ``get`` and fills it by item assignment.
-    An entry also keeps the state of its subset once computed, so a repeated
-    recipe skips ``compute_state`` too. Operators are pure and the pool is
-    fixed, so an entry never goes stale within a run.
+    Operators are pure and the pool is fixed, so an entry never goes stale
+    within a run.
     """
 
     def __init__(self, capacity: int = PREFIX_MEMO_SIZE):
+        super().__init__()
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, list] = OrderedDict()  # [Subset, StateVector | None]
         self.served = 0          # operator steps that hits spared
-        self.states_reused = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, prefix: tuple) -> Subset | None:
-        entry = self._entries.get(prefix)
-        if entry is None:
-            return None
-        self._entries.move_to_end(prefix)
-        self.served += len(prefix)
-        return entry[0]
+        subset = super().get(prefix)
+        if subset is not None:
+            self.move_to_end(prefix)
+            self.served += len(prefix)
+        return subset
 
     def __setitem__(self, prefix: tuple, subset: Subset) -> None:
-        self._entries[prefix] = [subset, None]
-        self._entries.move_to_end(prefix)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def state_of(self, prefix: tuple, subset: Subset, compute) -> StateVector:
-        """``compute(subset)``, kept in the entry of ``prefix`` while it holds ``subset``."""
-        entry = self._entries.get(prefix)
-        if entry is None or entry[0] is not subset:
-            return compute(subset)
-        if entry[1] is None:
-            entry[1] = compute(subset)
-        else:
-            self.states_reused += 1
-        return entry[1]
+        super().__setitem__(prefix, subset)
+        self.move_to_end(prefix)
+        if len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 class _Runtime:
-    """Shared run machinery: evaluation, caching, event emission."""
+    """One run's state: its evaluations, incumbent, caches and event sink."""
 
     def __init__(self, config, pool, signals, oracle, catalog, sink):
         self.config = config
@@ -709,41 +650,66 @@ class _Runtime:
         self.signals = signals
         self.oracle = oracle
         self.catalog = catalog
-        self.sink = sink or (lambda event: None)
-        self.history = History()
+        self.sink = sink
+        self.records: list[EvalRecord] = []
+        self.subsets: list[Subset] = []          # the evaluated subset of each record
+        self.incumbent_index: int | None = None
         self.cache = EvalCache()
         self.prefixes = PrefixMemo()
+        # a subset's state, kept while the subset lives (Subset hashes by identity)
+        self.states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.materializations = 0
         self.steps_executed = 0
+        self.states_reused = 0
         self.seed_phase = 1
 
     def emit(self, event: dict) -> None:
-        self.sink(event)
+        if self.sink is not None:
+            self.sink(event)
+
+    def incumbent(self) -> EvalRecord:
+        if self.incumbent_index is None:
+            raise ControllerError("no evaluations recorded yet")
+        return self.records[self.incumbent_index]
+
+    def resolve_source(self, ref: str) -> Subset | None:
+        """Mix source grammar: "incumbent" or "eval:<t>"."""
+        if ref == "incumbent":
+            return None if self.incumbent_index is None else self.subsets[self.incumbent_index]
+        if ref.startswith("eval:"):
+            try:
+                step = int(ref[5:])
+            except ValueError:  # int() refuses over 4300 digits
+                return None
+            return self.subsets[step - 1] if 1 <= step <= len(self.subsets) else None
+        return None
 
     def materialize(self, recipe: Recipe) -> Candidate:
         """Execute + summarize a candidate, never the oracle.
 
-        Execution and state go through the run's prefix memo, so the
-        candidate's subset and state are those of a fresh execution.
-        Raises ExecutionError or StateError when the candidate aborts.
+        Execution goes through the run's prefix memo and a state is computed
+        once per subset object, so the candidate's subset and state are those
+        of a fresh execution. Raises ExecutionError or StateError when the
+        candidate aborts.
         """
         memo = self.prefixes
         served = memo.served
         self.materializations += 1
         try:
-            subset = execute_recipe(
-                recipe, self.pool, self.signals, self.history.resolve_source, memo
-            )
+            subset = execute_recipe(recipe, self.pool, self.signals, self.resolve_source, memo)
         except ExecutionError as exc:
             self.steps_executed += exc.step_index - (memo.served - served)
             raise
         self.steps_executed += len(recipe) - (memo.served - served)
+        state = self.states.get(subset)
+        if state is None:
+            state = self.states[subset] = compute_state(subset, self.pool, self.signals)
+        else:
+            self.states_reused += 1
         return Candidate(
             recipe=recipe,
             subset=subset,
-            state=memo.state_of(
-                recipe.steps, subset, lambda s: compute_state(s, self.pool, self.signals)
-            ),
+            state=state,
             encoding=encode_recipe(recipe, self.catalog),
         )
 
@@ -765,12 +731,14 @@ class _Runtime:
                 return cand
         return None
 
-    def evaluate(self, step: int, cand: Candidate, is_warmup: bool) -> tuple[EvalRecord, bool]:
-        """One budget unit: cache-aware oracle evaluation plus ledger append.
+    def evaluate(self, cand: Candidate, is_warmup: bool) -> bool:
+        """One budget unit at step ``len(records) + 1``: oracle or cache, then record.
 
-        A non-finite score or ``per_benchmark`` value raises OracleError
-        before it is cached or recorded.
+        Returns True iff the record strictly improves the incumbent. A
+        non-finite score or ``per_benchmark`` value raises OracleError before
+        it is cached or recorded.
         """
+        step = len(self.records) + 1
         subset_hash = cand.subset.content_hash()
         outcome = self.cache.lookup(subset_hash)
         if outcome is None:
@@ -803,17 +771,22 @@ class _Runtime:
             cache_hit=outcome.cache_hit,
             duration_s=outcome.duration_s,
         )
-        improved = self.history.append(record, cand.subset)
+        self.records.append(record)
+        self.subsets.append(cand.subset)
+        improved = self.incumbent_index is None or record.score > self.incumbent().score
+        if improved:
+            self.incumbent_index = len(self.records) - 1
         self.emit(record.to_event())
-        return record, improved
+        return improved
 
 
-def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
+def _run_warmup(rt: _Runtime) -> Recipe:
     """Probe low/medium/high retention bins, then evaluate the three probes.
 
     Probes are drawn from one master-seeded stream, bin by bin; a bin that
     stays empty after the resample cap relaxes to the nearest-ratio draw seen
-    for it. The seed anchor is the best-scoring probe, ties to the earliest.
+    for it. Returns the seed anchor: the best-scoring probe, ties to the
+    earliest, which is the incumbent after the probes.
     """
     config = rt.config
     rng = role_rng(config.master_seed, 0, "warmup")
@@ -841,12 +814,9 @@ def _run_warmup(rt: _Runtime) -> tuple[list[EvalRecord], Recipe]:
             found = nearest[1]
         probes.append(found)
 
-    records = []
-    for i, cand in enumerate(probes, start=1):
-        record, _ = rt.evaluate(i, cand, is_warmup=True)
-        records.append(record)
-    best = max(records, key=lambda r: (r.score, -r.step))
-    return records, best.recipe
+    for cand in probes:
+        rt.evaluate(cand, is_warmup=True)
+    return rt.incumbent().recipe
 
 
 def _bias_to_insert_weights(op_bias: dict[str, float], catalog: Catalog) -> dict[str, float]:
@@ -902,7 +872,7 @@ def _external_contexts(
 ) -> dict[str, str]:
     """The placeholder values of the role prompt templates."""
     config = rt.config
-    records = rt.history.records
+    records = rt.records
     anchor_record = next(
         (r for r in reversed(records) if r.recipe == anchor), None
     )
@@ -922,7 +892,7 @@ def _external_contexts(
         ),
         "n_evaluations": str(len(records)),
         "budget_total": str(config.budget),
-        "best_score": f"{rt.history.incumbent().score:.4f}" if records else "n/a",
+        "best_score": f"{rt.incumbent().score:.4f}" if records else "n/a",
         "phase": "explore" if len(records) < (config.budget + WARMUP_COUNT) // 2 else "exploit",
     }
     if candidates is not None:
@@ -966,12 +936,11 @@ def run_search(
     catalog = catalog or default_catalog(len(pool))
     rt = _Runtime(config, pool, signals, oracle, catalog, sink)
 
-    _, anchor = _run_warmup(rt)
+    anchor = _run_warmup(rt)
     stagnation = 0
+    records = rt.records
 
     for step in range(WARMUP_COUNT + 1, config.budget + 1):
-        records = rt.history.records
-
         guidance = (ask_role(rt, "summarizer", step, anchor)
                     or fallback_summarize(records, catalog))
         rt.emit(guidance.to_event(step))
@@ -996,27 +965,27 @@ def run_search(
             ranking, rank_meta = (ask_role(rt, "ranker", step, anchor, guidance, candidates)
                                   or (fallback_rank(candidates), {}))
 
-        rank_of = {cand_idx: pos for pos, cand_idx in enumerate(ranking)}
-        rt.emit({
-            "type": "candidates",
-            "step": step,
-            "items": [
-                {
-                    "recipe": recipe_to_obj(c.recipe),
-                    "mu": float(c.mu),
-                    "sigma": float(c.sigma),
-                    "retain_ratio": float(c.retain_ratio),
-                    "subset_hash": c.subset.content_hash(),
-                    "rank": rank_of[i],
-                    "chosen": i == ranking[0],
-                }
-                for i, c in enumerate(candidates)
-            ],
-            **({"rank_meta": rank_meta} if any(rank_meta.values()) else {}),
-        })
+        if rt.sink is not None:  # each item hashes its subset
+            rank_of = {cand_idx: pos for pos, cand_idx in enumerate(ranking)}
+            rt.emit({
+                "type": "candidates",
+                "step": step,
+                "items": [
+                    {
+                        "recipe": recipe_to_obj(c.recipe),
+                        "mu": float(c.mu),
+                        "sigma": float(c.sigma),
+                        "retain_ratio": float(c.retain_ratio),
+                        "subset_hash": c.subset.content_hash(),
+                        "rank": rank_of[i],
+                        "chosen": i == ranking[0],
+                    }
+                    for i, c in enumerate(candidates)
+                ],
+                **({"rank_meta": rank_meta} if any(rank_meta.values()) else {}),
+            })
 
-        _, improved = rt.evaluate(step, candidates[ranking[0]], is_warmup=False)
-        if improved:
+        if rt.evaluate(candidates[ranking[0]], is_warmup=False):
             stagnation = 0
         else:
             stagnation += 1
@@ -1037,14 +1006,13 @@ def run_search(
     logger.debug(
         "materializations %d, operator steps executed %d, steps served from the "
         "prefix memo %d, states reused %d",
-        rt.materializations, rt.steps_executed, rt.prefixes.served, rt.prefixes.states_reused,
+        rt.materializations, rt.steps_executed, rt.prefixes.served, rt.states_reused,
     )
-    incumbent = rt.history.incumbent()
-    incumbent_subset = rt.history.subsets[incumbent.step]
+    incumbent = rt.incumbent()
     return SearchResult(
         incumbent_recipe=incumbent.recipe,
-        incumbent_ids=incumbent_subset.ids(),
+        incumbent_ids=rt.subsets[rt.incumbent_index].ids(),
         incumbent_score=incumbent.score,
         incumbent_step=incumbent.step,
-        records=list(rt.history.records),
+        records=rt.records,
     )

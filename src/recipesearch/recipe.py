@@ -163,21 +163,22 @@ def execute_recipe(
     step that fails, or that produces an empty intermediate subset, aborts
     with the 1-based step index.
 
-    ``memo`` optionally maps a step prefix (``recipe.steps[:k]``) to the
-    Subset it produced. Execution then starts after the longest prefix it
-    holds and stores each new prefix. Only the prefix before the first mix
-    step is looked up or stored: a mix source depends on the history.
+    ``memo`` maps a step prefix (``recipe.steps[:k]``) to the Subset it
+    produced; without one, a fresh dict serves this call alone. Execution
+    starts after the longest prefix it holds and stores each new prefix.
+    Only the prefix before the first mix step is looked up or stored: a mix
+    source depends on the history.
     """
+    memo = {} if memo is None else memo
     steps = recipe.steps
     subset = Subset.full(pool)
     start = 0
     mix_free = next((i for i, s in enumerate(steps) if s.operator == MIX), len(steps))
-    if memo is not None:
-        for k in range(mix_free, 0, -1):
-            hit = memo.get(steps[:k])
-            if hit is not None:
-                subset, start = hit, k
-                break
+    for k in range(mix_free, 0, -1):
+        hit = memo.get(steps[:k])
+        if hit is not None:
+            subset, start = hit, k
+            break
     for i in range(start, len(steps)):
         try:
             subset = apply_step(steps[i], subset, signals, resolve_source=resolve_source)
@@ -185,7 +186,7 @@ def execute_recipe(
             raise ExecutionError(i + 1, str(exc)) from exc
         if len(subset) == 0:
             raise ExecutionError(i + 1, "empty intermediate subset")
-        if memo is not None and i < mix_free:
+        if i < mix_free:
             memo[steps[: i + 1]] = subset
     return subset
 

@@ -30,13 +30,12 @@ def write_synthetic_dataset(
     sae_dim: int = 64,
     benchmarks: tuple[str, ...] = ("gsm8k", "bbh"),
     seed: int = 0,
-    features_per_sample: tuple[int, int] = (2, 6),
 ) -> tuple[str, str, str]:
     """Write pool.jsonl, signals.jsonl and targets.json; returns their paths.
 
     Instructions and responses are short random word strings (so token counts
     and entropies vary), scalar signals are positive lognormals, and every
-    sample activates at least one sparse feature.
+    sample activates two to six sparse features.
     """
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
@@ -45,7 +44,6 @@ def write_synthetic_dataset(
     signals_path = out / "signals.jsonl"
     targets_path = out / "targets.json"
 
-    lo, hi = features_per_sample
     with open(pool_path, "w", encoding="utf-8") as pf, open(
         signals_path, "w", encoding="utf-8"
     ) as sf:
@@ -61,7 +59,7 @@ def write_synthetic_dataset(
                 "source": _SOURCES[int(rng.integers(0, len(_SOURCES)))],
             }
             pf.write(json.dumps(rec, sort_keys=True) + "\n")
-            n_feat = int(rng.integers(lo, hi + 1))
+            n_feat = int(rng.integers(2, 7))
             feats = np.sort(rng.choice(sae_dim, size=n_feat, replace=False))
             values = np.round(rng.uniform(0.1, 2.0, size=n_feat), 4)
             sig = {
@@ -90,14 +88,12 @@ def make_synthetic_pool(
     sae_dim: int = 64,
     benchmarks: tuple[str, ...] = ("gsm8k", "bbh"),
     seed: int = 0,
-    work_dir: str | None = None,
 ) -> tuple[CanonicalPool, SignalTable]:
     """Generate and load a synthetic pool through the real ingestion path.
 
-    The files go to ``work_dir``, or to a temporary directory that is removed
-    once they are loaded.
+    The files go to a temporary directory that is removed once they are loaded.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_synthetic_dataset(work_dir or tmp, n_samples, sae_dim, benchmarks, seed)
+        paths = write_synthetic_dataset(tmp, n_samples, sae_dim, benchmarks, seed)
         pool = load_pool(paths[0])
         return pool, load_signals(paths[1], paths[2], pool)

@@ -25,7 +25,7 @@ from recipesearch.controller import (
     state_correlations,
     strip_json_payload,
 )
-from recipesearch.operators import MIX, OperatorSpec, default_catalog
+from recipesearch.operators import MIX, OperatorSpec, Subset, default_catalog
 from recipesearch.oracle import OracleError, SyntheticOracle, SyntheticOracleSpec
 from recipesearch.recipe import (
     DEFAULT_L_MAX,
@@ -35,6 +35,7 @@ from recipesearch.recipe import (
     execute_recipe,
     propose_local_edits,
     sample_random_recipe,
+    validate_recipe,
 )
 from recipesearch.state import StateError, StateVector, compute_state
 from recipesearch.synthetic import make_synthetic_pool
@@ -119,7 +120,8 @@ FR = ("ifd_topfrac", {"fraction": 0.5})
 def run_warmup(config, pool, signals, oracle):
     """The three warmup probes of a run, and its initial seed anchor."""
     rt = controller._Runtime(config, pool, signals, oracle, default_catalog(len(pool)), None)
-    return controller._run_warmup(rt)
+    anchor = controller._run_warmup(rt)
+    return rt.records, anchor
 
 
 class TestWarmup:
@@ -220,6 +222,22 @@ class TestSearchStructure:
         assert len(evals) == 12
         assert oracle.calls + cache_hits == 12
         assert oracle.calls <= 12
+
+    def test_search_without_a_sink_hashes_only_the_subsets_it_evaluates(self, monkeypatch):
+        # a sink's candidates events hash every candidate; without a sink none is built
+        pool, signals = make_synthetic_pool(n_samples=2000, sae_dim=32, seed=7)
+        digests = []
+        real_hash = Subset.content_hash
+
+        def counting_hash(subset):
+            digests.append(subset._digest is None)
+            return real_hash(subset)
+
+        monkeypatch.setattr(Subset, "content_hash", counting_hash)
+        result = run_search(SearchConfig(budget=15, master_seed=1), pool, signals,
+                            constant_oracle())
+        assert len(result.records) == 15
+        assert sum(digests) <= 15
 
     def test_incumbent_monotone(self, small_pool):
         pool, signals = small_pool
@@ -840,7 +858,7 @@ def test_state_correlations_drop_equal_scores_without_a_warning():
 def fresh_outcome(rt, recipe):
     """A recipe's subset and state from an execution without the memo, or its abort."""
     try:
-        subset = execute_recipe(recipe, rt.pool, rt.signals, rt.history.resolve_source)
+        subset = execute_recipe(recipe, rt.pool, rt.signals, rt.resolve_source)
         return subset, compute_state(subset, rt.pool, rt.signals)
     except (ExecutionError, StateError) as exc:
         return exc
@@ -888,12 +906,12 @@ def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capaci
     seen = [sample_random_recipe(catalog, np.random.default_rng(seed))]
     last_cand = rt.try_materialize(seen[0])
     if last_cand is not None:  # so that a mix step can resolve from the start
-        rt.evaluate(1, last_cand, is_warmup=False)
+        rt.evaluate(last_cand, is_warmup=False)
     for kind, value in actions:
         rng = np.random.default_rng(value)
         if kind == "evaluate":
             if last_cand is not None:
-                rt.evaluate(len(rt.history) + 1, last_cand, is_warmup=False)
+                rt.evaluate(last_cand, is_warmup=False)
             continue
         if kind == "edit":
             try:
@@ -920,3 +938,18 @@ def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capaci
             assert actual.state.to_dict() == want_state.to_dict()
             assert actual.subset.content_hash() == want_subset.content_hash()
             last_cand = actual
+
+
+def test_an_eval_source_too_long_for_int_aborts_as_unresolvable(small_pool):
+    pool, signals = small_pool
+    catalog = default_catalog(len(pool))
+    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
+                             catalog, None)
+    rt.evaluate(rt.materialize(Recipe((OperatorSpec(*FR),))), is_warmup=False)
+    # valid by the grammar, but int() refuses more than 4300 digits
+    source = "eval:" + "1" * 5000
+    recipe = Recipe((OperatorSpec(*FR), OperatorSpec(MIX, {"source": source})))
+    assert validate_recipe(recipe, catalog) == []
+    with pytest.raises(ExecutionError, match="unresolvable mix source"):
+        rt.materialize(recipe)
+    assert rt.try_materialize(recipe) is None
