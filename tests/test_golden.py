@@ -14,7 +14,8 @@ counts the operator steps applied, and checks that the memo spared some.
 grid of pools, cluster counts, thresholds and seeds; ``semdedup_grid.py``
 wrote it and recomputes it here. ``manifests/`` pins the manifest and
 pool-digest bytes of a pool of awkward text; ``manifests.py`` wrote it and
-recomputes it here.
+recomputes it here. ``reports/`` pins the five CSV tables of ``report`` over
+the three golden ledgers, named by their paths from the repository root.
 """
 
 from __future__ import annotations
@@ -113,6 +114,17 @@ def test_golden_runs_take_prefixes_from_the_memo(synth_files, tmp_path, monkeypa
         f"materializations {len(reached)}, operator steps executed {len(applied)}, "
         f"steps served from the prefix memo {sum(reached) - len(applied)}, states reused "
     )
+
+
+def test_report_tables_match_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN.parent.parent)  # the tables name each ledger as given
+    ledgers = [f"tests/golden/{name}.jsonl" for name in CASES]
+    assert main(["report", *ledgers, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    expected = sorted(p.name for p in (GOLDEN / "reports").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "reports" / name).read_bytes(), name
 
 
 def _load_golden_module(name: str):
