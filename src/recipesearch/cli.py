@@ -23,7 +23,9 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,24 +136,42 @@ class RunLedger:
         self._fh.close()
 
 
-def _readable_eval(event: dict) -> bool:
-    """Whether an eval line holds everything the reports read from it."""
-    if not all(type(event.get(k)) in (int, float) for k in ("score", "step", "subset_size")):
-        return False
-    try:
-        float(event["score"])  # OverflowError for an integer too large for a float
-        state_from_dict(event["state"])
-        return all(type(s["operator"]) is str for s in event["recipe"]["steps"])
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-        return False
+class EvalRow(NamedTuple):
+    """What the reports read from one eval line.
 
-
-def read_ledger(path: str) -> tuple[list[dict], int]:
-    """Parse a ledger; corrupt lines are skipped and counted.
-
-    A line is corrupt when it is not one JSON object, or when it is an eval
-    line the reports cannot read (see :func:`_readable_eval`).
+    ``step``, ``score`` and ``subset_size`` are the JSON values as parsed, so
+    the tables print them as the ledger holds them (``1`` or ``1.0``).
     """
+
+    step: int | float
+    score: int | float
+    subset_size: int | float
+    fields: dict[str, float]  # StateVector.flat_fields() of the line's state
+    operators: list[str]
+
+
+def _eval_row(event: dict) -> EvalRow:
+    """The row of one eval line; any exception marks the line unreadable."""
+    row = EvalRow(
+        event["step"], event["score"], event["subset_size"],
+        state_from_dict(event["state"]).flat_fields(),
+        [s["operator"] for s in event["recipe"]["steps"]],
+    )
+    if any(type(v) not in (int, float) for v in row[:3]) or any(
+        type(op) is not str for op in row.operators
+    ):
+        raise TypeError("eval line field of the wrong type")
+    float(row.score)  # OverflowError for an integer too large for a float
+    return row
+
+
+def read_ledger(path: str) -> tuple[list[EvalRow], list[dict], int]:
+    """Parse a ledger into eval rows, the other events, and a count of corrupt lines.
+
+    A line is corrupt, and skipped, when it is not one JSON object, or when
+    it is an eval line the reports cannot read (see :func:`_eval_row`).
+    """
+    rows: list[EvalRow] = []
     events: list[dict] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -161,15 +181,14 @@ def read_ledger(path: str) -> tuple[list[dict], int]:
                 continue
             try:
                 event = json.loads(line)
-            except (ValueError, RecursionError):
-                event = None
-            if isinstance(event, dict) and (event.get("type") != "eval" or _readable_eval(event)):
-                events.append(event)
-            else:
+                if event.get("type") == "eval":
+                    rows.append(_eval_row(event))
+                else:
+                    events.append(event)
+            except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+                    ValueError):
                 skipped += 1
-    if skipped:
-        logger.warning("%s: skipped %d corrupt ledger line(s)", path, skipped)
-    return events, skipped
+    return rows, events, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +343,10 @@ def cmd_exec(args) -> int:
     except RecipeValidationError as exc:
         raise _recipe_rejected(1, exc.violations) from exc
     recipe = _apply_seed_overrides(recipe, args.seeds)
+    # --seeds overrides get the checks that seeds in the recipe file get
+    violations = validate_recipe(recipe, catalog, args.l_max)
+    if violations:
+        raise _recipe_rejected(1, violations)
     try:
         subset = execute_recipe(recipe, pool, signals)
         state = compute_state(subset, pool, signals)
@@ -544,114 +567,69 @@ GAP_AREA_NOTE = (
 )
 
 
-def _eval_rows(events: list[dict]) -> list[dict]:
-    return [e for e in events if e.get("type") == "eval"]
-
-
-def _best_so_far(scores: list[float]) -> list[float]:
-    best: list[float] = []
-    cur = -float("inf")
-    for s in scores:
-        cur = max(cur, s)
-        best.append(cur)
-    return best
-
-
-def gap_area(scores: list[float], start: int, end: int) -> float:
-    """Summed positive gap between the running best and each raw score."""
-    best = _best_so_far(scores)
-    total = 0.0
-    for step in range(start, min(end, len(scores)) + 1):
-        total += max(0.0, best[step - 1] - scores[step - 1])
-    return total
-
-
-def _ledger_summary(path: str, events: list[dict]) -> dict:
-    rows = _eval_rows(events)
-    scores = [r["score"] for r in rows]
-    n = len(scores)
-    window_start = min(WARMUP_COUNT + 1, n) if n else 1
-    return {
-        "ledger": path,
-        "records": n,
-        "best": max(scores) if scores else float("nan"),
-        "mean": float(np.mean(scores)) if scores else float("nan"),
-        "best_post_warmup": max(scores[WARMUP_COUNT:]) if n > WARMUP_COUNT else float("nan"),
-        "gap_area_post_warmup": gap_area(scores, window_start, n) if scores else 0.0,
-        "reseeds": sum(1 for e in events if e.get("type") == "reseed"),
-        "assistant_failures": sum(1 for e in events if e.get("type") == "assistant_failure"),
-    }
+def _write_csv(path: Path, header: list[str], rows, note: str | None = None) -> None:
+    """One report table; ``note`` goes first, as a ``#`` line."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if note:
+            fh.write(f"# {note}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_report(args) -> int:
-    all_rows: dict[str, list[dict]] = {}
-    summaries = []
-    skipped_total = 0
+    ledgers = []
     for path in args.ledgers:
         try:
-            events, skipped = read_ledger(path)
+            rows, events, skipped = read_ledger(path)
         except (OSError, UnicodeDecodeError) as exc:
             raise CommandError(1, f"ingestion failed: ledger {path}: {exc}") from exc
-        skipped_total += skipped
-        all_rows[path] = _eval_rows(events)
-        summaries.append(_ledger_summary(path, events))
+        if skipped:
+            print(f"warning: {path}: skipped {skipped} corrupt ledger line(s)", file=sys.stderr)
+        ledgers.append((path, rows, events))
+
+    curves, scatter, motifs, correlations, comparison = [], [], [], [], []
+    for path, rows, events in ledgers:
+        scores = [r.score for r in rows]
+        best = list(accumulate(scores, max, initial=-math.inf))[1:]
+        curves += ([path, r.step, r.score, b] for r, b in zip(rows, best))
+        scatter += ([path, r.step, r.subset_size, r.fields["retain_ratio"], r.score]
+                    for r in rows)
+        _, pairs = tertile_counts([(r.score, r.step, r.operators) for r in rows])
+        motifs += sorted(
+            ([path, f"{a}->{b}", top, bottom, top - bottom]
+             for (a, b), (top, bottom) in pairs.items()),
+            key=lambda t: (-t[4], t[1]),
+        )
+        correlations += ([path, name, rho] for name, rho in
+                         state_correlations([r.fields for r in rows], scores))
+        # the gap window starts after warmup, or at the last eval of a shorter ledger
+        start = min(WARMUP_COUNT, max(len(rows) - 1, 0))
+        gap_area = 0.0
+        for b, s in zip(best[start:], scores[start:]):
+            # a running sum: sum() of floats is compensated from Python 3.12 on
+            gap_area += max(0.0, b - s)
+        comparison.append([
+            path, len(rows), max(scores, default=math.nan),
+            float(np.mean(scores)) if scores else math.nan,
+            max(scores[WARMUP_COUNT:], default=math.nan), gap_area,
+            sum(e.get("type") == "reseed" for e in events),
+            sum(e.get("type") == "assistant_failure" for e in events),
+        ])
+
     out_dir = Path(args.out_dir)
     with _output(out_dir):
-        with open(out_dir / "curves.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ledger", "step", "score", "best_so_far"])
-            for path, rows in all_rows.items():
-                best = _best_so_far([r["score"] for r in rows])
-                for row, b in zip(rows, best):
-                    writer.writerow([path, row["step"], row["score"], b])
-
-        with open(out_dir / "scatter.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ledger", "step", "subset_size", "retain_ratio", "score"])
-            for path, rows in all_rows.items():
-                for row in rows:
-                    writer.writerow([
-                        path, row["step"], row["subset_size"],
-                        row["state"]["retain_ratio"], row["score"],
-                    ])
-
-        with open(out_dir / "motifs.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ledger", "pair", "top_count", "bottom_count", "delta"])
-            for path, rows in all_rows.items():
-                _, pairs = tertile_counts([
-                    (r["score"], r["step"], [s["operator"] for s in r["recipe"]["steps"]])
-                    for r in rows
-                ])
-                table = sorted(
-                    ((f"{a}->{b}", top, bottom, top - bottom)
-                     for (a, b), (top, bottom) in pairs.items()),
-                    key=lambda t: (-t[3], t[0]),
-                )
-                for row in table:
-                    writer.writerow([path, *row])
-
-        with open(out_dir / "state_correlations.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ledger", "field", "spearman"])
-            for path, rows in all_rows.items():
-                fields = [state_from_dict(r["state"]).flat_fields() for r in rows]
-                for name, rho in state_correlations(fields, [r["score"] for r in rows]):
-                    writer.writerow([path, name, rho])
-
-        with open(out_dir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {GAP_AREA_NOTE}\n")
-            writer = csv.writer(fh)
-            columns = [
-                "ledger", "records", "best", "mean", "best_post_warmup",
-                "gap_area_post_warmup", "reseeds", "assistant_failures",
-            ]
-            writer.writerow(columns)
-            for summary in summaries:
-                writer.writerow([summary[c] for c in columns])
-
-    if skipped_total:
-        print(f"warning: skipped {skipped_total} corrupt ledger line(s)", file=sys.stderr)
+        _write_csv(out_dir / "curves.csv", ["ledger", "step", "score", "best_so_far"], curves)
+        _write_csv(out_dir / "scatter.csv",
+                   ["ledger", "step", "subset_size", "retain_ratio", "score"], scatter)
+        _write_csv(out_dir / "motifs.csv",
+                   ["ledger", "pair", "top_count", "bottom_count", "delta"], motifs)
+        _write_csv(out_dir / "state_correlations.csv", ["ledger", "field", "spearman"],
+                   correlations)
+        _write_csv(out_dir / "comparison.csv", [
+            "ledger", "records", "best", "mean", "best_post_warmup",
+            "gap_area_post_warmup", "reseeds", "assistant_failures",
+        ], comparison, note=GAP_AREA_NOTE)
     print(f"reports in {out_dir}")
     return 0
 

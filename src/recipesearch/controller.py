@@ -301,7 +301,9 @@ def state_correlations(
 ) -> list[tuple[str, float]]:
     """Spearman rho of each varying flat state field with score, strongest first.
 
-    ``fields`` holds one ``StateVector.flat_fields()`` mapping per evaluation.
+    ``fields`` holds one ``StateVector.flat_fields()`` mapping per evaluation;
+    only the fields every mapping has are correlated, so a ledger joining
+    runs over pools with different benchmarks keeps its common fields.
     Needs three evaluations and non-constant scores; fields that never vary
     or give a non-finite rho are left out. Ties in |rho| go to the field name.
     The scores and the varying fields are ranked in one call and correlated
@@ -312,7 +314,7 @@ def state_correlations(
     # the std alone misses equal scores whose float std is above 0 (three of 0.1)
     if len(scores) < 3 or scores.std() == 0 or scores.max() == scores.min():
         return []
-    names = sorted(fields[0])
+    names = sorted(set(fields[0]).intersection(*fields[1:]))
     table = np.array([[f[name] for name in names] for f in fields], dtype=np.float64)
     varying = table.max(axis=0) != table.min(axis=0)
     if not varying.any():

@@ -104,12 +104,20 @@ def run_command(
     return proc, ""
 
 
+def _json_number(value) -> float:
+    """``float(value)`` of a JSON number; a string or a boolean raises TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 class CommandOracle:
     """Adapter for an external evaluation command.
 
     Contract: ``argv = command + [manifest_path]``; stdout carries one JSON
-    object ``{"score": number, "per_benchmark": object?}``; exit 0 on
-    success; higher scores are better.
+    object ``{"score": number, "per_benchmark": object?}`` whose score and
+    per-benchmark values are JSON numbers, never strings or booleans; exit 0
+    on success; higher scores are better.
     """
 
     def __init__(
@@ -139,10 +147,10 @@ class CommandOracle:
             )
         try:
             doc = json.loads(proc.stdout.strip().splitlines()[-1])
-            score = float(doc["score"])
+            score = _json_number(doc["score"])
             per_benchmark = doc.get("per_benchmark")
             if per_benchmark is not None:
-                per_benchmark = {str(k): float(v) for k, v in per_benchmark.items()}
+                per_benchmark = {str(k): _json_number(v) for k, v in per_benchmark.items()}
         except (AttributeError, IndexError, KeyError, TypeError, ValueError,
                 OverflowError, RecursionError) as exc:
             raise OracleError(

@@ -9,12 +9,9 @@ loop.
 from __future__ import annotations
 
 import json
-import tempfile
 from pathlib import Path
 
 import numpy as np
-
-from .pool import CanonicalPool, SignalTable, load_pool, load_signals
 
 _VOCAB = (
     "solve compute explain graph prove integer matrix prime sum list sort the a an "
@@ -82,18 +79,3 @@ def write_synthetic_dataset(
 
     return str(pool_path), str(signals_path), str(targets_path)
 
-
-def make_synthetic_pool(
-    n_samples: int = 200,
-    sae_dim: int = 64,
-    benchmarks: tuple[str, ...] = ("gsm8k", "bbh"),
-    seed: int = 0,
-) -> tuple[CanonicalPool, SignalTable]:
-    """Generate and load a synthetic pool through the real ingestion path.
-
-    The files go to a temporary directory that is removed once they are loaded.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_synthetic_dataset(tmp, n_samples, sae_dim, benchmarks, seed)
-        pool = load_pool(paths[0])
-        return pool, load_signals(paths[1], paths[2], pool)

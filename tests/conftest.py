@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
 
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.synthetic import write_synthetic_dataset
+
+
+def make_synthetic_pool(n_samples=200, sae_dim=64, seed=0):
+    """A synthetic pool and its signals, loaded through the real ingestion path.
+
+    The files go to a temporary directory that is removed once they are loaded.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_synthetic_dataset(tmp, n_samples, sae_dim, seed=seed)
+        pool = load_pool(paths[0])
+        return pool, load_signals(paths[1], paths[2], pool)
 
 
 def write_jsonl(path, rows):

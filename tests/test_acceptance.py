@@ -37,9 +37,8 @@ from recipesearch.oracle import (
 from recipesearch.recipe import Recipe, encode_recipe, execute_recipe
 from recipesearch.state import compute_state
 from recipesearch.surrogate import fit_gp, predict_gp
-from recipesearch.synthetic import make_synthetic_pool
 
-from conftest import TINY_TARGETS
+from conftest import TINY_TARGETS, make_synthetic_pool
 from test_pool import ingested_entropy
 from test_surrogate import (
     TWO_POINT_MU_AT_X1,

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -695,6 +697,9 @@ FAILURES = {
                       1, "recipe rejected:\n  - 1 seed override(s) for 2 stochastic step(s)"),
     "negative_seed": (lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "7", "-1"),
                       1, "recipe rejected:\n  - seed overrides must be nonnegative"),
+    "seed_override_out_of_range": (
+        lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "7", "9" * 400),
+        1, "recipe rejected:\n  - step 4: random_k: seed out of range"),
     "execution_aborted": (
         lambda f, t: exec_argv(f, t, {"steps": [{"operator": "semdedup", "params": {
             "n_clusters": 5000, "tau": 0.9, "seed": 0}}]}),
@@ -736,6 +741,16 @@ FAILURES = {
     "run_score_too_large_for_a_float": (
         lambda f, t: run_argv("run", f, t / "out",
                               *printing_scorer(t, '{"score": 1%s}' % ("0" * 400))),
+        1, "run aborted: unparsable evaluation output"),
+    "run_string_score": (
+        lambda f, t: run_argv("run", f, t / "out", *printing_scorer(t, '{"score": "0.5"}')),
+        1, "run aborted: unparsable evaluation output"),
+    "run_boolean_score": (
+        lambda f, t: run_argv("run", f, t / "out", *printing_scorer(t, '{"score": true}')),
+        1, "run aborted: unparsable evaluation output"),
+    "run_boolean_per_benchmark": (
+        lambda f, t: run_argv("run", f, t / "out", *printing_scorer(
+            t, '{"score": 0.5, "per_benchmark": {"g": true}}')),
         1, "run aborted: unparsable evaluation output"),
     "run_nan_per_benchmark": (
         lambda f, t: run_argv("run", f, t / "out", *printing_scorer(
@@ -882,16 +897,49 @@ class TestReport:
         assert table["ngram_topfrac->mona_filter"]["delta"] == "2"
         assert table["semdedup->random_k"]["delta"] == "-1"
 
-    def test_corrupt_line_skipped_with_warning(self, tmp_path, capsys):
+    def test_corrupt_line_skipped_with_warning(self, tmp_path):
         ledger = tmp_path / "bad.jsonl"
         rows = [{"type": "header", "run_id": "b"},
                 handmade_eval(1, 1.0, ["ifd_topfrac"])]
         write_jsonl(ledger, rows)
         with open(ledger, "a") as fh:
             fh.write("{not json\n")
+        # a child process, so the warning meets the CLI's own logging set-up
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "recipesearch.cli", "report", str(ledger),
+             "--out-dir", str(tmp_path / "rep")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [f"warning: {ledger}: skipped 1 corrupt ledger line(s)"]
+
+    def test_state_parsed_once_per_eval_line(self, tmp_path, monkeypatch):
+        ledger = tmp_path / "once.jsonl"
+        write_jsonl(ledger, [{"type": "header", "run_id": "o"}]
+                    + [handmade_eval(i, float(i % 4), ["ifd_topfrac"]) for i in range(1, 7)])
+        calls = []
+        real = cli.state_from_dict
+        monkeypatch.setattr(cli, "state_from_dict", lambda doc: calls.append(1) or real(doc))
+        assert main(["report", str(ledger), "--out-dir", str(tmp_path / "rep")]) == 0
+        assert len(calls) == 6
+
+    def test_mixed_benchmark_ledger_correlates_the_common_fields(self, tmp_path):
+        # two runs over pools with different benchmarks, joined into one file
+        ledger = tmp_path / "joined.jsonl"
+        rows = []
+        for run, bench in (("a", "gsm8k"), ("b", "mmlu")):
+            rows.append({"type": "header", "run_id": run})
+            for step in range(1, 4):
+                row = handmade_eval(step, float(step), ["ifd_topfrac"], retain=step / 10)
+                row["state"]["score_per_task"] = {bench: step / 10}
+                rows.append(row)
+        write_jsonl(ledger, rows)
         out_dir = tmp_path / "rep"
         assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
-        assert "skipped 1 corrupt ledger line" in capsys.readouterr().err
+        with open(out_dir / "state_correlations.csv") as fh:
+            fields = [r["field"] for r in csv.DictReader(fh)]
+        assert fields == ["retain_ratio", "token_ratio"]
 
     @pytest.mark.parametrize("line", [
         {"type": "eval", "step": 1},

@@ -38,7 +38,8 @@ from recipesearch.recipe import (
     validate_recipe,
 )
 from recipesearch.state import StateError, StateVector, compute_state
-from recipesearch.synthetic import make_synthetic_pool
+
+from conftest import make_synthetic_pool
 
 
 @pytest.fixture(scope="module")
