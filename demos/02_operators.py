@@ -27,10 +27,10 @@ def main():
     full = Subset.full(pool)
     print(f"full pool: {len(full)} samples")
 
-    # scalar-signal selectors are one routine over different columns
+    # scalar-signal selectors are one routine over the load-time ranks of
+    # different columns (rank 0 is the highest score)
     for column in ("ifd", "varentropy", "ngram_entropy", "ao"):
-        scores = getattr(signals, column)[full.positions]
-        kept = apply_top_fraction(full, scores, 0.3)
+        kept = apply_top_fraction(full, getattr(signals, f"{column}_rank"), 0.3)
         print(f"top 30% by {column:14s} -> {len(kept):3d} samples "
               f"(first ids: {', '.join(kept.ids()[:4])})")
 

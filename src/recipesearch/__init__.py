@@ -40,6 +40,7 @@ from .pool import (
     PoolError,
     Sample,
     SignalTable,
+    descending_rank,
     load_pool,
     load_signals,
 )

@@ -76,7 +76,6 @@ from .recipe import (
 )
 from .state import StateError, compute_state, flat_field_names, state_from_dict
 
-logger = logging.getLogger(__name__)
 
 ENV_ASSISTANT_PREFIX = "RECIPESEARCH_ASSISTANT_CMD"
 
@@ -314,7 +313,6 @@ def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
     if any(s < 0 for s in seeds):
         raise _recipe_rejected(1, ["seed overrides must be nonnegative integers"])
     if not stochastic:
-        logger.warning("recipe has no stochastic steps; seed overrides ignored")
         print("warning: recipe has no stochastic steps; seed overrides ignored",
               file=sys.stderr)
         return recipe

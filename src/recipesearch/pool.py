@@ -98,6 +98,12 @@ class SignalTable:
     Pool-level reference statistics (pool SNAR, pool signal means, the full
     sample-by-benchmark relevance matrix) are computed once here because the
     pool is fixed for the lifetime of a search.
+
+    The ``*_rank`` fields, which the selectors read, are derived from the
+    columns in ``__post_init__`` and never passed: the
+    :func:`descending_rank` of each selector column, and ``relevance_rank``,
+    the ``(n_benchmarks, n)`` ranks of the relevance columns. A table made
+    with ``dataclasses.replace`` therefore ranks its own columns.
     """
 
     sae_dim: int
@@ -113,6 +119,38 @@ class SignalTable:
     pool_snar: np.ndarray                # per-feature activation rate of the pool
     pool_mean_ifd: float
     pool_mean_varentropy: float
+    ifd_rank: np.ndarray = field(init=False, repr=False)
+    varentropy_rank: np.ndarray = field(init=False, repr=False)
+    ngram_entropy_rank: np.ndarray = field(init=False, repr=False)
+    ao_rank: np.ndarray = field(init=False, repr=False)
+    relevance_rank: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("ifd", "varentropy", "ngram_entropy", "ao"):
+            object.__setattr__(self, f"{name}_rank", descending_rank(getattr(self, name)))
+        n, n_benchmarks = self.relevance.shape
+        ranks = np.empty((n_benchmarks, n), dtype=np.int64)
+        for j in range(n_benchmarks):
+            ranks[j] = descending_rank(self.relevance[:, j])
+        ranks.setflags(write=False)
+        object.__setattr__(self, "relevance_rank", ranks)
+
+
+def descending_rank(scores: np.ndarray) -> np.ndarray:
+    """Each score's place in a stable descending sort: 0 is the highest.
+
+    Equal scores (``0.0`` and ``-0.0`` among them) go to the earlier
+    position, so the ``k`` smallest ranks of any rows are the rows a stable
+    descending sort of their scores puts first. Returns a read-only int64
+    array; NaN scores are rejected.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise PoolError("NaN in a ranked score column")
+    rank = np.empty(scores.size, dtype=np.int64)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(scores.size)
+    rank.setflags(write=False)
+    return rank
 
 
 def _unigram_entropy(samples) -> np.ndarray:

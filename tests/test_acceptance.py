@@ -34,6 +34,7 @@ from recipesearch.oracle import (
     SyntheticOracleSpec,
     evaluate_synthetic,
 )
+from recipesearch.pool import descending_rank
 from recipesearch.recipe import Recipe, encode_recipe, execute_recipe
 from recipesearch.state import compute_state
 from recipesearch.surrogate import fit_gp, predict_gp
@@ -157,8 +158,8 @@ def test_c2_operator_formula_suite(pool200, tiny, tmp_path, announce):
         pool, signals = pool200
         for alpha, n in ((0.30, 10), (0.5, 7), (1.0, 13), (0.07, 25)):
             subset = Subset(np.arange(n), pool)
-            scores = signals.ifd[subset.positions]
-            assert len(apply_top_fraction(subset, scores, alpha)) == math.ceil(alpha * n)
+            rank = descending_rank(signals.ifd)
+            assert len(apply_top_fraction(subset, rank, alpha)) == math.ceil(alpha * n)
         # mix is union with dedup by id
         u = apply_mix(Subset(np.arange(0, 4), pool), Subset(np.arange(2, 6), pool))
         assert len(u) == 6

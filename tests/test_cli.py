@@ -170,18 +170,23 @@ class TestExec:
             "token_ratio", "distribution_drift", "mean_ifd", "mean_varentropy",
         }
 
-    def test_deterministic_recipe_warns_on_seeds(self, synth_files, tmp_path, capsys):
+    def test_deterministic_recipe_warns_on_seeds(self, synth_files, tmp_path):
         recipe_path = tmp_path / "det.json"
         recipe_path.write_text(json.dumps({
             "steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]
         }))
         out = tmp_path / "det.jsonl"
-        code = main(
-            ["exec"] + data_args(synth_files)
-            + ["--recipe", str(recipe_path), "--out", str(out), "--seeds", "42"]
+        # a child process, so the warning meets the CLI's own logging set-up
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "recipesearch.cli", "exec", *data_args(synth_files),
+             "--recipe", str(recipe_path), "--out", str(out), "--seeds", "42"],
+            env=env, capture_output=True, text=True, timeout=120,
         )
-        assert code == 0
-        assert "seed overrides ignored" in capsys.readouterr().err
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: recipe has no stochastic steps; seed overrides ignored"
+        ]
 
     def test_seed_count_mismatch_names_steps(self, synth_files, tmp_path, capsys):
         recipe_path = tmp_path / "recipe.json"

@@ -27,7 +27,7 @@ from recipesearch.operators import (
     semdedup_greedy_pass,
     validate_spec,
 )
-from recipesearch.pool import PoolError, load_pool, load_signals
+from recipesearch.pool import PoolError, descending_rank, load_pool, load_signals
 
 from conftest import write_jsonl
 
@@ -43,7 +43,7 @@ class TestTopSelectors:
         pool, signals = synth
         subset = Subset(np.arange(10), pool)
         scores = signals.ifd[subset.positions]
-        out = apply_top_fraction(subset, scores, 0.30)
+        out = apply_top_fraction(subset, descending_rank(signals.ifd), 0.30)
         assert len(out) == 3  # ceil(0.3 * 10)
         expected = brute_force_top(subset.ids(), list(scores), 3)
         assert sorted(out.ids()) == expected
@@ -51,40 +51,46 @@ class TestTopSelectors:
     def test_fraction_identity(self, tiny):
         pool, _ = tiny
         subset = Subset.full(pool)
-        out = apply_top_fraction(subset, np.array([1.0, 2.0, 3.0, 4.0]), 1.0)
+        out = apply_top_fraction(subset, descending_rank(np.array([1.0, 2.0, 3.0, 4.0])), 1.0)
         assert out.ids() == subset.ids()
 
     def test_fraction_tie_break_pool_order(self, tiny):
         pool, _ = tiny
         subset = Subset.full(pool)
-        out = apply_top_fraction(subset, np.zeros(4), 0.5)
+        out = apply_top_fraction(subset, descending_rank(np.zeros(4)), 0.5)
         assert out.ids() == ["a", "b"]
 
     def test_empty_subset_rejected(self, tiny):
         pool, _ = tiny
         with pytest.raises(OperatorError, match="empty input subset"):
-            apply_top_fraction(Subset(np.empty(0, np.int64), pool), np.empty(0), 0.5)
+            apply_top_fraction(Subset(np.empty(0, np.int64), pool),
+                               descending_rank(np.zeros(4)), 0.5)
 
     def test_fraction_monotone_nesting(self, synth):
         pool, signals = synth
         subset = Subset.full(pool)
-        scores = signals.ngram_entropy
+        rank = descending_rank(signals.ngram_entropy)
         prev = set()
         for alpha in (0.1, 0.25, 0.5, 0.75, 1.0):
-            cur = set(apply_top_fraction(subset, scores[subset.positions], alpha).ids())
+            cur = set(apply_top_fraction(subset, rank, alpha).ids())
             assert prev <= cur
             prev = cur
 
     def test_nan_scores_rejected(self, tiny):
-        pool, _ = tiny
+        pool, signals = tiny
         scores = np.array([1.0, np.nan, 0.5, 2.0])
-        with pytest.raises(OperatorError, match="NaN"):
-            apply_top_fraction(Subset.full(pool), scores, 0.5)
+        with pytest.raises(PoolError, match="NaN"):
+            descending_rank(scores)
+        with pytest.raises(PoolError, match="NaN"):
+            dataclasses.replace(signals, ao=scores)
 
     def test_scores_must_align_with_subset(self, tiny):
         pool, _ = tiny
-        with pytest.raises(OperatorError, match="scores of shape"):
-            apply_top_fraction(Subset.full(pool), np.zeros(3), 0.5)
+        with pytest.raises(OperatorError, match="rank of .* shape"):
+            apply_top_fraction(Subset.full(pool), descending_rank(np.zeros(3)), 0.5)
+        # pool-length scores in place of their ranks
+        with pytest.raises(OperatorError, match="integer ranks"):
+            apply_top_fraction(Subset.full(pool), np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
 
 
 def stable_argsort_top(positions, scores, keep):
@@ -109,6 +115,27 @@ FRACTIONS = st.sampled_from([1e-9, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
 
 
 class TestSelectorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(TIED_SCORES | st.sampled_from([0.0, -0.0])
+                        | st.floats(allow_nan=False), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    @example(values=[0.0, -0.0, 0.0, -0.0, 0.0], data=None)  # equal under comparison
+    @example(values=[-np.inf, np.inf, 1.0, np.inf, -np.inf], data=None)
+    @example(values=[1.5], data=None)  # one row
+    def test_descending_rank_matches_stable_argsort(self, values, data):
+        scores = np.array(values)
+        rank = descending_rank(scores)
+        # reference: Python's stable sort of the row numbers on -score
+        expected = np.empty(len(values), dtype=np.int64)
+        expected[sorted(range(len(values)), key=lambda i: -values[i])] = range(len(values))
+        assert rank.dtype == np.int64 and not rank.flags.writeable
+        assert np.array_equal(rank, expected)
+        where = 0 if data is None else data.draw(st.integers(0, len(values)))
+        with pytest.raises(PoolError, match="NaN"):
+            descending_rank(np.insert(scores, where, np.nan))
+
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.sets(st.integers(0, 199), min_size=1, max_size=200),
@@ -121,7 +148,7 @@ class TestSelectorProperties:
         pool, _ = synth
         subset = Subset(np.array(sorted(rows)), pool)
         scores = np.array(values)[subset.positions]
-        out = apply_top_fraction(subset, scores, alpha)
+        out = apply_top_fraction(subset, descending_rank(np.array(values)), alpha)
         keep = math.ceil(alpha * len(subset))
         assert len(out) == keep
         assert np.array_equal(out.positions, stable_argsort_top(subset.positions, scores, keep))
@@ -278,7 +305,7 @@ class TestMonaUnion:
         signals = signals_for_targets(tmp_path, tiny_files, pool, {"t1": T1})
         subset = Subset.full(pool)
         by_union = apply_mona_union(subset, signals, 0.5)
-        by_frac = apply_top_fraction(subset, signals.relevance[subset.positions, 0], 0.5)
+        by_frac = apply_top_fraction(subset, descending_rank(signals.relevance[:, 0]), 0.5)
         assert by_union.ids() == by_frac.ids()
 
     def test_identical_targets_idempotent_union(self, tiny, tmp_path, tiny_files):
@@ -546,6 +573,32 @@ class TestMix:
         pool2, _ = synth
         with pytest.raises(OperatorError, match="different pools"):
             apply_mix(Subset.full(pool1), Subset.full(pool2))
+
+
+class TestMixProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        left=st.sets(st.integers(0, 199), min_size=1, max_size=200),
+        drawn=st.sets(st.integers(0, 199), min_size=1, max_size=200),
+        relation=st.sampled_from(["drawn", "identical", "nested", "disjoint"]),
+    )
+    @example(left={7}, drawn={7}, relation="drawn")  # single samples, identical
+    @example(left={0}, drawn={199}, relation="drawn")  # single samples, disjoint
+    @example(left={5}, drawn={0}, relation="disjoint")  # one sample against the rest
+    def test_matches_union1d(self, synth, left, drawn, relation):
+        pool, _ = synth
+        right = {
+            "drawn": drawn,
+            "identical": left,
+            "nested": set(sorted(left)[: len(left) // 2 + 1]),
+            "disjoint": set(range(200)) - left or drawn,  # nothing is disjoint from the pool
+        }[relation]
+        a, b = Subset(np.array(sorted(left)), pool), Subset(np.array(sorted(right)), pool)
+        out = apply_mix(a, b)
+        assert out.positions.dtype == np.int64
+        assert (np.diff(out.positions) > 0).all()
+        assert np.array_equal(out.positions, np.union1d(a.positions, b.positions))
+        assert np.array_equal(apply_mix(b, a).positions, out.positions)
 
 
 class TestClosureAndDispatch:

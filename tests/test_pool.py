@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from recipesearch.pool import PoolError, _first_problem, load_pool, load_signals
+from recipesearch.pool import (
+    PoolError,
+    _first_problem,
+    descending_rank,
+    load_pool,
+    load_signals,
+)
 
 from conftest import TINY_POOL_ROWS, TINY_SIGNAL_ROWS, TINY_TARGETS, write_jsonl
 
@@ -265,6 +272,21 @@ class TestLoadSignals:
             assert col.shape == (len(pool),)
             assert np.isfinite(col).all()
         assert signals.activations.shape == (len(pool), signals.sae_dim)
+
+    def test_ranks_derived_from_columns(self, tiny):
+        pool, signals = tiny
+        for name in ("ifd", "varentropy", "ao", "ngram_entropy"):
+            rank = getattr(signals, f"{name}_rank")
+            assert np.array_equal(rank, descending_rank(getattr(signals, name)))
+            assert not rank.flags.writeable
+        assert signals.relevance_rank.shape == (len(signals.benchmarks), len(pool))
+        for j in range(len(signals.benchmarks)):
+            assert np.array_equal(signals.relevance_rank[j],
+                                  descending_rank(signals.relevance[:, j]))
+        assert not signals.relevance_rank.flags.writeable
+        # a replaced column is ranked again
+        flipped = dataclasses.replace(signals, ifd=signals.ifd[::-1].copy())
+        assert np.array_equal(flipped.ifd_rank, descending_rank(signals.ifd[::-1]))
 
     def test_relevance_matrix_hand_values(self, tiny):
         pool, signals = tiny
