@@ -24,11 +24,11 @@ def main():
     print(f"\npool: {len(pool)} samples, {pool.total_tokens} whitespace tokens")
     print(f"content digest: {pool.content_digest()[:16]}...")
 
-    first = pool.samples[0]
-    print(f"\nfirst sample (id={first.id}, source={first.source}, "
-          f"{first.token_count} tokens):")
-    print(f"  instruction: {first.instruction!r}")
-    print(f"  response:    {first.response!r}")
+    # the pool is columnar: position 0 of each column is the first record
+    print(f"\nfirst sample (id={pool.ids[0]}, source={pool.sources[0]}, "
+          f"{pool.token_counts[0]} tokens):")
+    print(f"  instruction: {pool.instructions[0]!r}")
+    print(f"  response:    {pool.responses[0]!r}")
 
     signals = load_signals(signals_path, targets_path, pool)
     print(f"\nsignals: sae_dim={signals.sae_dim}, "
@@ -36,8 +36,9 @@ def main():
     print(f"pool mean ifd        = {signals.pool_mean_ifd:.4f}")
     print(f"pool mean varentropy = {signals.pool_mean_varentropy:.4f}")
 
-    # unigram entropy is the one signal computed natively at load time
-    h = signals.ngram_entropy
+    # unigram entropy is computed natively from the pool text; the signal
+    # table's column is the pool's
+    h = pool.ngram_entropy
     print(f"\nnative unigram entropy (bits): min={h.min():.3f} "
           f"mean={h.mean():.3f} max={h.max():.3f}")
 
@@ -45,7 +46,7 @@ def main():
     for j, name in enumerate(signals.benchmarks):
         col = signals.relevance[:, j]
         print(f"relevance vs {name:8s}: mean={col.mean():.4f} "
-              f"top sample id={pool.samples[int(np.argmax(col))].id}")
+              f"top sample id={pool.ids[int(np.argmax(col))]}")
 
     # activation-rate profile of the whole pool (drift reference point)
     print(f"\npool activation rates: {np.count_nonzero(signals.pool_snar)} of "

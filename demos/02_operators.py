@@ -27,8 +27,8 @@ def main():
     full = Subset.full(pool)
     print(f"full pool: {len(full)} samples")
 
-    # scalar-signal selectors are one routine over the load-time ranks of
-    # different columns (rank 0 is the highest score)
+    # scalar-signal selectors are one routine over the ranks of different
+    # columns, built on first use (rank 0 is the highest score)
     for column in ("ifd", "varentropy", "ngram_entropy", "ao"):
         kept = apply_top_fraction(full, getattr(signals, f"{column}_rank"), 0.3)
         print(f"top 30% by {column:14s} -> {len(kept):3d} samples "
@@ -37,7 +37,7 @@ def main():
     # relevance is the weighted Jaccard of a sample's sparse activations with
     # each benchmark target, one row per sample, computed once at load
     row = ", ".join(f"{b} {r:.4f}" for b, r in zip(signals.benchmarks, signals.relevance[0]))
-    print(f"\nrelevance of sample {pool.samples[0].id}: {row}")
+    print(f"\nrelevance of sample {pool.ids[0]}: {row}")
 
     kept = apply_mona_union(full, signals, 0.1)
     print(f"per-benchmark top 10% unioned over {len(signals.benchmarks)} "

@@ -38,7 +38,6 @@ from .oracle import (
 from .pool import (
     CanonicalPool,
     PoolError,
-    Sample,
     SignalTable,
     descending_rank,
     load_pool,

@@ -382,7 +382,7 @@ def fallback_reseed(
     rng: np.random.Generator,
     l_max: int = DEFAULT_L_MAX,
 ) -> Recipe:
-    """Sample a 1-3 step restart motif proportional to positive tertile signals.
+    """Draw a 1-3 step restart motif proportional to positive tertile signals.
 
     Positive operator and adjacent-pair signals (top-tertile minus
     bottom-tertile presence counts) weight a draw over motif stubs; a drawn

@@ -2,7 +2,7 @@
 
 Every operator is a pure transformer: subset in, subset out, never an id the
 pool does not contain. Selector operators (IFD, varentropy, n-gram entropy,
-AO) are a single top-fraction routine over the load-time rank of the
+AO) are a single top-fraction routine over the cached rank of the
 corresponding signal column; benchmark-relevance selection unions
 per-benchmark top fractions; SemDedup is cluster-then-greedy near-duplicate
 removal; random-k is the seeded stochastic escape; mix unions the current
@@ -55,7 +55,7 @@ class Subset:
         return int(self.positions.size)
 
     def ids(self) -> list[str]:
-        return [self.pool.samples[p].id for p in self.positions]
+        return list(map(self.pool.ids.__getitem__, self.positions.tolist()))
 
     def content_hash(self) -> str:
         """SHA-256 of the sorted ids, each UTF-8 encoded and ``\\x00``-terminated.
@@ -469,7 +469,7 @@ def apply_semdedup(
     if (norms == 0).any():
         bad = subset.positions[int(np.flatnonzero(norms == 0)[0])]
         raise OperatorError(
-            f"zero-norm activation vector for id {subset.pool.samples[bad].id!r}"
+            f"zero-norm activation vector for id {subset.pool.ids[bad]!r}"
         )
     x = sp.csr_matrix(x.multiply(1.0 / norms[:, None]))
     labels = minibatch_kmeans(x, n_clusters, seed)

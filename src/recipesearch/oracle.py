@@ -72,11 +72,13 @@ def write_manifest(path: str, pool: CanonicalPool, request: EvalRequest) -> None
         "subset_size": len(request.subset),
     }
     q = encode_basestring_ascii
+    ids, instructions, responses, sources = (
+        pool.ids, pool.instructions, pool.responses, pool.sources)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.writelines(
-            _RECORD % (q(s.id), q(s.instruction), q(s.response), q(s.source))
-            for s in map(pool.samples.__getitem__, request.subset.positions.tolist())
+            _RECORD % (q(ids[p]), q(instructions[p]), q(responses[p]), q(sources[p]))
+            for p in request.subset.positions.tolist()
         )
 
 

@@ -1,12 +1,15 @@
-"""Pool ingestion: canonicalized samples plus cached per-sample signals.
+"""Pool ingestion: a columnar pool of canonicalized samples plus cached signals.
 
 The raw pool is a JSONL file of instruction/response records. Loading
-canonicalizes it into an immutable, order-stable pool with whitespace token
-counts. Cached model-side signals (IFD, varentropy, AO, sparse activation
-vectors) and benchmark target vectors are ingested from separate files and
-validated against the pool; unigram entropy is the one signal computed
-natively here. Everything is frozen after load, so any number of workers may
-read a pool and its signal table concurrently.
+canonicalizes it into an immutable, order-stable pool held as columns: the
+ids, instructions, responses and sources as tuples of strings, and the
+whitespace token count and unigram entropy of each sample as arrays, both
+taken from one tokenization of its text. Cached model-side signals (IFD,
+varentropy, AO, sparse activation vectors) and benchmark target vectors are
+ingested from separate files and validated against the pool. Everything is
+frozen after load, so any number of workers may read a pool and its signal
+table concurrently. The selector ranks of a signal table are cached on
+first read; two concurrent first reads compute the same array.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -36,38 +40,54 @@ MAX_SAE_DIM = 2**24
 # UTF-8 read, and each byte that is not UTF-8 becomes one of these surrogates.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
-
-@dataclass(frozen=True)
-class Sample:
-    """One canonicalized instruction-response record."""
-
-    id: str
-    instruction: str
-    response: str
-    source: str
-    token_count: int
+_scan_once = json.JSONDecoder().scan_once
 
 
-@dataclass(frozen=True)
+def _loads(line: str):
+    """``json.loads(line)`` of a line that ``str.strip`` has trimmed.
+
+    The decoder's scanner is called directly, without the wrappers of
+    ``json.loads``. ``str.strip`` removes every JSON whitespace character,
+    so a line the scanner reads whole is one JSON document; any other line
+    goes through ``json.loads`` itself, which raises its own error for it.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
+
+
+@dataclass(frozen=True, eq=False)
 class CanonicalPool:
-    """Immutable pool with stable ids and load-order positions.
+    """Immutable columnar pool with stable ids and load-order positions.
 
-    ``id_rank``, ``id_bytes`` and ``id_lengths`` are the tables behind
-    ``Subset.content_hash``: the rank of each id in code-point order, the
-    UTF-8 ids in that order with a ``\\x00`` after each, and the length of
-    each id's entry in the buffer, terminator included.
+    Position ``i`` of every column is the ``i``-th record of the file.
+    ``token_counts`` holds each sample's whitespace token count and
+    ``ngram_entropy`` the entropy of its unigram distribution (see
+    :func:`load_pool`). ``id_rank``, ``id_bytes`` and ``id_lengths`` are the
+    tables behind ``Subset.content_hash``: the rank of each id in code-point
+    order, the UTF-8 ids in that order with a ``\\x00`` after each, and the
+    length of each id's entry in the buffer, terminator included.
+
+    Pools compare by identity; :meth:`content_digest` is a pool's content
+    identity.
     """
 
-    samples: tuple[Sample, ...]
+    ids: tuple[str, ...]
+    instructions: tuple[str, ...]
+    responses: tuple[str, ...]
+    sources: tuple[str, ...]
     index: dict[str, int]
     total_tokens: int
-    token_counts: np.ndarray = field(repr=False)  # int64, aligned to samples
-    id_rank: np.ndarray = field(repr=False)       # int64, aligned to samples
-    id_bytes: np.ndarray = field(repr=False)      # uint8, ids in rank order
-    id_lengths: np.ndarray = field(repr=False)    # int64, in rank order
+    token_counts: np.ndarray = field(repr=False)   # int64, in pool order
+    ngram_entropy: np.ndarray = field(repr=False)  # float64 bits, in pool order
+    id_rank: np.ndarray = field(repr=False)        # int64, in pool order
+    id_bytes: np.ndarray = field(repr=False)       # uint8, ids in rank order
+    id_lengths: np.ndarray = field(repr=False)     # int64, in rank order
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     def content_digest(self) -> str:
         """Digest over canonical sample content, stable across loads.
@@ -77,33 +97,35 @@ class CanonicalPool:
         strings.
         """
         h = hashlib.sha256()
-        for s in self.samples:
+        q = encode_basestring_ascii
+        for sid, instruction, response, source in zip(
+                self.ids, self.instructions, self.responses, self.sources):
             h.update(("[%s, %s, %s, %s]" % (
-                encode_basestring_ascii(s.id), encode_basestring_ascii(s.instruction),
-                encode_basestring_ascii(s.response), encode_basestring_ascii(s.source),
-            )).encode())
+                q(sid), q(instruction), q(response), q(source))).encode())
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalTable:
     """Per-sample cached signals aligned to pool order, plus pool-level stats.
 
-    Scalar columns are float64 arrays of length ``len(pool)``. ``activations``
-    is a CSR matrix of nonnegative sparse activations with explicit zeros
-    dropped, so stored entries are exactly the active features.
-    ``pattern_t`` is the same sparsity pattern transposed, a ``(sae_dim, n)``
-    CSR matrix of 1.0 entries, so ``pattern_t @ mask`` counts the samples of
-    a 0/1 row mask that activate each feature; its arrays are read-only.
-    Pool-level reference statistics (pool SNAR, pool signal means, the full
+    Scalar columns are float64 arrays of length ``len(pool)``;
+    ``ngram_entropy`` is the pool's own column. ``activations`` is a CSR
+    matrix of nonnegative sparse activations with explicit zeros dropped, so
+    stored entries are exactly the active features. ``pattern_t`` is the
+    same sparsity pattern transposed, a ``(sae_dim, n)`` CSR matrix of 1.0
+    entries, so ``pattern_t @ mask`` counts the samples of a 0/1 row mask
+    that activate each feature; its arrays are read-only. Pool-level
+    reference statistics (pool SNAR, pool signal means, the full
     sample-by-benchmark relevance matrix) are computed once here because the
     pool is fixed for the lifetime of a search.
 
-    The ``*_rank`` fields, which the selectors read, are derived from the
-    columns in ``__post_init__`` and never passed: the
-    :func:`descending_rank` of each selector column, and ``relevance_rank``,
-    the ``(n_benchmarks, n)`` ranks of the relevance columns. A table made
-    with ``dataclasses.replace`` therefore ranks its own columns.
+    The ``*_rank`` properties, which the selectors read, are built from the
+    columns on first read and cached: the :func:`descending_rank` of each
+    selector column, and ``relevance_rank``, the ``(n_benchmarks, n)`` ranks
+    of the relevance columns. A table made with ``dataclasses.replace``
+    starts with an empty cache, so it ranks its own columns. A NaN in a
+    selector or relevance column is rejected when the table is made.
     """
 
     sae_dim: int
@@ -119,21 +141,36 @@ class SignalTable:
     pool_snar: np.ndarray                # per-feature activation rate of the pool
     pool_mean_ifd: float
     pool_mean_varentropy: float
-    ifd_rank: np.ndarray = field(init=False, repr=False)
-    varentropy_rank: np.ndarray = field(init=False, repr=False)
-    ngram_entropy_rank: np.ndarray = field(init=False, repr=False)
-    ao_rank: np.ndarray = field(init=False, repr=False)
-    relevance_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("ifd", "varentropy", "ngram_entropy", "ao"):
-            object.__setattr__(self, f"{name}_rank", descending_rank(getattr(self, name)))
+        for column in (self.ifd, self.varentropy, self.ngram_entropy, self.ao, self.relevance):
+            if np.isnan(column).any():
+                raise PoolError("NaN in a ranked score column")
+
+    @cached_property
+    def ifd_rank(self) -> np.ndarray:
+        return descending_rank(self.ifd)
+
+    @cached_property
+    def varentropy_rank(self) -> np.ndarray:
+        return descending_rank(self.varentropy)
+
+    @cached_property
+    def ngram_entropy_rank(self) -> np.ndarray:
+        return descending_rank(self.ngram_entropy)
+
+    @cached_property
+    def ao_rank(self) -> np.ndarray:
+        return descending_rank(self.ao)
+
+    @cached_property
+    def relevance_rank(self) -> np.ndarray:
         n, n_benchmarks = self.relevance.shape
         ranks = np.empty((n_benchmarks, n), dtype=np.int64)
         for j in range(n_benchmarks):
             ranks[j] = descending_rank(self.relevance[:, j])
         ranks.setflags(write=False)
-        object.__setattr__(self, "relevance_rank", ranks)
+        return ranks
 
 
 def descending_rank(scores: np.ndarray) -> np.ndarray:
@@ -153,33 +190,25 @@ def descending_rank(scores: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _unigram_entropy(samples) -> np.ndarray:
+def _unigram_entropy(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each sample's unigram distribution.
 
-    Tokens are the lowercased whitespace tokens of the instruction, then of
-    the response; punctuation stays attached. An empty token stream yields
-    0.0 so degenerate samples survive ingestion and can be removed by
-    selectors instead. Counts keep their first-occurrence order, and the
-    samples with the same number of distinct tokens form one matrix whose
-    contiguous rows are each reduced as a lone sample's counts would be, so
-    every value is the one-sample value bit for bit.
+    The ``i``-th sample owns the next ``sizes[i]`` entries of ``counts``,
+    its token counts in first-occurrence order; a sample without tokens gets
+    0.0, so degenerate samples survive ingestion and can be removed by
+    selectors instead. The samples with the same number of distinct tokens
+    form one matrix whose contiguous rows are each reduced as a lone
+    sample's counts would be, so every value is the one-sample value bit
+    for bit.
     """
-    counts = [
-        list(Counter(s.instruction.lower().split() + s.response.lower().split()).values())
-        for s in samples
-    ]
-    sizes = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
-    out = np.zeros(len(counts))
+    starts = np.cumsum(sizes) - sizes
+    out = np.zeros(sizes.size)
     for size in np.unique(sizes[sizes > 0]):
         rows = np.flatnonzero(sizes == size)
-        c = np.array([counts[r] for r in rows], dtype=np.float64)
+        c = counts[starts[rows, None] + np.arange(size)].astype(np.float64)
         p = c / c.sum(axis=1, keepdims=True)
         out[rows] = -(p * np.log2(p)).sum(axis=1)
     return out
-
-
-def _token_count(instruction: str, response: str) -> int:
-    return len(instruction.split()) + len(response.split())
 
 
 def load_pool(path: str) -> CanonicalPool:
@@ -189,9 +218,18 @@ def load_pool(path: str) -> CanonicalPool:
     fields. Load order is preserved and the same file always yields an
     identical pool. Any malformed line, one that is not UTF-8 included,
     aborts with a diagnostic naming it.
+
+    Each sample's text is tokenized once: the whitespace tokens of the
+    lowercased instruction, then of the lowercased response, punctuation
+    attached. Their number is the token count (lowercasing creates or
+    removes no whitespace), and their counts give the unigram entropy.
     """
-    samples: list[Sample] = []
+    ids: list[str] = []
+    instructions: list[str] = []
+    responses: list[str] = []
+    sources: list[str] = []
     index: dict[str, int] = {}
+    token_counts, sizes, counts = array("q"), array("q"), array("q")
     required = ("id", "instruction", "response", "source")
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -201,7 +239,7 @@ def load_pool(path: str) -> CanonicalPool:
             if not line.isascii() and _NOT_UTF8.search(line):
                 raise PoolError(f"pool file {path}: line {lineno} is not valid UTF-8")
             try:
-                rec = json.loads(line)
+                rec = _loads(line)
             except (ValueError, RecursionError) as exc:
                 raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
             if not isinstance(rec, dict):
@@ -224,31 +262,40 @@ def load_pool(path: str) -> CanonicalPool:
                 sid.encode()
             except UnicodeEncodeError as exc:
                 raise PoolError(f"id is not encodable as UTF-8 at line {lineno}") from exc
-            sample = Sample(
-                id=sid,
-                instruction=instruction,
-                response=response,
-                source=source,
-                token_count=_token_count(instruction, response),
-            )
-            index[sid] = len(samples)
-            samples.append(sample)
-    if not samples:
+            index[sid] = len(ids)
+            ids.append(sid)
+            instructions.append(instruction)
+            responses.append(response)
+            sources.append(source)
+            # lowercasing sees each field alone: a space ends a final sigma's context
+            tokens = (instruction + " " + response).lower().split()
+            token_counts.append(len(tokens))
+            unigrams = Counter(tokens)
+            sizes.append(len(unigrams))
+            counts.extend(unigrams.values())
+    if not ids:
         raise PoolError(f"empty pool file: {path}")
-    token_counts = np.array([s.token_count for s in samples], dtype=np.int64)
+    n = len(ids)
+    token_counts = np.frombuffer(token_counts, dtype=np.int64)
+    ngram = _unigram_entropy(np.frombuffer(sizes, dtype=np.int64),
+                             np.frombuffer(counts, dtype=np.int64))
     by_id = sorted(index)
-    id_rank = np.empty(len(samples), dtype=np.int64)
-    id_rank[[index[sid] for sid in by_id]] = np.arange(len(samples))
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[[index[sid] for sid in by_id]] = np.arange(n)
     id_bytes = np.frombuffer(("\x00".join(by_id) + "\x00").encode(), dtype=np.uint8)
     id_lengths = np.fromiter((len(sid.encode()) + 1 for sid in by_id), dtype=np.int64,
-                             count=len(by_id))
-    for arr in (token_counts, id_rank, id_lengths):
+                             count=n)
+    for arr in (token_counts, ngram, id_rank, id_lengths):
         arr.setflags(write=False)
     return CanonicalPool(
-        samples=tuple(samples),
+        ids=tuple(ids),
+        instructions=tuple(instructions),
+        responses=tuple(responses),
+        sources=tuple(sources),
         index=index,
         total_tokens=int(token_counts.sum()),
         token_counts=token_counts,
+        ngram_entropy=ngram,
         id_rank=id_rank,
         id_bytes=id_bytes,
         id_lengths=id_lengths,
@@ -475,7 +522,7 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
             if not line.isascii() and _NOT_UTF8.search(line):
                 break
             try:  # an object whose id is a pool id, else KeyError or TypeError
-                rec = json.loads(line)
+                rec = _loads(line)
                 pos = index[rec["id"]]
                 row = (rec.get("ifd"), rec.get("varentropy"), rec.get("ao"))
                 if seen[pos] or not _NUMBER.issuperset(map(type, row)):
@@ -520,7 +567,6 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     pattern_t = sp.csc_matrix(
         (np.ones(act_data.size), act_indices, indptr), shape=(sae_dim, n)
     ).tocsr()
-    ngram = _unigram_entropy(pool.samples)
     benchmarks = tuple(sorted(targets))
     relevance = np.column_stack(
         [_weighted_jaccard_matrix(activations, targets[b]) for b in benchmarks]
@@ -532,7 +578,7 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         pool_snar = counts / valid
     else:
         pool_snar = np.zeros(sae_dim)
-    for arr in (ifd, varentropy, ao, ngram, relevance, has_act, pool_snar,
+    for arr in (ifd, varentropy, ao, relevance, has_act, pool_snar,
                 pattern_t.data, pattern_t.indices, pattern_t.indptr):
         arr.setflags(write=False)
     return SignalTable(
@@ -540,7 +586,7 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         ifd=ifd,
         varentropy=varentropy,
         ao=ao,
-        ngram_entropy=ngram,
+        ngram_entropy=pool.ngram_entropy,
         activations=activations,
         pattern_t=pattern_t,
         benchmarks=benchmarks,

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recipesearch import cli
+from recipesearch import pool as pool_module
 from recipesearch.cli import main
 from recipesearch.controller import _Runtime
 from recipesearch.operators import default_catalog
@@ -659,6 +660,23 @@ def nan_scorer(tmp_path):
 
 
 IFD_HALF = {"steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]}
+
+
+@pytest.mark.parametrize("argv, ranks", [
+    (lambda f, t: ["ingest-check", *data_args(f)], 0),
+    (lambda f, t: ["baseline", *data_args(f), "--suite", "random_topk", "--budget", "2",
+                   "--size", "50", "--out-dir", str(t / "out")], 0),
+    (lambda f, t: exec_argv(f, t, {"steps": [{"operator": "random_k",
+                                              "params": {"k": 20, "seed": 0}}]}), 0),
+    (lambda f, t: exec_argv(f, t, IFD_HALF), 1),
+], ids=["ingest-check", "random_topk", "exec random_k", "exec ifd_topfrac"])
+def test_ranks_are_built_by_the_selectors_only(synth_files, tmp_path, monkeypatch, argv, ranks):
+    calls = []
+    rank = pool_module.descending_rank
+    monkeypatch.setattr(pool_module, "descending_rank",
+                        lambda scores: calls.append(len(scores)) or rank(scores))
+    assert main(argv(synth_files, tmp_path)) == 0
+    assert len(calls) == ranks
 
 
 def occupied(path, kind, argv):

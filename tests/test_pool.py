@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -77,6 +78,77 @@ def signal_line(sid: str, sparse=None, **fields) -> str:
     return json.dumps(rec)
 
 
+POOL_COLUMNS = ("ids", "instructions", "responses", "sources")
+POOL_ARRAYS = ("token_counts", "ngram_entropy", "id_rank", "id_bytes", "id_lengths")
+
+
+def reference_load_pool(path: str) -> dict:
+    """The per-record pool loader that the columnar one replaced.
+
+    ``json.loads`` on each line, one record tuple per sample, two splits of
+    the original text for the token count and :func:`compute_ngram_entropy`
+    for the entropy; the digest tables and the content digest are built from
+    the record list. Raises :class:`PoolError` with the loader's messages.
+    Returns every column and table of a pool under its attribute name, and
+    ``"digest"``.
+    """
+    records: list[tuple[str, str, str, str]] = []
+    index: dict[str, int] = {}
+    required = ("id", "instruction", "response", "source")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if re.search("[\udc80-\udcff]", line):
+                raise PoolError(f"pool file {path}: line {lineno} is not valid UTF-8")
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise PoolError(f"expected a JSON object at line {lineno}")
+            for key in required:
+                if key not in rec:
+                    raise PoolError(f"missing required field {key!r} at line {lineno}")
+            for key in required:
+                if type(rec[key]) is not str:
+                    raise PoolError(
+                        f"field {key!r} must be a JSON string, got {rec[key]!r} at line {lineno}"
+                    )
+            sid = rec["id"]
+            if not sid:
+                raise PoolError(f"empty id at line {lineno}")
+            if sid in index:
+                raise PoolError(f"duplicate id {sid} at line {lineno}")
+            try:
+                sid.encode()
+            except UnicodeEncodeError as exc:
+                raise PoolError(f"id is not encodable as UTF-8 at line {lineno}") from exc
+            index[sid] = len(records)
+            records.append(tuple(rec[key] for key in required))
+    if not records:
+        raise PoolError(f"empty pool file: {path}")
+    by_id = sorted(index)
+    rank_of = {sid: r for r, sid in enumerate(by_id)}
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(json.dumps(list(record)).encode())
+    token_counts = [len(inst.split()) + len(resp.split()) for _, inst, resp, _ in records]
+    return {
+        **dict(zip(POOL_COLUMNS, zip(*records))),
+        "token_counts": np.array(token_counts, dtype=np.int64),
+        "total_tokens": sum(token_counts),
+        "ngram_entropy": np.array([compute_ngram_entropy(inst, resp)
+                                   for _, inst, resp, _ in records]),
+        "id_rank": np.array([rank_of[sid] for sid, *_ in records], dtype=np.int64),
+        "id_bytes": np.frombuffer(b"".join(sid.encode() + b"\x00" for sid in by_id),
+                                  dtype=np.uint8),
+        "id_lengths": np.array([len(sid.encode()) + 1 for sid in by_id], dtype=np.int64),
+        "digest": digest.hexdigest(),
+    }
+
+
 def ingested_entropy(work: Path, texts: list[tuple[str, str]]) -> np.ndarray:
     rows = text_pool(texts)
     lines = [signal_line(r["id"], [[0, 1.0]]) for r in rows]
@@ -86,12 +158,12 @@ def ingested_entropy(work: Path, texts: list[tuple[str, str]]) -> np.ndarray:
 class TestLoadPool:
     def test_order_and_index(self, tiny):
         pool, _ = tiny
-        assert [s.id for s in pool.samples] == ["a", "b", "c", "d"]
+        assert pool.ids == ("a", "b", "c", "d")
         assert pool.index == {"a": 0, "b": 1, "c": 2, "d": 3}
 
     def test_whitespace_token_count(self, tiny):
         pool, _ = tiny
-        assert pool.samples[0].token_count == 5  # "solve x" + "x = 1"
+        assert pool.token_counts[0] == 5  # "solve x" + "x = 1"
 
     def test_duplicate_id_names_line(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -138,9 +210,20 @@ class TestLoadPool:
     def test_determinism(self, tiny_files):
         first = load_pool(tiny_files[0])
         second = load_pool(tiny_files[0])
-        assert first.samples == second.samples
+        for name in POOL_COLUMNS:
+            assert getattr(first, name) == getattr(second, name)
+        for name in POOL_ARRAYS:
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
         assert first.total_tokens == second.total_tokens
         assert first.content_digest() == second.content_digest()
+
+    def test_pools_and_tables_compare_by_identity(self, tiny_files):
+        # the content identity of a pool is its digest, not ``==``
+        pools = [load_pool(tiny_files[0]) for _ in range(2)]
+        tables = [load_signals(tiny_files[1], tiny_files[2], pool) for pool in pools]
+        for first, second in (pools, tables):
+            assert first == first and first != second
+            assert len({first, second, first}) == 2
 
     def test_token_accounting_against_line_count(self, synth_files):
         pool = load_pool(synth_files[0])
@@ -151,6 +234,69 @@ class TestLoadPool:
                 independent += len(rec["instruction"].split()) + len(rec["response"].split())
         assert pool.total_tokens == independent
         assert pool.total_tokens == int(pool.token_counts.sum())
+
+
+# Pieces of text that are easy to tokenize wrongly: Σ takes its final form
+# only at the end of a word, İ lowercases to two code points, U+0345 is a
+# case-ignorable combining mark, \x1c, U+0085, U+00A0, U+2028 and U+3000 are
+# str.split separators that JSON does not treat as whitespace.
+TEXT_PIECES = ["a", "Bc", "\u03a3", "x\u03a3", "\u0130", "\u0345", "'", "\x1c",
+               "\x85", "\u00a0", "\u2028", "\u3000", " ", "\t", "\n"]
+POOL_TEXT = st.lists(st.sampled_from(TEXT_PIECES), max_size=10).map("".join)
+GOOD_RECORD = {"id": "a", "instruction": "q", "response": "r", "source": "s"}
+
+
+class TestColumnarPool:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           ids=st.lists(POOL_TEXT.filter(bool), min_size=1, max_size=8, unique=True),
+           ascii_only=st.booleans())
+    @example(data=None, ids=["\u03a3", "a\u03a3", "\u0130\u0345\u03a3"], ascii_only=False)
+    def test_matches_per_record_loader(self, data, ids, ascii_only):
+        rows = []
+        for k, sid in enumerate(ids):
+            if data is None:  # a final Σ at the end of one field, another at the start
+                texts = ("B\u03a3", "\u03a3b", "") if k % 2 else ("", "x\u03a3\u0345", "\u0130")
+            else:
+                texts = tuple(data.draw(POOL_TEXT) for _ in range(3))
+            rows.append(dict(zip(("id", "instruction", "response", "source"), (sid, *texts))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pool.jsonl"
+            path.write_text("".join(json.dumps(row, ensure_ascii=ascii_only) + "\n"
+                                    for row in rows), encoding="utf-8")
+            pool = load_pool(str(path))
+            expected = reference_load_pool(str(path))
+        for name in POOL_COLUMNS:
+            assert getattr(pool, name) == expected[name], name
+        for name in POOL_ARRAYS:
+            got = getattr(pool, name)
+            assert got.dtype == expected[name].dtype, name
+            assert got.tobytes() == expected[name].tobytes(), name
+        assert pool.total_tokens == expected["total_tokens"]
+        assert pool.content_digest() == expected["digest"]
+
+    @pytest.mark.parametrize("line", [
+        b"\xef\xbb\xbf" + json.dumps(GOOD_RECORD).encode(),  # a byte order mark
+        json.dumps(GOOD_RECORD).encode() + b" {}",
+        json.dumps(GOOD_RECORD).encode() + b"x",
+        b'{"id": "a", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        json.dumps(dict(GOOD_RECORD, id="\ud800")).encode(),  # escaped lone surrogate
+        json.dumps(dict(GOOD_RECORD, response="caf\u00e9"), ensure_ascii=False)
+        .encode().replace(b"\xc3", b"\xff"),
+        b'{"id": ',
+        b"NaN",
+        b"[1] ",
+    ], ids=["bom", "second document", "trailing text", "deep nesting", "lone surrogate id",
+            "not utf-8", "truncated", "nan", "array"])
+    def test_rejection_is_the_per_record_loader_message(self, tmp_path, line):
+        path = tmp_path / "pool.jsonl"
+        path.write_bytes(json.dumps(dict(GOOD_RECORD, id="z")).encode() + b"\n" + line + b"\n")
+        with pytest.raises(PoolError) as expected:
+            reference_load_pool(str(path))
+        with pytest.raises(PoolError) as got:
+            load_pool(str(path))
+        assert "line 2" in str(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestNgramEntropy:
@@ -436,6 +582,12 @@ class TestFlatIngestion:
             assert message == problem
         else:
             assert message is None or message.startswith("missing signals for")
+
+    @pytest.mark.parametrize("tail", [" {}", "x"])
+    def test_line_with_trailing_data_rejected(self, tmp_path, tail):
+        lines = [signal_line("s0", [[0, 1.0]]) + tail]
+        with pytest.raises(PoolError, match=r"^invalid JSON at line 1: Extra data"):
+            ingest(tmp_path, text_pool([("a", "b")]), lines)
 
     def test_bad_line_padded_with_non_json_whitespace(self, tmp_path):
         # str.strip() removes \x1f and \u2028 before decoding; json.loads would not
