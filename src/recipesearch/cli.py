@@ -517,6 +517,8 @@ def cmd_baseline(args) -> int:
     for flag, value in (("--budget", args.budget), ("--l-max", args.l_max)):
         if value < 1:
             raise _config_rejected(f"{flag} must be >= 1, got {value}")
+    if args.master_seed < 0:
+        raise _config_rejected(f"--master-seed must be >= 0, got {args.master_seed}")
     _check_oracle_args(args)
     pool, signals = _load_data(args, "ingestion failed")
     catalog = default_catalog(len(pool))

@@ -109,6 +109,8 @@ class SearchConfig:
             )
         if self.l_max < 1:
             raise ControllerError(f"l_max must be >= 1, got {self.l_max}")
+        if self.master_seed < 0:
+            raise ControllerError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.patience < 1:
             raise ControllerError(f"patience must be >= 1, got {self.patience}")
         if self.candidates_per_step < 1:

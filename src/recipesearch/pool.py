@@ -19,7 +19,7 @@ import json
 import math
 import re
 from array import array
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -211,6 +211,30 @@ def _unigram_entropy(sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jsonl_objects(path: str, what: str):
+    """Yield ``(lineno, object)`` for each nonblank line of a JSONL file.
+
+    Each line is stripped with ``str.strip`` before it is decoded. Raises
+    :class:`PoolError` at the first line that is not UTF-8, not one JSON
+    document, or not a JSON object; ``what`` names the file in the first
+    message.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if not line.isascii() and _NOT_UTF8.search(line):
+                raise PoolError(f"{what} file {path}: line {lineno} is not valid UTF-8")
+            try:
+                rec = _loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
+            if type(rec) is not dict:
+                raise PoolError(f"expected a JSON object at line {lineno}")
+            yield lineno, rec
+
+
 def load_pool(path: str) -> CanonicalPool:
     """Load and canonicalize a pool JSONL file.
 
@@ -231,48 +255,37 @@ def load_pool(path: str) -> CanonicalPool:
     index: dict[str, int] = {}
     token_counts, sizes, counts = array("q"), array("q"), array("q")
     required = ("id", "instruction", "response", "source")
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if not line.isascii() and _NOT_UTF8.search(line):
-                raise PoolError(f"pool file {path}: line {lineno} is not valid UTF-8")
-            try:
-                rec = _loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise PoolError(f"invalid JSON at line {lineno}: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise PoolError(f"expected a JSON object at line {lineno}")
-            for key in required:
-                if key not in rec:
-                    raise PoolError(f"missing required field {key!r} at line {lineno}")
-            fields = [rec[key] for key in required]
-            for key, value in zip(required, fields):
-                if type(value) is not str:
-                    raise PoolError(
-                        f"field {key!r} must be a JSON string, got {value!r} at line {lineno}"
-                    )
-            sid, instruction, response, source = fields
-            if not sid:
-                raise PoolError(f"empty id at line {lineno}")
-            if sid in index:
-                raise PoolError(f"duplicate id {sid} at line {lineno}")
-            try:
-                sid.encode()
-            except UnicodeEncodeError as exc:
-                raise PoolError(f"id is not encodable as UTF-8 at line {lineno}") from exc
-            index[sid] = len(ids)
-            ids.append(sid)
-            instructions.append(instruction)
-            responses.append(response)
-            sources.append(source)
-            # lowercasing sees each field alone: a space ends a final sigma's context
-            tokens = (instruction + " " + response).lower().split()
-            token_counts.append(len(tokens))
-            unigrams = Counter(tokens)
-            sizes.append(len(unigrams))
-            counts.extend(unigrams.values())
+    for lineno, rec in _jsonl_objects(path, "pool"):
+        for key in required:
+            if key not in rec:
+                raise PoolError(f"missing required field {key!r} at line {lineno}")
+        fields = [rec[key] for key in required]
+        for key, value in zip(required, fields):
+            if type(value) is not str:
+                raise PoolError(
+                    f"field {key!r} must be a JSON string, got {value!r} at line {lineno}"
+                )
+        sid, instruction, response, source = fields
+        if not sid:
+            raise PoolError(f"empty id at line {lineno}")
+        if sid in index:
+            raise PoolError(f"duplicate id {sid} at line {lineno}")
+        try:
+            sid.encode()
+        except UnicodeEncodeError as exc:
+            raise PoolError(f"id is not encodable as UTF-8 at line {lineno}") from exc
+        index[sid] = len(ids)
+        ids.append(sid)
+        instructions.append(instruction)
+        responses.append(response)
+        sources.append(source)
+        # lowercasing sees each field alone: a space ends a final sigma's context
+        tokens = (instruction + " " + response).lower().split()
+        token_counts.append(len(tokens))
+        unigrams: dict[str, int] = {}
+        _count_elements(unigrams, tokens)  # the tally behind Counter, in first-occurrence order
+        sizes.append(len(unigrams))
+        counts.extend(unigrams.values())
     if not ids:
         raise PoolError(f"empty pool file: {path}")
     n = len(ids)
@@ -302,138 +315,84 @@ def load_pool(path: str) -> CanonicalPool:
     )
 
 
-# The Python types ``json.loads`` gives a JSON integer and a JSON number.
-# ``bool`` subclasses ``int`` but is in neither set, so true and false fail.
-_INTEGER = frozenset((int,))
-_NUMBER = frozenset((int, float))
-
+# The signals fields checked before ``sparse``, in order. A JSON integer
+# decodes to ``int`` and any other JSON number to ``float``; the checks
+# compare exact types, so true and false (``bool``) are not numbers.
 _SCALARS = ("ifd", "varentropy", "ao")
 
 
-def _as_float(value) -> float:
-    """A JSON number as a float; an integer too large for one is infinite."""
+def _as_float(value: int) -> float:
+    """A JSON integer as a float; one too large for a float is infinite."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
 
-def _pairs_problem(pairs, sae_dim: int) -> str | None:
-    """The first problem of one sparse vector, in the order ingestion reports it.
+def _scalars_into(rec: dict, scalars: array) -> str | None:
+    """Check a signals record's scalar fields and append them; return the first problem.
 
-    Entry by entry: its shape, the JSON types of index and value, the index
-    range, then the value; after the last entry, the smallest feature index
-    repeated among the nonzero values.
+    Field by field in ``_SCALARS`` order: missing, not a JSON number, then
+    negative or non-finite. On a problem, part of the record may have been
+    appended.
     """
-    if type(pairs) is not list:
-        return f"sparse must be an array of [index, value] pairs, got {pairs!r}"
-    active = []
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2:
-            return f"sparse entry must be [index, value], got {pair!r}"
-        i, v = pair
-        if type(i) not in _INTEGER:
-            return f"feature index must be a JSON integer, got {i!r}"
-        if type(v) not in _NUMBER:
-            return f"sparse value must be a JSON number, got {v!r}"
-        if i < 0 or i >= sae_dim:
-            return f"feature index out of range ({i} >= sae_dim {sae_dim})"
-        v = _as_float(v)
-        if not 0.0 <= v < math.inf:
-            return f"negative or non-finite sparse value {v}"
-        if v:
-            active.append(i)
-    repeated = [i for i, c in Counter(active).items() if c > 1]
-    return f"duplicate feature index {min(repeated)}" if repeated else None
-
-
-def _record_problem(rec: dict, sae_dim: int) -> str | None:
-    """The first problem of a signals record's fields, in the order ingestion reports it."""
     for name in _SCALARS:
         if name not in rec:
             return f"missing field {name!r}"
         value = rec[name]
-        if type(value) not in _NUMBER:
-            return f"{name} must be a JSON number, got {value!r}"
-        value = _as_float(value)
+        if type(value) is not float:
+            if type(value) is not int:
+                return f"{name} must be a JSON number, got {value!r}"
+            value = _as_float(value)
         if not 0.0 <= value < math.inf:
             return f"negative or non-finite {name} value {value}"
-    return _pairs_problem(rec.get("sparse", []), sae_dim)
+        scalars.append(value)
+    return None
 
 
-# What appending a value of the wrong JSON shape or size to a buffer raises.
-_BUFFER_ERRORS = (TypeError, ValueError, OverflowError)
+def _sparse_into(pairs, sae_dim: int, indices: array, values: array) -> str | None:
+    """Check one sparse vector and append its nonzero entries; return the first problem.
 
-
-def _append_pairs(pairs, indices: array, values: array) -> int:
-    """Append one sparse vector's indices and values; return its entry count.
-
-    Unless ``pairs`` is a list of [JSON integer, JSON number] pairs that fit
-    the buffers, one of ``_BUFFER_ERRORS`` is raised, possibly after part of
-    the vector was appended. Ranges are left to :func:`_sparse_csr`.
+    Entry by entry: its shape, the JSON types of index and value, the index
+    range, then the value; after the last entry, the smallest feature index
+    repeated among the nonzero values. On a problem, part of the vector may
+    have been appended.
     """
     if type(pairs) is not list:
-        raise TypeError("sparse is not a list")
-    if not pairs:
-        return 0
-    idx, val = zip(*pairs, strict=True)
-    if not (_INTEGER.issuperset(map(type, idx)) and _NUMBER.issuperset(map(type, val))):
-        raise TypeError("sparse entry of the wrong JSON type")
-    indices.extend(idx)
-    values.extend(val)
-    return len(idx)
+        return f"sparse must be an array of [index, value] pairs, got {pairs!r}"
+    start = len(indices)
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            return f"sparse entry must be [index, value], got {pair!r}"
+        i, v = pair
+        if type(i) is not int:
+            return f"feature index must be a JSON integer, got {i!r}"
+        if type(v) is not float:
+            if type(v) is not int:
+                return f"sparse value must be a JSON number, got {v!r}"
+            v = _as_float(v)
+        if not 0 <= i < sae_dim:
+            return f"feature index out of range ({i} >= sae_dim {sae_dim})"
+        if not 0.0 <= v < math.inf:
+            return f"negative or non-finite sparse value {v}"
+        if v:
+            indices.append(i)
+            values.append(v)
+    active = indices[start:]
+    if len(set(active)) < len(active):
+        active = sorted(active)
+        repeated = next(i for i, j in zip(active, active[1:]) if i == j)
+        return f"duplicate feature index {repeated}"
+    return None
 
 
-def _sparse_csr(rows: np.ndarray, indices: np.ndarray, values: np.ndarray,
-                n_rows: int, sae_dim: int):
-    """Check flat (row, index, value) entries and order them as CSR parts.
-
-    Returns whether any entry holds an index outside ``[0, sae_dim)``, a
-    negative or non-finite value, or an index repeated among its row's
-    nonzero values; then ``indptr``, ``indices`` and ``data`` of the nonzero
-    entries ordered by (row, index).
-    """
-    bad = bool(((indices < 0) | (indices >= sae_dim)
-                | ~((values >= 0) & (values < np.inf))).any())
-    nonzero = values != 0
-    rows, indices, values = rows[nonzero], indices[nonzero], values[nonzero]
+def _csr_parts(rows: np.ndarray, indices: np.ndarray, values: np.ndarray, n_rows: int):
+    """``indptr``, ``indices`` and ``data`` of flat (row, index, value) entries
+    ordered by (row, index)."""
     order = np.lexsort((indices, rows))
-    rows, indices, values = rows[order], indices[order], values[order]
-    bad |= bool(((rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])).any())
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return bad, indptr, indices, values
-
-
-def _first_problem(path: str, index: dict[str, int], sae_dim: int) -> str | None:
-    """The message for the first offending line of a signals file, or None.
-
-    The reference walk behind every line message of :func:`load_signals`.
-    """
-    seen: set[str] = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if _NOT_UTF8.search(line):
-                return f"signals file {path}: line {lineno} is not valid UTF-8"
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                return f"invalid JSON at line {lineno}: {exc}"
-            if type(rec) is not dict:
-                return f"expected a JSON object at line {lineno}"
-            sid = rec.get("id", "")
-            if type(sid) is not str or sid not in index:
-                return f"signals line {lineno}: id {sid!r} not in pool"
-            if sid in seen:
-                return f"signals line {lineno}: duplicate signals for id {sid!r}"
-            seen.add(sid)
-            problem = _record_problem(rec, sae_dim)
-            if problem is not None:
-                return f"signals line {lineno}: {problem}"
-    return None
+    return indptr, indices[order], values[order]
 
 
 def _weighted_jaccard_matrix(matrix: sp.csr_matrix, target: np.ndarray) -> np.ndarray:
@@ -464,7 +423,7 @@ def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
     if not isinstance(doc, dict):
         raise PoolError(f"targets file {path}: expected a JSON object")
     sae_dim = doc.get("sae_dim", 0)
-    if type(sae_dim) not in _INTEGER or sae_dim <= 0:
+    if type(sae_dim) is not int or sae_dim <= 0:
         raise PoolError(f"targets file {path}: sae_dim must be a positive integer")
     if sae_dim > MAX_SAE_DIM:
         raise PoolError(f"targets file {path}: sae_dim {sae_dim} exceeds 2**24 ({MAX_SAE_DIM})")
@@ -475,14 +434,12 @@ def _load_targets(path: str) -> tuple[int, dict[str, np.ndarray]]:
         raise PoolError(f"targets file {path}: benchmarks must be an object of sparse vectors")
     targets: dict[str, np.ndarray] = {}
     for name in sorted(bench_doc):
-        pairs = bench_doc[name]
-        problem = _pairs_problem(pairs, sae_dim)
+        indices, values = array("q"), array("d")
+        problem = _sparse_into(bench_doc[name], sae_dim, indices, values)
         if problem is not None:
             raise PoolError(f"target {name!r}: {problem}")
         dense = np.zeros(sae_dim, dtype=np.float64)
-        for i, v in pairs:
-            if v:
-                dense[i] = float(v)
+        dense[np.frombuffer(indices, dtype=np.int64)] = np.frombuffer(values)
         if not dense.any():
             raise PoolError(f"target {name!r} is all-zero")
         dense.setflags(write=False)
@@ -501,11 +458,9 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     IFD/varentropy column (which would make the pool-relative ratios in the
     state vector undefined). Of several bad lines, the first is reported.
 
-    One pass appends each line's fields to flat buffers and stops at the
-    first line whose JSON shape or types are off; ranges, values and
-    repeated feature indices of the lines before it are then checked in
-    numpy. The pass only detects problems: on any, :func:`_first_problem`
-    re-reads the file for the message of its first offending line.
+    The file is read once, and each line is checked as it is read: its id
+    (unknown, then repeated), then ``ifd``, ``varentropy`` and ``ao``, then
+    ``sparse``.
     """
     sae_dim, targets = _load_targets(targets_path)
     n = len(pool)
@@ -513,47 +468,32 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     seen = bytearray(n)
     positions, entry_counts = array("q"), array("q")
     scalars, indices, values = array("d"), array("q"), array("d")
-    complete = False  # the pass read every line without a problem
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if not line.isascii() and _NOT_UTF8.search(line):
-                break
-            try:  # an object whose id is a pool id, else KeyError or TypeError
-                rec = _loads(line)
-                pos = index[rec["id"]]
-                row = (rec.get("ifd"), rec.get("varentropy"), rec.get("ao"))
-                if seen[pos] or not _NUMBER.issuperset(map(type, row)):
-                    break
-                scalars.extend(row)
-                count = _append_pairs(rec.get("sparse", []), indices, values)
-            except (KeyError, RecursionError, *_BUFFER_ERRORS):
-                break
-            seen[pos] = 1
-            positions.append(pos)
-            entry_counts.append(count)
+    for lineno, rec in _jsonl_objects(path, "signals"):
+        sid = rec.get("id", "")
+        pos = index.get(sid) if type(sid) is str else None
+        if pos is None:
+            problem = f"id {sid!r} not in pool"
+        elif seen[pos]:
+            problem = f"duplicate signals for id {sid!r}"
         else:
-            complete = True
-
-    # Buffers may end with part of the line the pass stopped at.
-    n_rows = len(positions)
-    pos_arr = np.frombuffer(positions, dtype=np.int64)
-    count_arr = np.frombuffer(entry_counts, dtype=np.int64)
-    n_entries = int(count_arr.sum())
-    scalar_rows = np.frombuffer(scalars)[: 3 * n_rows].reshape(n_rows, 3)
-    bad, indptr, act_indices, act_data = _sparse_csr(
-        np.repeat(pos_arr, count_arr),
-        np.frombuffer(indices, dtype=np.int64)[:n_entries],
-        np.frombuffer(values)[:n_entries],
-        n, sae_dim,
-    )
-    if bad or not complete or not ((scalar_rows >= 0) & (scalar_rows < np.inf)).all():
-        raise PoolError(_first_problem(path, index, sae_dim))
-    missing = n - n_rows
+            start = len(indices)
+            problem = (_scalars_into(rec, scalars)
+                       or _sparse_into(rec.get("sparse", []), sae_dim, indices, values))
+        if problem is not None:
+            raise PoolError(f"signals line {lineno}: {problem}")
+        seen[pos] = 1
+        positions.append(pos)
+        entry_counts.append(len(indices) - start)
+    missing = n - len(positions)
     if missing:
         raise PoolError(f"missing signals for {missing} sample(s)")
+
+    pos_arr = np.frombuffer(positions, dtype=np.int64)
+    indptr, act_indices, act_data = _csr_parts(
+        np.repeat(pos_arr, np.frombuffer(entry_counts, dtype=np.int64)),
+        np.frombuffer(indices, dtype=np.int64), np.frombuffer(values), n,
+    )
+    scalar_rows = np.frombuffer(scalars).reshape(n, 3)
     ifd, varentropy, ao = (np.full(n, np.nan) for _ in _SCALARS)
     for k, column in enumerate((ifd, varentropy, ao)):
         column[pos_arr] = scalar_rows[:, k]

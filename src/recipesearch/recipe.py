@@ -76,10 +76,14 @@ def validate_recipe(recipe: Recipe, catalog: Catalog, l_max: int = DEFAULT_L_MAX
     return problems
 
 
-def _coerce_params(raw: dict) -> dict:
+def _coerce_params(raw: dict, operator: str, catalog: Catalog) -> dict:
+    """``raw`` with each integral float of an ``int`` or ``seed`` parameter
+    of the catalog's ``operator`` made an ``int``."""
+    specs = catalog.get(operator).params if operator in catalog else {}
+    integer = {key for key, spec in specs.items() if spec.kind in ("int", "seed")}
     out = {}
     for key, value in raw.items():
-        if isinstance(value, float) and value.is_integer() and key in ("k", "n_clusters", "seed"):
+        if isinstance(value, float) and value.is_integer() and key in integer:
             value = int(value)
         out[str(key)] = value
     return out
@@ -102,7 +106,8 @@ def recipe_from_obj(obj, catalog: Catalog, l_max: int = DEFAULT_L_MAX) -> Recipe
         if not isinstance(params, dict):
             problems.append(f"step {i}: params must be an object")
             continue
-        steps.append(OperatorSpec(str(s["operator"]), _coerce_params(params)))
+        operator = str(s["operator"])
+        steps.append(OperatorSpec(operator, _coerce_params(params, operator, catalog)))
     if problems:
         raise RecipeValidationError(problems)
     recipe = Recipe(tuple(steps))

@@ -277,6 +277,8 @@ class TestLedgerLifecycle:
         ("run", ["--random-select", "--assistant-cmd", "ranker=cmd"]),
         ("run", ["--oracle", "command"]),
         ("baseline", ["--oracle", "command"]),
+        ("run", ["--master-seed", "-1"]),
+        ("baseline", ["--master-seed", "-1"]),
     ])
     def test_bad_config_rejected_before_ledger(
         self, synth_files, tmp_path, capsys, monkeypatch, command, flags

@@ -174,6 +174,11 @@ class TestWarmup:
         with pytest.raises(ControllerError, match="budget must exceed warmup"):
             run_search(SearchConfig(budget=3), pool, signals, constant_oracle())
 
+    def test_negative_master_seed_rejected(self):
+        # numpy's SeedSequence takes no negative entropy
+        with pytest.raises(ControllerError, match="master_seed must be >= 0, got -1"):
+            SearchConfig(budget=5, master_seed=-1).validate()
+
 
 class TestSearchStructure:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

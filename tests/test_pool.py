@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import recipesearch.pool as pool_module
 from recipesearch.pool import (
     PoolError,
-    _first_problem,
     descending_rank,
     load_pool,
     load_signals,
@@ -76,6 +77,104 @@ def signal_line(sid: str, sparse=None, **fields) -> str:
     if sparse is not None:
         rec["sparse"] = sparse
     return json.dumps(rec)
+
+
+# ---------------------------------------------------------------------------
+# The reference walk: the message of the first offending signals line, from
+# a second, separate reading of the file. It was the loader's own fallback
+# path before each line was checked where it is parsed.
+# ---------------------------------------------------------------------------
+
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+# The Python types ``json.loads`` gives a JSON integer and a JSON number.
+# ``bool`` subclasses ``int`` but is in neither set, so true and false fail.
+_INTEGER = frozenset((int,))
+_NUMBER = frozenset((int, float))
+
+_SCALARS = ("ifd", "varentropy", "ao")
+
+
+def _as_float(value) -> float:
+    """A JSON number as a float; an integer too large for one is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _pairs_problem(pairs, sae_dim: int) -> str | None:
+    """The first problem of one sparse vector, in the order ingestion reports it.
+
+    Entry by entry: its shape, the JSON types of index and value, the index
+    range, then the value; after the last entry, the smallest feature index
+    repeated among the nonzero values.
+    """
+    if type(pairs) is not list:
+        return f"sparse must be an array of [index, value] pairs, got {pairs!r}"
+    active = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            return f"sparse entry must be [index, value], got {pair!r}"
+        i, v = pair
+        if type(i) not in _INTEGER:
+            return f"feature index must be a JSON integer, got {i!r}"
+        if type(v) not in _NUMBER:
+            return f"sparse value must be a JSON number, got {v!r}"
+        if i < 0 or i >= sae_dim:
+            return f"feature index out of range ({i} >= sae_dim {sae_dim})"
+        v = _as_float(v)
+        if not 0.0 <= v < math.inf:
+            return f"negative or non-finite sparse value {v}"
+        if v:
+            active.append(i)
+    repeated = [i for i, c in Counter(active).items() if c > 1]
+    return f"duplicate feature index {min(repeated)}" if repeated else None
+
+
+def _record_problem(rec: dict, sae_dim: int) -> str | None:
+    """The first problem of a signals record's fields, in the order ingestion reports it."""
+    for name in _SCALARS:
+        if name not in rec:
+            return f"missing field {name!r}"
+        value = rec[name]
+        if type(value) not in _NUMBER:
+            return f"{name} must be a JSON number, got {value!r}"
+        value = _as_float(value)
+        if not 0.0 <= value < math.inf:
+            return f"negative or non-finite {name} value {value}"
+    return _pairs_problem(rec.get("sparse", []), sae_dim)
+
+
+def _first_problem(path: str, index: dict[str, int], sae_dim: int) -> str | None:
+    """The message for the first offending line of a signals file, or None.
+
+    The reference walk behind every line message of :func:`load_signals`.
+    """
+    seen: set[str] = set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if _NOT_UTF8.search(line):
+                return f"signals file {path}: line {lineno} is not valid UTF-8"
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return f"invalid JSON at line {lineno}: {exc}"
+            if type(rec) is not dict:
+                return f"expected a JSON object at line {lineno}"
+            sid = rec.get("id", "")
+            if type(sid) is not str or sid not in index:
+                return f"signals line {lineno}: id {sid!r} not in pool"
+            if sid in seen:
+                return f"signals line {lineno}: duplicate signals for id {sid!r}"
+            seen.add(sid)
+            problem = _record_problem(rec, sae_dim)
+            if problem is not None:
+                return f"signals line {lineno}: {problem}"
+    return None
 
 
 POOL_COLUMNS = ("ids", "instructions", "responses", "sources")
@@ -583,6 +682,26 @@ class TestFlatIngestion:
         else:
             assert message is None or message.startswith("missing signals for")
 
+    SPARSE_ENTRY = st.one_of(
+        st.tuples(st.integers(-1, 9),
+                  st.sampled_from([0, 0.0, -0.0, 1, 2.5, -1.0, float("nan"), float("inf"),
+                                   10 ** 400, True, "1"])).map(list),
+        st.sampled_from([[1], [1, 2.0, 3], "ab", {"a": 1, "b": 2}, [2.0, 1.0], [True, 1.0],
+                         [2 ** 70, 1.0]]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(SPARSE_ENTRY, max_size=6) | st.sampled_from([5, None, "x"]))
+    def test_sparse_check_is_the_reference_walk(self, pairs):
+        # the one check of a signals line's or a target's sparse vector
+        indices, values = array("q"), array("d")
+        problem = pool_module._sparse_into(pairs, 8, indices, values)
+        assert problem == _pairs_problem(pairs, 8)
+        if problem is None:
+            kept = [(i, _as_float(v)) for i, v in pairs if v]
+            assert list(indices) == [i for i, _ in kept]
+            assert list(values) == [v for _, v in kept]
+
     @pytest.mark.parametrize("tail", [" {}", "x"])
     def test_line_with_trailing_data_rejected(self, tmp_path, tail):
         lines = [signal_line("s0", [[0, 1.0]]) + tail]
@@ -595,6 +714,31 @@ class TestFlatIngestion:
         with pytest.raises(PoolError, match=r"^signals line 1: feature index out of range"):
             ingest(tmp_path, text_pool([("a", "b")]), lines)
 
+
+    @pytest.mark.parametrize("last, message", [
+        (signal_line("s1", [[0, 1.0]]), None),
+        (signal_line("s1", [[0, 1.0], [0, 2.0]]), "signals line 2: duplicate feature index 0"),
+    ], ids=["good", "bad last line"])
+    def test_signals_file_opened_once(self, tmp_path, monkeypatch, last, message):
+        write_jsonl(tmp_path / "pool.jsonl", text_pool([("a", "b")] * 2))
+        (tmp_path / "targets.json").write_text(json.dumps(TINY_TARGETS))
+        signals = tmp_path / "signals.jsonl"
+        signals.write_text(signal_line("s0", [[0, 1.0]]) + "\n" + last + "\n")
+        pool = load_pool(str(tmp_path / "pool.jsonl"))
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "open", counting_open, raising=False)
+        try:
+            load_signals(str(signals), str(tmp_path / "targets.json"), pool)
+        except PoolError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+        assert opened.count(str(signals)) == 1
 
 class TestStrictTypes:
     @pytest.mark.parametrize("fields, message", [

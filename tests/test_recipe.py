@@ -95,6 +95,28 @@ class TestParse:
         for recipe in recipes:
             assert parse_recipe(json.dumps(recipe_to_obj(recipe)), catalog) == recipe
 
+    # A valid parameter set for each catalog operator with an integer parameter.
+    INTEGER_BASES = {
+        "semdedup": {"n_clusters": 2, "tau": 1.0, "seed": 7},
+        "random_k": {"k": 3, "seed": 42},
+    }
+
+    @pytest.mark.parametrize("operator, key", [
+        (entry.name, key)
+        for entry in default_catalog(4).entries
+        for key, spec in sorted(entry.params.items()) if spec.kind in ("int", "seed")
+    ])
+    def test_integral_float_of_integer_param_becomes_int(self, catalog, operator, key):
+        params = dict(self.INTEGER_BASES[operator], **{key: 2.0})
+        steps = [{"operator": operator, "params": params},
+                 {"operator": "ifd_topfrac", "params": {"fraction": 1.0}}]
+        recipe = parse_recipe(json.dumps({"steps": steps}), catalog)
+        got = recipe.steps[0].params[key]
+        assert type(got) is int and got == 2
+        assert type(recipe.steps[1].params["fraction"]) is float
+        if "tau" in params:
+            assert type(recipe.steps[0].params["tau"]) is float
+
 
 class TestExecute:
     def test_identity_fraction_returns_full_pool(self, tiny, catalog):
