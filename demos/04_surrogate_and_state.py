@@ -27,12 +27,12 @@ def main():
     catalog = default_catalog(len(pool))
 
     # the full pool is the reference point: ratios 1, drift 0
-    reference = compute_state(Subset.full(pool), pool, signals)
+    reference = compute_state(Subset.full(pool), signals)
     print("state of the full pool:")
     print(json.dumps(reference.to_dict(), indent=2, sort_keys=True))
 
     half = Recipe((OperatorSpec("ngram_topfrac", {"fraction": 0.5}),))
-    state = compute_state(execute_recipe(half, pool, signals), pool, signals)
+    state = compute_state(execute_recipe(half, pool, signals), signals)
     print("\nstate after keeping the top half by entropy:")
     print(json.dumps(state.to_dict(), indent=2, sort_keys=True))
 
@@ -42,7 +42,7 @@ def main():
     for f in fracs:
         recipe = Recipe((OperatorSpec("ngram_topfrac", {"fraction": f}),))
         subset = execute_recipe(recipe, pool, signals)
-        s = compute_state(subset, pool, signals)
+        s = compute_state(subset, signals)
         encodings.append(encode_recipe(recipe, catalog))
         scores.append(1.0 - (s.retain_ratio - 0.5) ** 2)  # a planted objective
     model = fit_gp(np.stack(encodings), np.array(scores))

@@ -48,13 +48,14 @@ from .operators import (
     NGRAM_TOPFRAC,
     RANDOM_K,
     SEMDEDUP,
-    STOCHASTIC_OPERATORS,
     VARENTROPY_TOPFRAC,
+    Catalog,
     OperatorSpec,
     Subset,
     default_catalog,
 )
 from .oracle import (
+    COMMAND_TIMEOUT_DEFAULT,
     CommandOracle,
     EvalRequest,
     OracleError,
@@ -210,8 +211,8 @@ def _add_oracle_args(p: argparse.ArgumentParser) -> None:
         "--oracle-cmd", nargs="+", help="external evaluation command argv"
     )
     p.add_argument(
-        "--oracle-timeout", type=float, default=None,
-        help="external command timeout in seconds",
+        "--oracle-timeout", type=float, default=COMMAND_TIMEOUT_DEFAULT,
+        help="external command timeout in seconds (default: %(default)s)",
     )
 
 
@@ -227,24 +228,22 @@ def _load_data(args, prefix: str):
 def _check_oracle_args(args) -> None:
     """Reject oracle settings that are wrong whatever the data."""
     timeout = args.oracle_timeout
-    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+    if not (math.isfinite(timeout) and timeout > 0):
         raise _config_rejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
     if args.oracle == "command" and not args.oracle_cmd:
         raise _config_rejected("--oracle command requires --oracle-cmd")
 
 
-def _build_oracle(args, pool, signals, out_dir: Path):
+def _build_oracle(args, signals, out_dir: Path):
     """The run's oracle; a rejected spec exits 2.
 
     The settings must have passed :func:`_check_oracle_args`. A command
     oracle creates ``out_dir`` and its manifest directory in it.
     """
     if args.oracle == "command":
-        kwargs = {}
-        if args.oracle_timeout is not None:
-            kwargs["timeout"] = args.oracle_timeout
         with _output(out_dir):
-            return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"), pool, **kwargs)
+            return CommandOracle(args.oracle_cmd, str(out_dir / "manifests"),
+                                 timeout=args.oracle_timeout)
     if not args.oracle_spec:
         return SyntheticOracle(SyntheticOracleSpec(family="constant", value=0.0))
     try:
@@ -303,10 +302,11 @@ def cmd_ingest_check(args) -> int:
     return 0
 
 
-def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None) -> Recipe:
+def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None, catalog: Catalog) -> Recipe:
+    """``recipe`` with ``seeds`` set, in order, on the steps whose operator has a ``seed``."""
     stochastic = [
         (i, s.operator) for i, s in enumerate(recipe.steps)
-        if s.operator in STOCHASTIC_OPERATORS
+        if "seed" in catalog.get(s.operator).params
     ]
     if not seeds:
         return recipe
@@ -340,14 +340,14 @@ def cmd_exec(args) -> int:
         recipe = parse_recipe(text, catalog, args.l_max)
     except RecipeValidationError as exc:
         raise _recipe_rejected(1, exc.violations) from exc
-    recipe = _apply_seed_overrides(recipe, args.seeds)
+    recipe = _apply_seed_overrides(recipe, args.seeds, catalog)
     # --seeds overrides get the checks that seeds in the recipe file get
     violations = validate_recipe(recipe, catalog, args.l_max)
     if violations:
         raise _recipe_rejected(1, violations)
     try:
         subset = execute_recipe(recipe, pool, signals)
-        state = compute_state(subset, pool, signals)
+        state = compute_state(subset, signals)
     except (ExecutionError, StateError) as exc:
         raise CommandError(1, f"execution aborted: {exc}") from exc
     out = Path(args.out)
@@ -356,7 +356,7 @@ def cmd_exec(args) -> int:
         run_id=args.run_id or "exec", step=0, recipe=recipe, subset=subset,
     )
     with _output(out.parent):
-        write_manifest(str(out), pool, request)
+        write_manifest(str(out), request)
     with _output(state_path.parent), open(state_path, "w", encoding="utf-8") as fh:
         json.dump(state.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -377,11 +377,10 @@ def _write_run_outputs(out_dir: Path, result, pool) -> None:
         recipe=result.incumbent_recipe,
         subset=Subset.from_ids(result.incumbent_ids, pool),
     )
-    with _output(out_dir):
-        with open(out_dir / "best_recipe.json", "w", encoding="utf-8") as fh:
-            json.dump(best, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        write_manifest(str(out_dir / "best_subset.jsonl"), pool, request)
+    with open(out_dir / "best_recipe.json", "w", encoding="utf-8") as fh:
+        json.dump(best, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    write_manifest(str(out_dir / "best_subset.jsonl"), request)
 
 
 # Run failures that end a command with one line on stderr and exit code 1.
@@ -392,16 +391,19 @@ def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
     """Write the ledger header, run ``body(ledger)``, and close the ledger.
 
     On any exception the ledger ends with an ``abort`` line. A run failure
-    then exits 1; anything else re-raises.
+    then exits 1, and so does an output that fails (``output failed:``);
+    anything else re-raises.
     """
     with _output(out_dir):
         ledger = RunLedger(str(out_dir / "ledger.jsonl"))
     ledger.write(header)
     try:
-        body(ledger)
+        with _output(out_dir):
+            body(ledger)
     except BaseException as exc:
         expected = isinstance(exc, RUN_ERRORS)
-        error = str(exc) if expected else f"{type(exc).__name__}: {exc}"
+        reported = expected or isinstance(exc, CommandError)
+        error = str(exc) if reported else f"{type(exc).__name__}: {exc}"
         ledger.write({"type": "abort", "error": error})
         if not expected:
             raise
@@ -432,7 +434,7 @@ def cmd_run(args) -> int:
     pool, signals = _load_data(args, "ingestion failed")
     catalog = default_catalog(len(pool))
     out_dir = Path(args.out_dir)
-    oracle = _build_oracle(args, pool, signals, out_dir)
+    oracle = _build_oracle(args, signals, out_dir)
     with _output(out_dir):
         (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
     header = {
@@ -529,7 +531,7 @@ def cmd_baseline(args) -> int:
         if violations:
             raise _recipe_rejected(2, violations)
     out_dir = Path(args.out_dir)
-    oracle = _build_oracle(args, pool, signals, out_dir)
+    oracle = _build_oracle(args, signals, out_dir)
     run_id = args.run_id or f"baseline-{args.suite}-seed{args.master_seed}"
     header = {
         "type": "header",

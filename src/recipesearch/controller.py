@@ -43,7 +43,6 @@ from .recipe import (
     propose_local_edits,
     recipe_from_obj,
     recipe_to_obj,
-    sample_params,
     sample_random_recipe,
     validate_recipe,
 )
@@ -52,10 +51,10 @@ from .surrogate import fit_gp, predict_gp
 
 logger = logging.getLogger(__name__)
 
-WARMUP_COUNT = 3
 WARMUP_BIN_BOUNDS = (1.0 / 3.0, 2.0 / 3.0)
 # The (lo, hi] retain-ratio bands: one warmup probe each, and the summarizer's bands.
 RETAIN_BANDS = tuple(zip((0.0, *WARMUP_BIN_BOUNDS), (*WARMUP_BIN_BOUNDS, 1.0)))
+WARMUP_COUNT = len(RETAIN_BANDS)
 WARMUP_RESAMPLE_CAP = 500
 # UCB exploration weight of the fallback ranker, and the retain ratio below
 # which it demotes a candidate as degenerate.
@@ -362,20 +361,15 @@ def motif_signals(
     )
 
 
-def _best_params_for(history: list[EvalRecord], op: str) -> dict | None:
-    """Parameters of the operator's last occurrence in its best-scoring recipe."""
-    best: EvalRecord | None = None
-    for rec in history:
-        if op in rec.recipe.operators():
-            if best is None or rec.score > best.score:
-                best = rec
-    if best is None:
-        return None
-    params = None
-    for step in best.recipe.steps:
-        if step.operator == op:
-            params = dict(step.params)
-    return params
+def _best_params_for(history: list[EvalRecord], op: str) -> dict:
+    """Parameters of the operator's last occurrence in its best-scoring recipe.
+
+    ``op`` must occur in ``history``, as every operator of a reseed motif
+    does; equal scores go to the earliest recipe.
+    """
+    best = max((rec for rec in history if op in rec.recipe.operators()),
+               key=lambda rec: rec.score)
+    return dict([s.params for s in best.recipe.steps if s.operator == op][-1])
 
 
 def fallback_reseed(
@@ -420,13 +414,8 @@ def fallback_reseed(
         motif = motif[: max(1, l_max)]
         if motif == [MIX]:
             continue
-        steps = []
-        for op in motif:
-            params = _best_params_for(history, op)
-            if params is None:
-                params = sample_params(op, catalog, rng)
-            steps.append(OperatorSpec(op, params))
-        candidate = Recipe(tuple(steps))
+        candidate = Recipe(tuple(OperatorSpec(op, _best_params_for(history, op))
+                                 for op in motif))
         if not validate_recipe(candidate, catalog, l_max):
             return candidate
     return sample_random_recipe(catalog, rng, l_max)
@@ -707,7 +696,7 @@ class _Runtime:
         self.steps_executed += len(recipe) - (memo.served - served)
         state = self.states.get(subset)
         if state is None:
-            state = self.states[subset] = compute_state(subset, self.pool, self.signals)
+            state = self.states[subset] = compute_state(subset, self.signals)
         else:
             self.states_reused += 1
         return Candidate(
@@ -740,12 +729,14 @@ class _Runtime:
 
         Returns True iff the record strictly improves the incumbent. A
         non-finite score or ``per_benchmark`` value raises OracleError before
-        it is cached or recorded.
+        it is cached or recorded. A cache hit records the stored score and
+        no duration.
         """
         step = len(self.records) + 1
         subset_hash = cand.subset.content_hash()
         outcome = self.cache.lookup(subset_hash)
-        if outcome is None:
+        cache_hit = outcome is not None
+        if not cache_hit:
             request = EvalRequest(
                 run_id=self.config.resolved_run_id(),
                 step=step,
@@ -772,8 +763,8 @@ class _Runtime:
             subset_hash=subset_hash,
             seed_phase=self.seed_phase,
             is_warmup=is_warmup,
-            cache_hit=outcome.cache_hit,
-            duration_s=outcome.duration_s,
+            cache_hit=cache_hit,
+            duration_s=None if cache_hit else outcome.duration_s,
         )
         self.records.append(record)
         self.subsets.append(cand.subset)
@@ -890,10 +881,6 @@ def _external_contexts(
         "current_score": f"{anchor_record.score:.4f}" if anchor_record else "not yet evaluated",
         "state_section": _state_section(anchor_record.state) if anchor_record else "unavailable",
         "insights_section": guidance.rendered() if guidance else "none yet",
-        "mix_note": (
-            "The mix operator unions the current subset with a previously "
-            "evaluated one (source: \"incumbent\" or \"eval:<t>\")."
-        ),
         "n_evaluations": str(len(records)),
         "budget_total": str(config.budget),
         "best_score": f"{rt.incumbent().score:.4f}" if records else "n/a",

@@ -7,7 +7,9 @@ corresponding signal column; benchmark-relevance selection unions
 per-benchmark top fractions; SemDedup is cluster-then-greedy near-duplicate
 removal; random-k is the seeded stochastic escape; mix unions the current
 subset with a previously evaluated one. Ties are always broken by pool order
-so repeated application is bit-identical.
+so repeated application is bit-identical. An operator is stochastic exactly
+when its catalog entry has a ``seed`` parameter (SemDedup and random-k); the
+matched-seed protocol of ``exec --seeds`` overrides the steps that have one.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ SELECTOR_COLUMNS = {
     NGRAM_TOPFRAC: "ngram_entropy",
     AO_TOPFRAC: "ao",
 }
-
-# Operators whose execution consumes a PRNG seed (the matched-seed protocol
-# overrides exactly these).
-STOCHASTIC_OPERATORS = (SEMDEDUP, RANDOM_K)
 
 
 @dataclass(frozen=True)

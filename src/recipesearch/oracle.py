@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .operators import Subset
-from .pool import CanonicalPool
 from .recipe import Recipe, recipe_to_obj
 from .state import StateVector
 
@@ -51,15 +50,14 @@ class EvalOutcome:
     score: float
     per_benchmark: dict[str, float] | None = None
     duration_s: float | None = None
-    cache_hit: bool = False
 
 
 # A manifest record line: the bytes of json.dumps(record, sort_keys=True).
 _RECORD = '{"id": %s, "instruction": %s, "response": %s, "source": %s}\n'
 
 
-def write_manifest(path: str, pool: CanonicalPool, request: EvalRequest) -> None:
-    """Write the subset manifest: one header line, then full records in pool order.
+def write_manifest(path: str, request: EvalRequest) -> None:
+    """Write the subset manifest: one header line, then the subset's records in pool order.
 
     Each record line holds ``id``, ``instruction``, ``response`` and
     ``source``, formatted from the escaped strings into exactly the bytes of
@@ -72,6 +70,7 @@ def write_manifest(path: str, pool: CanonicalPool, request: EvalRequest) -> None
         "subset_size": len(request.subset),
     }
     q = encode_basestring_ascii
+    pool = request.subset.pool
     ids, instructions, responses, sources = (
         pool.ids, pool.instructions, pool.responses, pool.sources)
     with open(path, "w", encoding="utf-8") as fh:
@@ -126,18 +125,16 @@ class CommandOracle:
         self,
         command: list[str],
         manifest_dir: str,
-        pool: CanonicalPool,
         timeout: float = COMMAND_TIMEOUT_DEFAULT,
     ):
         self.command = list(command)
         self.manifest_dir = Path(manifest_dir)
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
-        self.pool = pool
         self.timeout = timeout
 
     def evaluate(self, request: EvalRequest, state: StateVector) -> EvalOutcome:
         manifest = str(self.manifest_dir / f"manifest_step{request.step:03d}.jsonl")
-        write_manifest(manifest, self.pool, request)
+        write_manifest(manifest, request)
         started = time.monotonic()
         proc, reason = run_command(self.command + [manifest], None, self.timeout)
         if proc is None:
@@ -279,12 +276,8 @@ class EvalCache:
         self._store: dict[str, EvalOutcome] = {}
 
     def lookup(self, subset_hash: str) -> EvalOutcome | None:
-        hit = self._store.get(subset_hash)
-        if hit is None:
-            return None
-        return EvalOutcome(
-            score=hit.score, per_benchmark=hit.per_benchmark, cache_hit=True
-        )
+        """The outcome stored for this subset, or None."""
+        return self._store.get(subset_hash)
 
     def store(self, subset_hash: str, outcome: EvalOutcome) -> None:
         self._store[subset_hash] = outcome

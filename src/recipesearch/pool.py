@@ -268,6 +268,8 @@ def load_pool(path: str) -> CanonicalPool:
         sid, instruction, response, source = fields
         if not sid:
             raise PoolError(f"empty id at line {lineno}")
+        if "\x00" in sid:  # NUL ends each id in the bytes content_hash hashes
+            raise PoolError(f"id contains U+0000 (NUL) at line {lineno}")
         if sid in index:
             raise PoolError(f"duplicate id {sid} at line {lineno}")
         try:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .operators import Subset
-from .pool import CanonicalPool, SignalTable
+from .pool import SignalTable
 
 
 class StateError(ValueError):
@@ -78,8 +78,8 @@ def compute_snar(subset: Subset, signals: SignalTable) -> np.ndarray:
     return rates
 
 
-def compute_state(subset: Subset, pool: CanonicalPool, signals: SignalTable) -> StateVector:
-    """All eight state fields for a nonempty subset.
+def compute_state(subset: Subset, signals: SignalTable) -> StateVector:
+    """All eight state fields for a nonempty subset, relative to the subset's pool.
 
     Relevance mean and std aggregate over all (sample, benchmark) pairs
     jointly; std is the population standard deviation. mean_ifd and
@@ -88,7 +88,7 @@ def compute_state(subset: Subset, pool: CanonicalPool, signals: SignalTable) -> 
     """
     if len(subset) == 0:
         raise StateError("empty subset")
-    pos = subset.positions
+    pool, pos = subset.pool, subset.positions
     # the same rows as relevance[pos], gathered an order of magnitude faster
     scores = np.take(signals.relevance, pos, axis=0)
     drift = float(

@@ -99,7 +99,7 @@ def enumeration(pool200):
 
     def score(recipe: Recipe) -> float:
         subset = execute_recipe(recipe, pool, signals)
-        state = compute_state(subset, pool, signals)
+        state = compute_state(subset, signals)
         request = EvalRequest(run_id="enum", step=0, recipe=recipe, subset=subset)
         return evaluate_synthetic(request, PLANTED, state)
 

@@ -158,7 +158,7 @@ class TestExec:
         recipe = parse_recipe(json.dumps(FOUR_STEP_RECIPE), catalog)
         from recipesearch.cli import _apply_seed_overrides
 
-        recipe = _apply_seed_overrides(recipe, [7, 42])
+        recipe = _apply_seed_overrides(recipe, [7, 42], catalog)
         expected = execute_recipe(recipe, pool, signals)
         lines = ledger_lines(out)
         assert [r["id"] for r in lines[1:]] == expected.ids()
@@ -291,6 +291,23 @@ class TestLedgerLifecycle:
         assert main(run_argv(command, synth_files, out_dir, *flags)) == 2
         assert "config rejected:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_manifest_write_failure_ends_ledger_with_output_failed(
+        self, synth_files, tmp_path, capsys, command
+    ):
+        out_dir = tmp_path / "out"
+        manifest = out_dir / "manifests" / "manifest_step001.jsonl"
+        manifest.mkdir(parents=True)
+        argv = run_argv(command, synth_files, out_dir,
+                        *printing_scorer(tmp_path, '{"score": 1.0}'))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"output failed: {manifest}: "), err
+        assert "Traceback" not in err
+        events = ledger_lines(out_dir / "ledger.jsonl")
+        assert events[0]["type"] == "header"
+        assert events[-1] == {"type": "abort", "error": err.strip()}
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
     @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])

@@ -26,7 +26,12 @@ from recipesearch.controller import (
     strip_json_payload,
 )
 from recipesearch.operators import MIX, OperatorSpec, Subset, default_catalog
-from recipesearch.oracle import OracleError, SyntheticOracle, SyntheticOracleSpec
+from recipesearch.oracle import (
+    EvalOutcome,
+    OracleError,
+    SyntheticOracle,
+    SyntheticOracleSpec,
+)
 from recipesearch.recipe import (
     DEFAULT_L_MAX,
     ExecutionError,
@@ -800,6 +805,120 @@ def test_role_parsers_give_a_value_or_a_reason(role_setup, role, out):
     assert (value is None) == bool(reason)
 
 
+# ---------------------------------------------------------------------------
+# Search paths off the default route: role answers taken, rescue draws,
+# relaxed warmup bins, cache hits
+# ---------------------------------------------------------------------------
+
+def test_external_ranking_picks_its_first_candidate(small_pool):
+    pool, signals = small_pool
+    answer = json.dumps({"ranking": [1, 0], "confidence": "high", "rationale": "second first"})
+    events = []
+    config = SearchConfig(budget=6, master_seed=22, candidates_per_step=2,
+                          assistant_commands={"ranker": ["assistant"]})
+    with printing(answer):
+        result = run_search(config, pool, signals, constant_oracle(), sink=events.append)
+    assert not [e for e in events if e["type"] == "assistant_failure"]
+    steps = [e for e in events if e["type"] == "candidates"]
+    assert [e["step"] for e in steps] == [4, 5, 6]
+    for event in steps:
+        items = event["items"]
+        assert [(item["rank"], item["chosen"]) for item in items] == [(1, False), (0, True)]
+        assert event["rank_meta"] == {
+            "confidence": "high", "rationale": "second first", "eval_rationale": None,
+        }
+        assert result.records[event["step"] - 1].subset_hash == items[1]["subset_hash"]
+
+
+def test_external_motif_becomes_the_reseed_anchor(small_pool):
+    pool, signals = small_pool
+    motif = [{"operator": "ifd_topfrac", "params": {"fraction": 0.25}}]
+    events = []
+    config = SearchConfig(budget=6, patience=1, master_seed=24,
+                          assistant_commands={"reseeder": ["assistant"]})
+    with printing(json.dumps(motif)):
+        run_search(config, pool, signals, constant_oracle(), sink=events.append)
+    assert not [e for e in events if e["type"] == "assistant_failure"]
+    reseeds = [e for e in events if e["type"] == "reseed"]
+    assert [e["step"] for e in reseeds] == [4, 5, 6]
+    assert all(e["recipe"] == {"steps": motif} for e in reseeds)
+
+
+def no_local_edits(*args, **kwargs):
+    raise ProposeError("no edit of the anchor applies")
+
+
+def test_proposer_failure_evaluates_a_rescue_draw(small_pool, monkeypatch):
+    pool, signals = small_pool
+    monkeypatch.setattr(controller, "propose_local_edits", no_local_edits)
+    draws = []
+    real_draw = controller._Runtime.draw_candidate
+
+    def spying_draw(rt, rng, cap):
+        state = rng.bit_generator.state
+        draws.append((state, real_draw(rt, rng, cap)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(controller._Runtime, "draw_candidate", spying_draw)
+    result = run_search(SearchConfig(budget=5, master_seed=3), pool, signals,
+                        constant_oracle())
+    assert len(draws) == 2
+    for step, (state, cand) in zip((4, 5), draws):
+        assert state == controller.role_rng(3, step, "rescue").bit_generator.state
+        assert cand is not None and result.records[step - 1].recipe == cand.recipe
+
+
+def test_no_rescue_draw_ends_the_search(small_pool, monkeypatch):
+    pool, signals = small_pool
+    monkeypatch.setattr(controller, "propose_local_edits", no_local_edits)
+    monkeypatch.setattr(controller._Runtime, "draw_candidate", lambda rt, rng, cap: None)
+    with pytest.raises(ControllerError, match="no executable candidate found at step 4"):
+        run_search(SearchConfig(budget=5, master_seed=3), pool, signals, constant_oracle())
+
+
+def test_warmup_falls_back_to_the_nearest_draw(small_pool, monkeypatch):
+    # with one draw per bin, seed 11 lands each probe outside its band
+    pool, signals = small_pool
+    monkeypatch.setattr(controller, "WARMUP_RESAMPLE_CAP", 1)
+    config = SearchConfig(budget=5, master_seed=11)
+    records, _ = run_warmup(config, pool, signals, constant_oracle())
+    rng = controller.role_rng(11, 0, "warmup")
+    catalog = default_catalog(len(pool))
+    draws = [sample_random_recipe(catalog, rng, config.l_max) for _ in controller.RETAIN_BANDS]
+    assert [r.recipe for r in records] == draws
+    assert not any(lo < r.state.retain_ratio <= hi
+                   for r, (lo, hi) in zip(records, controller.RETAIN_BANDS))
+
+
+class TimedOracle:
+    """Scores 1.0, 2.0, ... in call order, each with a duration of 0.5 s."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, request, state):
+        self.calls += 1
+        return EvalOutcome(score=float(self.calls), duration_s=0.5)
+
+
+def test_a_cache_hit_records_the_first_score_and_no_duration(small_pool):
+    pool, signals = small_pool
+    events = []
+    oracle = TimedOracle()
+    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, oracle,
+                             default_catalog(len(pool)), events.append)
+    half = Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),))
+    same_subset = Recipe(half.steps + (OperatorSpec("ifd_topfrac", {"fraction": 1.0}),))
+    rt.evaluate(rt.materialize(half), is_warmup=False)
+    rt.evaluate(rt.materialize(same_subset), is_warmup=False)
+    first, repeat = events
+    assert oracle.calls == 1
+    assert repeat["subset_hash"] == first["subset_hash"]
+    assert first["cache_hit"] is False and first["duration_s"] == 0.5
+    assert repeat["cache_hit"] is True and "duration_s" not in repeat
+    assert repeat["score"] == first["score"] == 1.0
+
+
 def spearman_loop(fields, scores):
     """The per-field ``spearmanr`` loop that ``state_correlations`` replaces."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -865,7 +984,7 @@ def fresh_outcome(rt, recipe):
     """A recipe's subset and state from an execution without the memo, or its abort."""
     try:
         subset = execute_recipe(recipe, rt.pool, rt.signals, rt.resolve_source)
-        return subset, compute_state(subset, rt.pool, rt.signals)
+        return subset, compute_state(subset, rt.signals)
     except (ExecutionError, StateError) as exc:
         return exc
 

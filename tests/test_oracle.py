@@ -67,45 +67,45 @@ STUB_READS_MANIFEST = [
 class TestCommandOracle:
     def test_stub_score_recorded(self, tiny, tmp_path):
         pool, _ = tiny
-        oracle = CommandOracle(STUB_OK, str(tmp_path), pool)
+        oracle = CommandOracle(STUB_OK, str(tmp_path))
         outcome = oracle.evaluate(make_request(pool, ["a", "b"]), make_state())
         assert outcome.score == 42.23
         assert outcome.duration_s is not None and outcome.duration_s >= 0.0
 
     def test_manifest_written_before_invocation(self, tiny, tmp_path):
         pool, _ = tiny
-        oracle = CommandOracle(STUB_READS_MANIFEST, str(tmp_path), pool)
+        oracle = CommandOracle(STUB_READS_MANIFEST, str(tmp_path))
         outcome = oracle.evaluate(make_request(pool, ["a", "b", "d"]), make_state())
         assert outcome.score == 3.0
 
     def test_nonzero_exit_aborts(self, tiny, tmp_path):
         pool, _ = tiny
-        oracle = CommandOracle(STUB_FAIL, str(tmp_path), pool)
+        oracle = CommandOracle(STUB_FAIL, str(tmp_path))
         with pytest.raises(OracleError, match="exited 1"):
             oracle.evaluate(make_request(pool, ["a"]), make_state())
 
     def test_unparsable_output_aborts(self, tiny, tmp_path):
         pool, _ = tiny
-        oracle = CommandOracle(STUB_GARBAGE, str(tmp_path), pool)
+        oracle = CommandOracle(STUB_GARBAGE, str(tmp_path))
         with pytest.raises(OracleError, match="unparsable"):
             oracle.evaluate(make_request(pool, ["a"]), make_state())
 
     @pytest.mark.parametrize("stub", [STUB_NOT_OBJECT, STUB_BAD_PER_BENCH])
     def test_wrongly_shaped_output_aborts(self, tiny, tmp_path, stub):
         pool, _ = tiny
-        oracle = CommandOracle(stub, str(tmp_path), pool)
+        oracle = CommandOracle(stub, str(tmp_path))
         with pytest.raises(OracleError, match="unparsable"):
             oracle.evaluate(make_request(pool, ["a"]), make_state())
 
     def test_missing_command(self, tiny, tmp_path):
         pool, _ = tiny
-        oracle = CommandOracle(["/does/not/exist"], str(tmp_path), pool)
+        oracle = CommandOracle(["/does/not/exist"], str(tmp_path))
         with pytest.raises(OracleError, match="not found"):
             oracle.evaluate(make_request(pool, ["a"]), make_state())
 
     def test_per_benchmark_passthrough(self, tiny, tmp_path):
         pool, _ = tiny
-        oracle = CommandOracle(STUB_PER_BENCH, str(tmp_path), pool)
+        oracle = CommandOracle(STUB_PER_BENCH, str(tmp_path))
         outcome = oracle.evaluate(make_request(pool, ["a"]), make_state())
         assert outcome.per_benchmark == {"b1": 29.0, "b2": 54.6, "b3": 30.0, "b4": 55.3}
 
@@ -113,7 +113,7 @@ class TestCommandOracle:
         pool, _ = tiny
         request = make_request(pool, ["c", "a"], step=4, run_id="r7")
         path = tmp_path / "m.jsonl"
-        write_manifest(str(path), pool, request)
+        write_manifest(str(path), request)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["run_id"] == "r7"
@@ -212,7 +212,7 @@ class TestCache:
         assert cache.lookup(h1) is None
         cache.store(h1, EvalOutcome(score=5.0))
         hit = cache.lookup(h2)
-        assert hit is not None and hit.score == 5.0 and hit.cache_hit
+        assert hit is not None and hit.score == 5.0
 
     def test_digest_computed_once(self, tiny, monkeypatch):
         pool, _ = tiny

@@ -295,6 +295,13 @@ class TestLoadPool:
         with pytest.raises(PoolError, match="not encodable as UTF-8 at line 2"):
             load_pool(str(path))
 
+    def test_id_with_nul_names_line(self, tmp_path):
+        # NUL ends each id in the hashed bytes: {"a\x00b"} and {"a", "b"} would collide
+        path = tmp_path / "nul.jsonl"
+        write_jsonl(path, [dict(GOOD_RECORD, id=sid) for sid in ("a", "a\x00b", "b")])
+        with pytest.raises(PoolError, match=r"id contains U\+0000 \(NUL\) at line 2"):
+            load_pool(str(path))
+
     def test_digest_tables_follow_sorted_ids(self, tmp_path):
         ids = ["z", "\u00e9t\u00e9", "a10", "a9", "\u4e2d"]
         path = tmp_path / "ids.jsonl"

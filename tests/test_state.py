@@ -142,7 +142,7 @@ def test_snar_matches_the_row_gather_bit_for_bit(case):
 class TestComputeState:
     def test_full_pool_is_the_reference_point(self, synth):
         pool, signals = synth
-        state = compute_state(Subset.full(pool), pool, signals)
+        state = compute_state(Subset.full(pool), signals)
         assert state.retain_ratio == 1.0
         assert state.token_ratio == pytest.approx(1.0, abs=1e-12)
         assert state.distribution_drift == pytest.approx(0.0, abs=1e-12)
@@ -152,13 +152,13 @@ class TestComputeState:
     def test_half_pool_count_vs_token_decoupling(self, synth):
         pool, signals = synth
         half = Subset(np.arange(len(pool) // 2), pool)
-        state = compute_state(half, pool, signals)
+        state = compute_state(half, signals)
         assert state.retain_ratio == 0.5
         assert state.token_ratio != 0.5  # token mass is not uniform across samples
 
     def test_two_sample_hand_arithmetic(self, two_sample):
         pool, signals = two_sample
-        state = compute_state(Subset.from_ids(["p"], pool), pool, signals)
+        state = compute_state(Subset.from_ids(["p"], pool), signals)
         # relevance rows for p: 1.0 against g, 0.0 against h
         assert state.score_mean == pytest.approx(0.5, abs=1e-12)
         assert state.score_std == pytest.approx(0.5, abs=1e-12)
@@ -173,7 +173,7 @@ class TestComputeState:
     def test_empty_subset_rejected(self, synth):
         pool, signals = synth
         with pytest.raises(StateError, match="empty subset"):
-            compute_state(Subset(np.empty(0, np.int64), pool), pool, signals)
+            compute_state(Subset(np.empty(0, np.int64), pool), signals)
 
     def test_drift_bounded(self, synth):
         pool, signals = synth
@@ -181,7 +181,7 @@ class TestComputeState:
         for _ in range(25):
             size = int(rng.integers(1, len(pool) + 1))
             pos = np.sort(rng.choice(len(pool), size=size, replace=False))
-            state = compute_state(Subset(pos, pool), pool, signals)
+            state = compute_state(Subset(pos, pool), signals)
             assert 0.0 <= state.distribution_drift <= 1.0
 
     def test_ratio_consistency(self, synth):
@@ -191,7 +191,7 @@ class TestComputeState:
             size = int(rng.integers(1, len(pool) + 1))
             pos = np.sort(rng.choice(len(pool), size=size, replace=False))
             subset = Subset(pos, pool)
-            state = compute_state(subset, pool, signals)
+            state = compute_state(subset, signals)
             assert math.isclose(state.retain_ratio * len(pool), len(subset), rel_tol=1e-12)
             token_sum = int(pool.token_counts[pos].sum())
             assert math.isclose(
@@ -201,7 +201,7 @@ class TestComputeState:
     def test_std_against_brute_force(self, synth):
         pool, signals = synth
         subset = Subset(np.arange(37), pool)
-        state = compute_state(subset, pool, signals)
+        state = compute_state(subset, signals)
         flat = []
         for pos in subset.positions:
             for j in range(len(signals.benchmarks)):
@@ -216,13 +216,13 @@ class TestComputeState:
         rng = np.random.default_rng(44)
         big = np.sort(rng.choice(len(pool), size=120, replace=False))
         small = np.sort(rng.choice(big, size=40, replace=False))
-        s_small = compute_state(Subset(small, pool), pool, signals)
-        s_big = compute_state(Subset(big, pool), pool, signals)
+        s_small = compute_state(Subset(small, pool), signals)
+        s_big = compute_state(Subset(big, pool), signals)
         assert s_small.token_ratio <= s_big.token_ratio
 
     def test_serialized_field_names(self, two_sample):
         pool, signals = two_sample
-        state = compute_state(Subset.full(pool), pool, signals)
+        state = compute_state(Subset.full(pool), signals)
         doc = state.to_dict()
         assert list(doc) == [
             "score_mean", "score_std", "score_per_task", "retain_ratio",
