@@ -45,7 +45,7 @@ def main():
     for i, step in enumerate(recipe.steps, start=1):
         subset = apply_step(step, subset, signals)
         print(f"after step {i} ({step.operator:14s}): {len(subset)} samples")
-    final = execute_recipe(recipe, pool, signals)
+    final = execute_recipe(recipe, signals)
     assert final.ids() == subset.ids()
 
     # invalid programs are rejected with every violation listed

@@ -32,7 +32,7 @@ def main():
     print(json.dumps(reference.to_dict(), indent=2, sort_keys=True))
 
     half = Recipe((OperatorSpec("ngram_topfrac", {"fraction": 0.5}),))
-    state = compute_state(execute_recipe(half, pool, signals), signals)
+    state = compute_state(execute_recipe(half, signals), signals)
     print("\nstate after keeping the top half by entropy:")
     print(json.dumps(state.to_dict(), indent=2, sort_keys=True))
 
@@ -41,7 +41,7 @@ def main():
     encodings, scores = [], []
     for f in fracs:
         recipe = Recipe((OperatorSpec("ngram_topfrac", {"fraction": f}),))
-        subset = execute_recipe(recipe, pool, signals)
+        subset = execute_recipe(recipe, signals)
         s = compute_state(subset, signals)
         encodings.append(encode_recipe(recipe, catalog))
         scores.append(1.0 - (s.retain_ratio - 0.5) ** 2)  # a planted objective

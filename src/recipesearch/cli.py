@@ -51,7 +51,6 @@ from .operators import (
     VARENTROPY_TOPFRAC,
     Catalog,
     OperatorSpec,
-    Subset,
     default_catalog,
 )
 from .oracle import (
@@ -217,10 +216,9 @@ def _add_oracle_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_data(args, prefix: str):
-    """The pool and its signals; a file that fails ingestion exits 1 after ``prefix``."""
+    """The signals of the pool; a file that fails ingestion exits 1 after ``prefix``."""
     try:
-        pool = load_pool(args.pool)
-        return pool, load_signals(args.signals, args.targets, pool)
+        return load_signals(args.signals, args.targets, load_pool(args.pool))
     except (PoolError, OSError) as exc:
         raise CommandError(1, f"{prefix}: {exc}") from exc
 
@@ -294,9 +292,9 @@ def _assistant_commands(args) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest_check(args) -> int:
-    pool, signals = _load_data(args, "ingest-check failed")
-    print(f"pool: {len(pool)} samples, {pool.total_tokens} tokens")
-    print(f"pool digest: {pool.content_digest()}")
+    signals = _load_data(args, "ingest-check failed")
+    print(f"pool: {len(signals.pool)} samples, {signals.pool.total_tokens} tokens")
+    print(f"pool digest: {signals.pool.content_digest()}")
     print(f"signals: sae_dim {signals.sae_dim}, benchmarks {', '.join(signals.benchmarks)}")
     print(f"mean ifd {signals.pool_mean_ifd:.4f}, mean varentropy {signals.pool_mean_varentropy:.4f}")
     return 0
@@ -330,8 +328,8 @@ def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None, catalog: Cata
 
 
 def cmd_exec(args) -> int:
-    pool, signals = _load_data(args, "ingestion failed")
-    catalog = default_catalog(len(pool))
+    signals = _load_data(args, "ingestion failed")
+    catalog = default_catalog(len(signals.pool))
     try:
         text = Path(args.recipe).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -346,7 +344,7 @@ def cmd_exec(args) -> int:
     if violations:
         raise _recipe_rejected(1, violations)
     try:
-        subset = execute_recipe(recipe, pool, signals)
+        subset = execute_recipe(recipe, signals)
         state = compute_state(subset, signals)
     except (ExecutionError, StateError) as exc:
         raise CommandError(1, f"execution aborted: {exc}") from exc
@@ -360,22 +358,21 @@ def cmd_exec(args) -> int:
     with _output(state_path.parent), open(state_path, "w", encoding="utf-8") as fh:
         json.dump(state.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"selected {len(subset)} of {len(pool)} samples -> {out}")
+    print(f"selected {len(subset)} of {len(signals.pool)} samples -> {out}")
     print(f"state vector -> {state_path}")
     return 0
 
 
-def _write_run_outputs(out_dir: Path, result, pool) -> None:
+def _write_run_outputs(out_dir: Path, result) -> None:
     best = {
         "recipe": recipe_to_obj(result.incumbent_recipe),
         "score": result.incumbent_score,
         "step": result.incumbent_step,
-        "subset_size": len(result.incumbent_ids),
+        "subset_size": len(result.incumbent_subset),
     }
     request = EvalRequest(
         run_id="best", step=result.incumbent_step,
-        recipe=result.incumbent_recipe,
-        subset=Subset.from_ids(result.incumbent_ids, pool),
+        recipe=result.incumbent_recipe, subset=result.incumbent_subset,
     )
     with open(out_dir / "best_recipe.json", "w", encoding="utf-8") as fh:
         json.dump(best, fh, sort_keys=True, indent=2)
@@ -431,8 +428,8 @@ def cmd_run(args) -> int:
     except ControllerError as exc:
         raise _config_rejected(exc) from exc
     _check_oracle_args(args)
-    pool, signals = _load_data(args, "ingestion failed")
-    catalog = default_catalog(len(pool))
+    signals = _load_data(args, "ingestion failed")
+    catalog = default_catalog(len(signals.pool))
     out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, signals, out_dir)
     with _output(out_dir):
@@ -443,20 +440,20 @@ def cmd_run(args) -> int:
         "mode": "search",
         "config": config.to_dict(),
         "catalog_digest": catalog.digest(),
-        "pool_digest": pool.content_digest(),
+        "pool_digest": signals.pool.content_digest(),
     }
 
     def body(ledger: RunLedger) -> None:
-        result = run_search(config, pool, signals, oracle, catalog=catalog,
+        result = run_search(config, signals.pool, signals, oracle, catalog=catalog,
                             sink=ledger.write)
         ledger.write({
             "type": "result",
             "incumbent_step": result.incumbent_step,
             "score": result.incumbent_score,
             "recipe": recipe_to_obj(result.incumbent_recipe),
-            "subset_size": len(result.incumbent_ids),
+            "subset_size": len(result.incumbent_subset),
         })
-        _write_run_outputs(out_dir, result, pool)
+        _write_run_outputs(out_dir, result)
         print(f"incumbent score {result.incumbent_score:.6f} at step {result.incumbent_step}")
         print(f"incumbent recipe: {describe_recipe(result.incumbent_recipe)}")
         print(f"artifacts in {out_dir}")
@@ -522,10 +519,10 @@ def cmd_baseline(args) -> int:
     if args.master_seed < 0:
         raise _config_rejected(f"--master-seed must be >= 0, got {args.master_seed}")
     _check_oracle_args(args)
-    pool, signals = _load_data(args, "ingestion failed")
-    catalog = default_catalog(len(pool))
+    signals = _load_data(args, "ingestion failed")
+    catalog = default_catalog(len(signals.pool))
     rng = role_rng(args.master_seed, 0, "baseline")
-    recipes = _suite_recipes(args, len(pool), rng)
+    recipes = _suite_recipes(args, len(signals.pool), rng)
     for recipe in recipes:
         violations = validate_recipe(recipe, catalog, args.l_max)
         if violations:
@@ -542,14 +539,14 @@ def cmd_baseline(args) -> int:
             "master_seed": args.master_seed, "l_max": args.l_max,
         },
         "catalog_digest": catalog.digest(),
-        "pool_digest": pool.content_digest(),
+        "pool_digest": signals.pool.content_digest(),
     }
     config = SearchConfig(
         budget=args.budget, l_max=args.l_max, master_seed=args.master_seed, run_id=run_id,
     )
 
     def body(ledger: RunLedger) -> None:
-        rt = _Runtime(config, pool, signals, oracle, catalog, ledger.write)
+        rt = _Runtime(config, signals, oracle, catalog, ledger.write)
         for cand in _baseline_candidates(args, rt, recipes, rng):
             rt.evaluate(cand, is_warmup=False)
         best = rt.incumbent()

@@ -221,10 +221,14 @@ class Candidate:
 @dataclass
 class SearchResult:
     incumbent_recipe: Recipe
-    incumbent_ids: list[str]
+    incumbent_subset: Subset
     incumbent_score: float
     incumbent_step: int
     records: list[EvalRecord]
+
+    @property
+    def incumbent_ids(self) -> list[str]:
+        return self.incumbent_subset.ids()
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +641,8 @@ class PrefixMemo(OrderedDict):
 class _Runtime:
     """One run's state: its evaluations, incumbent, caches and event sink."""
 
-    def __init__(self, config, pool, signals, oracle, catalog, sink):
+    def __init__(self, config, signals, oracle, catalog, sink):
         self.config = config
-        self.pool = pool
         self.signals = signals
         self.oracle = oracle
         self.catalog = catalog
@@ -689,7 +692,7 @@ class _Runtime:
         served = memo.served
         self.materializations += 1
         try:
-            subset = execute_recipe(recipe, self.pool, self.signals, self.resolve_source, memo)
+            subset = execute_recipe(recipe, self.signals, self.resolve_source, memo)
         except ExecutionError as exc:
             self.steps_executed += exc.step_index - (memo.served - served)
             raise
@@ -872,7 +875,7 @@ def _external_contexts(
         (r for r in reversed(records) if r.recipe == anchor), None
     )
     ctx = {
-        "pool_size": str(len(rt.pool)),
+        "pool_size": str(len(rt.signals.pool)),
         "history_table": history_table(records),
         "operator_catalog": rt.catalog.to_json(),
         "n_candidates": str(config.candidates_per_step),
@@ -917,15 +920,18 @@ def run_search(
 ) -> SearchResult:
     """Run the full budgeted search and return the incumbent.
 
-    Spends exactly ``config.budget`` oracle evaluations (three warmup probes
-    plus one per search step). Candidate materialization never touches the
-    oracle. Assistant failures degrade to the deterministic fallbacks; an
-    oracle failure aborts after the ledger sink has seen every completed
-    event.
+    ``pool`` must be ``signals.pool``, else ControllerError is raised before
+    any evaluation. Spends exactly ``config.budget`` oracle evaluations
+    (three warmup probes plus one per search step). Candidate
+    materialization never touches the oracle. Assistant failures degrade to
+    the deterministic fallbacks; an oracle failure aborts after the ledger
+    sink has seen every completed event.
     """
     config.validate()
+    if pool is not signals.pool:
+        raise ControllerError("search with the signals of another pool")
     catalog = catalog or default_catalog(len(pool))
-    rt = _Runtime(config, pool, signals, oracle, catalog, sink)
+    rt = _Runtime(config, signals, oracle, catalog, sink)
 
     anchor = _run_warmup(rt)
     stagnation = 0
@@ -1002,7 +1008,7 @@ def run_search(
     incumbent = rt.incumbent()
     return SearchResult(
         incumbent_recipe=incumbent.recipe,
-        incumbent_ids=rt.subsets[rt.incumbent_index].ids(),
+        incumbent_subset=rt.subsets[rt.incumbent_index],
         incumbent_score=incumbent.score,
         incumbent_step=incumbent.step,
         records=rt.records,

@@ -48,11 +48,6 @@ class Subset:
     def full(cls, pool: CanonicalPool) -> "Subset":
         return cls(np.arange(len(pool), dtype=np.int64), pool)
 
-    @classmethod
-    def from_ids(cls, ids: Iterable[str], pool: CanonicalPool) -> "Subset":
-        pos = np.array(sorted(pool.index[i] for i in ids), dtype=np.int64)
-        return cls(pos, pool)
-
     def __len__(self) -> int:
         return int(self.positions.size)
 
@@ -347,6 +342,8 @@ def apply_top_fraction(subset: Subset, rank: np.ndarray, alpha: float) -> Subset
 
 def apply_mona_union(subset: Subset, signals: SignalTable, fraction: float) -> Subset:
     """Per-benchmark top-fraction by relevance, unioned across benchmarks."""
+    if subset.pool is not signals.pool:
+        raise OperatorError("relevance union with the signals of another pool")
     if len(subset) == 0:
         raise OperatorError("empty input subset")
     if not signals.benchmarks:
@@ -456,6 +453,8 @@ def apply_semdedup(
     iff its maximum cosine to the already-kept samples of that cluster stays
     below ``tau``.
     """
+    if subset.pool is not signals.pool:
+        raise OperatorError("semdedup with the signals of another pool")
     n = len(subset)
     if n == 0:
         raise OperatorError("empty input subset")

@@ -6,10 +6,11 @@ ids, instructions, responses and sources as tuples of strings, and the
 whitespace token count and unigram entropy of each sample as arrays, both
 taken from one tokenization of its text. Cached model-side signals (IFD,
 varentropy, AO, sparse activation vectors) and benchmark target vectors are
-ingested from separate files and validated against the pool. Everything is
-frozen after load, so any number of workers may read a pool and its signal
-table concurrently. The selector ranks of a signal table are cached on
-first read; two concurrent first reads compute the same array.
+ingested from separate files and validated against the pool, which the
+signal table keeps as its own. Everything is frozen after load, so any
+number of workers may read a pool and its signal table concurrently. The
+selector ranks of a signal table are cached on first read; two concurrent
+first reads compute the same array.
 """
 
 from __future__ import annotations
@@ -107,10 +108,12 @@ class CanonicalPool:
 
 @dataclass(frozen=True, eq=False)
 class SignalTable:
-    """Per-sample cached signals aligned to pool order, plus pool-level stats.
+    """Per-sample cached signals of one pool, in its order, plus pool-level stats.
 
-    Scalar columns are float64 arrays of length ``len(pool)``;
-    ``ngram_entropy`` is the pool's own column. ``activations`` is a CSR
+    ``pool`` is the pool the table was loaded for; where a subset or pool
+    meets the table, any other pool is refused, by identity, as pools
+    compare. Scalar columns are float64 arrays of length ``len(pool)``;
+    ``ngram_entropy`` reads the pool's own column. ``activations`` is a CSR
     matrix of nonnegative sparse activations with explicit zeros dropped, so
     stored entries are exactly the active features. ``pattern_t`` is the
     same sparsity pattern transposed, a ``(sae_dim, n)`` CSR matrix of 1.0
@@ -128,11 +131,11 @@ class SignalTable:
     selector or relevance column is rejected when the table is made.
     """
 
+    pool: CanonicalPool = field(repr=False)
     sae_dim: int
     ifd: np.ndarray
     varentropy: np.ndarray
     ao: np.ndarray
-    ngram_entropy: np.ndarray
     activations: sp.csr_matrix
     pattern_t: sp.csr_matrix             # (sae_dim, n) 0/1 activation pattern
     benchmarks: tuple[str, ...]
@@ -146,6 +149,10 @@ class SignalTable:
         for column in (self.ifd, self.varentropy, self.ngram_entropy, self.ao, self.relevance):
             if np.isnan(column).any():
                 raise PoolError("NaN in a ranked score column")
+
+    @property
+    def ngram_entropy(self) -> np.ndarray:
+        return self.pool.ngram_entropy
 
     @cached_property
     def ifd_rank(self) -> np.ndarray:
@@ -453,10 +460,10 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     """Ingest cached signals and benchmark targets, validated against a pool.
 
     The signals JSONL must cover every pool id exactly once; the targets JSON
-    supplies ``sae_dim`` and one sparse target vector per benchmark. Unigram
-    entropy is filled in natively for every sample. Raises :class:`PoolError`
-    on unknown ids, missing coverage, values of the wrong JSON type,
-    out-of-range feature indices, negative values, or an all-zero
+    supplies ``sae_dim`` and one sparse target vector per benchmark. The
+    table keeps ``pool`` and reads its unigram entropy. Raises
+    :class:`PoolError` on unknown ids, missing coverage, values of the wrong
+    JSON type, out-of-range feature indices, negative values, or an all-zero
     IFD/varentropy column (which would make the pool-relative ratios in the
     state vector undefined). Of several bad lines, the first is reported.
 
@@ -524,11 +531,11 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
                 pattern_t.data, pattern_t.indices, pattern_t.indptr):
         arr.setflags(write=False)
     return SignalTable(
+        pool=pool,
         sae_dim=sae_dim,
         ifd=ifd,
         varentropy=varentropy,
         ao=ao,
-        ngram_entropy=pool.ngram_entropy,
         activations=activations,
         pattern_t=pattern_t,
         benchmarks=benchmarks,

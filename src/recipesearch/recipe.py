@@ -24,7 +24,7 @@ from .operators import (
     apply_step,
     validate_spec,
 )
-from .pool import CanonicalPool, SignalTable
+from .pool import SignalTable
 
 DEFAULT_L_MAX = 5
 EDIT_RETRY_CAP = 50
@@ -157,12 +157,11 @@ def describe_recipe(recipe: Recipe) -> str:
 
 def execute_recipe(
     recipe: Recipe,
-    pool: CanonicalPool,
     signals: SignalTable,
     resolve_source=None,
     memo=None,
 ) -> Subset:
-    """Execute steps left to right from the full pool.
+    """Execute steps left to right from the full pool of ``signals``.
 
     ``resolve_source`` resolves mix sources, as in :func:`apply_step`. Any
     step that fails, or that produces an empty intermediate subset, aborts
@@ -176,7 +175,7 @@ def execute_recipe(
     """
     memo = {} if memo is None else memo
     steps = recipe.steps
-    subset = Subset.full(pool)
+    subset = Subset.full(signals.pool)
     start = 0
     mix_free = next((i for i, s in enumerate(steps) if s.operator == MIX), len(steps))
     for k in range(mix_free, 0, -1):

@@ -54,9 +54,13 @@ def flat_field_names(benchmarks) -> list[str]:
 
 
 def state_from_dict(doc: dict) -> StateVector:
+    """A state from its ``to_dict`` form; TypeError for a value that is not a JSON number."""
+    per_task, scalars = doc["score_per_task"], [doc[name] for name in _SCALAR_FIELDS]
+    if any(type(v) not in (int, float) for v in (*per_task.values(), *scalars)):
+        raise TypeError("state value that is not a JSON number")  # a bool or a string
     return StateVector(
-        score_per_task={k: float(v) for k, v in doc["score_per_task"].items()},
-        **{name: float(doc[name]) for name in _SCALAR_FIELDS},
+        score_per_task={k: float(v) for k, v in per_task.items()},
+        **{name: float(v) for name, v in zip(_SCALAR_FIELDS, scalars)},
     )
 
 
@@ -81,11 +85,14 @@ def compute_snar(subset: Subset, signals: SignalTable) -> np.ndarray:
 def compute_state(subset: Subset, signals: SignalTable) -> StateVector:
     """All eight state fields for a nonempty subset, relative to the subset's pool.
 
+    ``signals`` must be those of ``subset.pool``, else StateError is raised.
     Relevance mean and std aggregate over all (sample, benchmark) pairs
     jointly; std is the population standard deviation. mean_ifd and
     mean_varentropy are ratios to the (load-time) pool means, so the full
     pool maps to exactly 1.0 on both.
     """
+    if subset.pool is not signals.pool:
+        raise StateError("state with the signals of another pool")
     if len(subset) == 0:
         raise StateError("empty subset")
     pool, pos = subset.pool, subset.positions

@@ -5,6 +5,9 @@ import tempfile
 
 import pytest
 
+import numpy as np
+
+from recipesearch.operators import Subset
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.synthetic import write_synthetic_dataset
 
@@ -18,6 +21,11 @@ def make_synthetic_pool(n_samples=200, sae_dim=64, seed=0):
         paths = write_synthetic_dataset(tmp, n_samples, sae_dim, seed=seed)
         pool = load_pool(paths[0])
         return pool, load_signals(paths[1], paths[2], pool)
+
+
+def subset_from_ids(ids, pool):
+    """The subset of ``pool`` holding exactly these ids, in any order."""
+    return Subset(np.array(sorted(pool.index[i] for i in ids), dtype=np.int64), pool)
 
 
 def write_jsonl(path, rows):
@@ -79,6 +87,12 @@ def announce(request):
             print(line)
 
     return _announce
+
+
+@pytest.fixture(scope="session")
+def pools_a_b():
+    """Two synthetic pools of 120 samples, A (seed 7) and B (seed 8), each with its signals."""
+    return make_synthetic_pool(n_samples=120, seed=7), make_synthetic_pool(n_samples=120, seed=8)
 
 
 @pytest.fixture(scope="session")

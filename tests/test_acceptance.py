@@ -98,7 +98,7 @@ def enumeration(pool200):
     space = singles + [Recipe((a, b)) for a, b in itertools.product(atoms, atoms)]
 
     def score(recipe: Recipe) -> float:
-        subset = execute_recipe(recipe, pool, signals)
+        subset = execute_recipe(recipe, signals)
         state = compute_state(subset, signals)
         request = EvalRequest(run_id="enum", step=0, recipe=recipe, subset=subset)
         return evaluate_synthetic(request, PLANTED, state)

@@ -159,7 +159,7 @@ class TestExec:
         from recipesearch.cli import _apply_seed_overrides
 
         recipe = _apply_seed_overrides(recipe, [7, 42], catalog)
-        expected = execute_recipe(recipe, pool, signals)
+        expected = execute_recipe(recipe, signals)
         lines = ledger_lines(out)
         assert [r["id"] for r in lines[1:]] == expected.ids()
 
@@ -993,6 +993,12 @@ class TestReport:
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": [{"params": {}}]}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": "ifd_topfrac"}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), score=10**400),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],
+                                                           "retain_ratio": True}),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],
+                                                           "token_ratio": "0.5"}),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],
+                                                           "score_per_task": {"g": "0.3"}}),
     ])
     def test_unreadable_eval_line_skipped_like_a_corrupt_one(self, tmp_path, capsys, line):
         ledger = tmp_path / "evals.jsonl"

@@ -125,7 +125,7 @@ FR = ("ifd_topfrac", {"fraction": 0.5})
 
 def run_warmup(config, pool, signals, oracle):
     """The three warmup probes of a run, and its initial seed anchor."""
-    rt = controller._Runtime(config, pool, signals, oracle, default_catalog(len(pool)), None)
+    rt = controller._Runtime(config, signals, oracle, default_catalog(len(pool)), None)
     anchor = controller._run_warmup(rt)
     return rt.records, anchor
 
@@ -179,6 +179,13 @@ class TestWarmup:
         with pytest.raises(ControllerError, match="budget must exceed warmup"):
             run_search(SearchConfig(budget=3), pool, signals, constant_oracle())
 
+    def test_signals_of_another_pool_refused_before_any_evaluation(self, pools_a_b):
+        (_, signals_a), (pool_b, _) = pools_a_b
+        oracle, events = CountingOracle(constant_oracle()), []
+        with pytest.raises(ControllerError, match="signals of another pool"):
+            run_search(SearchConfig(budget=5), pool_b, signals_a, oracle, sink=events.append)
+        assert oracle.calls == 0 and events == []
+
     def test_negative_master_seed_rejected(self):
         # numpy's SeedSequence takes no negative entropy
         with pytest.raises(ControllerError, match="master_seed must be >= 0, got -1"):
@@ -220,6 +227,14 @@ class TestSearchStructure:
         assert [e for e in events if e["type"] == "reseed"] == []
         assert result.incumbent_step == 10
         assert result.incumbent_score == 10.0
+
+    def test_incumbent_subset_is_the_evaluated_subset(self, small_pool):
+        pool, signals = small_pool
+        result = run_search(SearchConfig(budget=6, master_seed=3), pool, signals,
+                            ImprovingOracle())
+        assert result.incumbent_subset.pool is pool
+        assert result.incumbent_subset.content_hash() == result.records[-1].subset_hash
+        assert result.incumbent_ids == result.incumbent_subset.ids()
 
     def test_budget_exactness_and_no_oracle_in_materialization(self, small_pool):
         pool, signals = small_pool
@@ -667,7 +682,7 @@ FOUR_STEPS = json.dumps([{"operator": "ifd_topfrac", "params": {"fraction": 0.5}
 def role_setup(small_pool):
     """A runtime without role commands, and two materialized candidates for the ranker."""
     pool, signals = small_pool
-    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
+    rt = controller._Runtime(SearchConfig(budget=5), signals, constant_oracle(),
                              default_catalog(len(pool)), None)
     candidates = [
         rt.materialize(Recipe((OperatorSpec("ifd_topfrac", {"fraction": f}),)))
@@ -681,7 +696,7 @@ def ask(role_setup, role, command):
     base, candidates = role_setup
     events = []
     rt = controller._Runtime(
-        SearchConfig(budget=5, assistant_commands={role: command}), base.pool, base.signals,
+        SearchConfig(budget=5, assistant_commands={role: command}), base.signals,
         base.oracle, base.catalog, events.append,
     )
     value = controller.ask_role(rt, role, ROLE_STEP, candidates[0].recipe,
@@ -905,7 +920,7 @@ def test_a_cache_hit_records_the_first_score_and_no_duration(small_pool):
     pool, signals = small_pool
     events = []
     oracle = TimedOracle()
-    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, oracle,
+    rt = controller._Runtime(SearchConfig(budget=5), signals, oracle,
                              default_catalog(len(pool)), events.append)
     half = Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),))
     same_subset = Recipe(half.steps + (OperatorSpec("ifd_topfrac", {"fraction": 1.0}),))
@@ -983,7 +998,7 @@ def test_state_correlations_drop_equal_scores_without_a_warning():
 def fresh_outcome(rt, recipe):
     """A recipe's subset and state from an execution without the memo, or its abort."""
     try:
-        subset = execute_recipe(recipe, rt.pool, rt.signals, rt.resolve_source)
+        subset = execute_recipe(recipe, rt.signals, rt.resolve_source)
         return subset, compute_state(subset, rt.signals)
     except (ExecutionError, StateError) as exc:
         return exc
@@ -1025,7 +1040,7 @@ def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capaci
     pool, signals = small_pool
     catalog = default_catalog(len(pool))
     # every new subset evaluated becomes the incumbent that a mix step resolves to
-    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, ImprovingOracle(),
+    rt = controller._Runtime(SearchConfig(budget=5), signals, ImprovingOracle(),
                              catalog, None)
     rt.prefixes = controller.PrefixMemo(capacity)
     seen = [sample_random_recipe(catalog, np.random.default_rng(seed))]
@@ -1068,7 +1083,7 @@ def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capaci
 def test_an_eval_source_too_long_for_int_aborts_as_unresolvable(small_pool):
     pool, signals = small_pool
     catalog = default_catalog(len(pool))
-    rt = controller._Runtime(SearchConfig(budget=5), pool, signals, constant_oracle(),
+    rt = controller._Runtime(SearchConfig(budget=5), signals, constant_oracle(),
                              catalog, None)
     rt.evaluate(rt.materialize(Recipe((OperatorSpec(*FR),))), is_warmup=False)
     # valid by the grammar, but int() refuses more than 4300 digits

@@ -1,13 +1,16 @@
-"""Smoke test: every script under ``demos/`` runs to completion."""
+"""Smoke tests: every script under ``demos/`` and the README's library example run."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from recipesearch.synthetic import write_synthetic_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -24,3 +27,14 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    write_synthetic_dataset(str(tmp_path / "data"), n_samples=200, sae_dim=64, seed=3)
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["result"].records) == 15

@@ -29,7 +29,7 @@ from recipesearch.operators import (
 )
 from recipesearch.pool import PoolError, descending_rank, load_pool, load_signals
 
-from conftest import write_jsonl
+from conftest import subset_from_ids, write_jsonl
 
 
 def brute_force_top(ids, scores, keep):
@@ -555,7 +555,7 @@ class TestRandomK:
 class TestMix:
     def test_self_union_identity(self, tiny):
         pool, _ = tiny
-        s = Subset.from_ids(["a", "c"], pool)
+        s = subset_from_ids(["a", "c"], pool)
         assert apply_mix(s, s).ids() == s.ids()
 
     def test_disjoint_union(self, synth):
@@ -566,8 +566,8 @@ class TestMix:
 
     def test_overlap_dedup(self, tiny):
         pool, _ = tiny
-        s1 = Subset.from_ids(["a", "b"], pool)
-        s2 = Subset.from_ids(["b", "c"], pool)
+        s1 = subset_from_ids(["a", "b"], pool)
+        s2 = subset_from_ids(["b", "c"], pool)
         assert apply_mix(s1, s2).ids() == ["a", "b", "c"]
 
     def test_cross_pool_rejected(self, tiny, synth):
@@ -575,6 +575,18 @@ class TestMix:
         pool2, _ = synth
         with pytest.raises(OperatorError, match="different pools"):
             apply_mix(Subset.full(pool1), Subset.full(pool2))
+
+
+class TestSignalsOfAnotherPool:
+    def test_relevance_union_refuses_them(self, pools_a_b):
+        (_, signals_a), (pool_b, _) = pools_a_b
+        with pytest.raises(OperatorError, match="signals of another pool"):
+            apply_mona_union(Subset.full(pool_b), signals_a, 0.5)
+
+    def test_semdedup_refuses_them(self, pools_a_b):
+        (_, signals_a), (pool_b, _) = pools_a_b
+        with pytest.raises(OperatorError, match="signals of another pool"):
+            apply_semdedup(Subset.full(pool_b), signals_a, n_clusters=4, tau=0.9, seed=0)
 
 
 class TestMixProperties:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import recipesearch.operators as operators
-from recipesearch.operators import OperatorSpec, Subset
+from recipesearch.operators import OperatorSpec
 from recipesearch.oracle import (
     CommandOracle,
     EvalCache,
@@ -22,6 +22,8 @@ from recipesearch.oracle import (
 )
 from recipesearch.recipe import Recipe
 from recipesearch.state import StateVector
+
+from conftest import subset_from_ids
 
 
 def make_state(**overrides) -> StateVector:
@@ -37,7 +39,7 @@ def make_state(**overrides) -> StateVector:
 def make_request(pool, ids, step=1, run_id="test"):
     recipe = Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),))
     return EvalRequest(
-        run_id=run_id, step=step, recipe=recipe, subset=Subset.from_ids(ids, pool)
+        run_id=run_id, step=step, recipe=recipe, subset=subset_from_ids(ids, pool)
     )
 
 
@@ -206,8 +208,8 @@ class TestCache:
     def test_hit_on_identical_content(self, tiny):
         pool, _ = tiny
         cache = EvalCache()
-        h1 = Subset.from_ids(["a", "b"], pool).content_hash()
-        h2 = Subset.from_ids(["b", "a"], pool).content_hash()  # same id set
+        h1 = subset_from_ids(["a", "b"], pool).content_hash()
+        h2 = subset_from_ids(["b", "a"], pool).content_hash()  # same id set
         assert h1 == h2
         assert cache.lookup(h1) is None
         cache.store(h1, EvalOutcome(score=5.0))
@@ -216,7 +218,7 @@ class TestCache:
 
     def test_digest_computed_once(self, tiny, monkeypatch):
         pool, _ = tiny
-        subset = Subset.from_ids(["a", "b"], pool)
+        subset = subset_from_ids(["a", "b"], pool)
         calls = []
         sha256 = hashlib.sha256
         monkeypatch.setattr(
@@ -229,12 +231,12 @@ class TestCache:
     def test_miss_on_one_element_difference(self, tiny):
         pool, _ = tiny
         cache = EvalCache()
-        cache.store(Subset.from_ids(["a", "b"], pool).content_hash(), EvalOutcome(1.0))
-        assert cache.lookup(Subset.from_ids(["a", "c"], pool).content_hash()) is None
+        cache.store(subset_from_ids(["a", "b"], pool).content_hash(), EvalOutcome(1.0))
+        assert cache.lookup(subset_from_ids(["a", "c"], pool).content_hash()) is None
 
     def test_fresh_cache_always_misses(self, tiny):
         pool, _ = tiny
-        h = Subset.from_ids(["a"], pool).content_hash()
+        h = subset_from_ids(["a"], pool).content_hash()
         cache_one = EvalCache()
         cache_one.store(h, EvalOutcome(1.0))
         assert EvalCache().lookup(h) is None

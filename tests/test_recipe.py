@@ -21,7 +21,7 @@ from recipesearch.recipe import (
 )
 from recipesearch.synthetic import write_synthetic_dataset
 
-from conftest import write_jsonl
+from conftest import subset_from_ids, write_jsonl
 
 
 @pytest.fixture()
@@ -124,8 +124,13 @@ class TestExecute:
         recipe = parse_recipe(
             '{"steps":[{"operator":"ifd_topfrac","params":{"fraction":1.0}}]}', catalog
         )
-        out = execute_recipe(recipe, pool, signals)
+        out = execute_recipe(recipe, signals)
         assert out.ids() == Subset.full(pool).ids()
+
+    def test_runs_on_the_pool_of_its_signals(self, pools_a_b):
+        (pool_a, signals_a), _ = pools_a_b
+        recipe = Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),))
+        assert execute_recipe(recipe, signals_a).pool is pool_a
 
     def test_two_step_fraction_composition(self, tmp_path):
         paths = write_synthetic_dataset(str(tmp_path), n_samples=100, sae_dim=16, seed=2)
@@ -137,7 +142,7 @@ class TestExecute:
             {"operator": "ngram_topfrac", "params": {"fraction": 0.5}},
         ]
         out = execute_recipe(
-            parse_recipe(json.dumps({"steps": steps}), catalog), pool, signals
+            parse_recipe(json.dumps({"steps": steps}), catalog), signals
         )
         assert len(out) == 25  # 100 -> 50 -> 25 by ceil arithmetic
 
@@ -167,26 +172,26 @@ class TestExecute:
             OperatorSpec("ifd_topfrac", {"fraction": 0.25}),
         ))
         assert not validate_recipe(ifd_then_ao, catalog)
-        first = execute_recipe(ifd_then_ao, pool, signals)
-        second = execute_recipe(ao_then_ifd, pool, signals)
+        first = execute_recipe(ifd_then_ao, signals)
+        second = execute_recipe(ao_then_ifd, signals)
         assert first.ids() == ["b"]
         assert second.ids() == ["c"]
 
     def test_mix_resolves_history(self, tiny, catalog):
         pool, signals = tiny
-        sources = {"incumbent": Subset.from_ids(["d"], pool)}
+        sources = {"incumbent": subset_from_ids(["d"], pool)}
         recipe = Recipe((
             OperatorSpec("ifd_topfrac", {"fraction": 0.5}),
             OperatorSpec("mix", {"source": "incumbent"}),
         ))
-        out = execute_recipe(recipe, pool, signals, sources.get)
+        out = execute_recipe(recipe, signals, sources.get)
         assert sorted(out.ids()) == ["a", "c", "d"]  # top-2 ifd is {a, c}
 
     def test_mix_without_history_aborts_with_step_index(self, tiny, catalog):
         pool, signals = tiny
         recipe = Recipe((OperatorSpec("mix", {"source": "incumbent"}),))
         with pytest.raises(ExecutionError, match="step 1: unresolvable mix source"):
-            execute_recipe(recipe, pool, signals)
+            execute_recipe(recipe, signals)
 
     def test_step_error_carries_index(self, tiny, catalog):
         pool, signals = tiny
@@ -195,7 +200,7 @@ class TestExecute:
             OperatorSpec("semdedup", {"n_clusters": 3, "tau": 0.5, "seed": 0}),
         ))
         with pytest.raises(ExecutionError, match="step 2: n_clusters 3 exceeds"):
-            execute_recipe(recipe, pool, signals)
+            execute_recipe(recipe, signals)
 
     def test_empty_intermediate_aborts(self, tiny, catalog, monkeypatch):
         pool, signals = tiny
@@ -207,7 +212,7 @@ class TestExecute:
         monkeypatch.setattr(recipe_mod, "apply_step", empty_step)
         recipe = Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),))
         with pytest.raises(ExecutionError, match="step 1: empty intermediate subset"):
-            execute_recipe(recipe, pool, signals)
+            execute_recipe(recipe, signals)
 
     def test_containment_of_single_operator_recipes(self, synth):
         pool, signals = synth
@@ -224,7 +229,7 @@ class TestExecute:
         full = Subset.full(pool)
         for spec in specs:
             standalone = apply_step(spec, full, signals)
-            as_recipe = execute_recipe(Recipe((spec,)), pool, signals)
+            as_recipe = execute_recipe(Recipe((spec,)), signals)
             assert as_recipe.ids() == standalone.ids()
 
 

@@ -14,7 +14,7 @@ from recipesearch.operators import Subset
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.state import StateError, compute_snar, compute_state
 
-from conftest import write_jsonl
+from conftest import subset_from_ids, write_jsonl
 
 
 @pytest.fixture()
@@ -64,7 +64,7 @@ class TestSnar:
 
     def test_magnitudes_ignored(self, two_sample):
         pool, signals = two_sample
-        only_q = Subset.from_ids(["q"], pool)
+        only_q = subset_from_ids(["q"], pool)
         rates = compute_snar(only_q, signals)
         assert rates.tolist() == [0.0, 1.0, 1.0, 0.0]
 
@@ -158,7 +158,7 @@ class TestComputeState:
 
     def test_two_sample_hand_arithmetic(self, two_sample):
         pool, signals = two_sample
-        state = compute_state(Subset.from_ids(["p"], pool), signals)
+        state = compute_state(subset_from_ids(["p"], pool), signals)
         # relevance rows for p: 1.0 against g, 0.0 against h
         assert state.score_mean == pytest.approx(0.5, abs=1e-12)
         assert state.score_std == pytest.approx(0.5, abs=1e-12)
@@ -174,6 +174,17 @@ class TestComputeState:
         pool, signals = synth
         with pytest.raises(StateError, match="empty subset"):
             compute_state(Subset(np.empty(0, np.int64), pool), signals)
+
+    def test_signals_of_another_pool_rejected(self, pools_a_b):
+        (_, signals_a), (pool_b, _) = pools_a_b
+        with pytest.raises(StateError, match="signals of another pool"):
+            compute_state(Subset.full(pool_b), signals_a)
+
+    def test_signals_of_a_reloaded_pool_rejected(self, tiny, tiny_files):
+        # pools compare by identity: the same file loaded again is another pool
+        _, signals = tiny
+        with pytest.raises(StateError, match="signals of another pool"):
+            compute_state(Subset.full(load_pool(tiny_files[0])), signals)
 
     def test_drift_bounded(self, synth):
         pool, signals = synth
