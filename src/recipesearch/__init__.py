@@ -33,7 +33,6 @@ from .oracle import (
     EvalRequest,
     SyntheticOracle,
     SyntheticOracleSpec,
-    evaluate_synthetic,
 )
 from .pool import (
     CanonicalPool,

@@ -22,8 +22,9 @@ import logging
 import re
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 from scipy import stats
@@ -133,18 +134,12 @@ class SearchConfig:
     def to_dict(self) -> dict:
         """The ledger header's config, with the fixed warmup and ranking constants."""
         return {
-            "budget": self.budget,
-            "patience": self.patience,
-            "candidates_per_step": self.candidates_per_step,
-            "l_max": self.l_max,
-            "master_seed": self.master_seed,
-            "warmup_bin_bounds": list(WARMUP_BIN_BOUNDS),
+            **asdict(self),
+            "run_id": self.resolved_run_id(),
             "assistant_mode": "external" if self.assistant_commands else "fallback",
-            "assistant_commands": {k: list(v) for k, v in self.assistant_commands.items()},
+            "warmup_bin_bounds": list(WARMUP_BIN_BOUNDS),
             "kappa": KAPPA,
             "retain_floor": RETAIN_FLOOR,
-            "random_select": self.random_select,
-            "run_id": self.resolved_run_id(),
         }
 
 
@@ -164,22 +159,10 @@ class EvalRecord:
     duration_s: float | None = None
 
     def to_event(self) -> dict:
-        event = {
-            "type": "eval",
-            "step": self.step,
-            "is_warmup": self.is_warmup,
-            "seed_phase": self.seed_phase,
-            "recipe": recipe_to_obj(self.recipe),
-            "encoding": [float(v) for v in self.encoding],
-            "state": self.state.to_dict(),
-            "score": float(self.score),
-            "per_benchmark": self.per_benchmark,
-            "subset_size": self.subset_size,
-            "subset_hash": self.subset_hash,
-            "cache_hit": self.cache_hit,
-        }
-        if self.duration_s is not None:
-            event["duration_s"] = self.duration_s
+        """The ledger's eval line: every field, the encoding as a list, no null duration."""
+        event = {**asdict(self), "type": "eval", "encoding": self.encoding.tolist()}
+        if self.duration_s is None:
+            del event["duration_s"]
         return event
 
 
@@ -191,14 +174,7 @@ class Guidance:
     source: str = "fallback"
 
     def to_event(self, step: int) -> dict:
-        return {
-            "type": "guidance",
-            "step": step,
-            "source": self.source,
-            "findings": list(self.findings),
-            "op_bias": {k: float(v) for k, v in sorted(self.op_bias.items())},
-            "best_band": list(self.best_band) if self.best_band else None,
-        }
+        return {**asdict(self), "type": "guidance", "step": step}
 
     def rendered(self) -> str:
         return "\n".join(f"{i}. {f}" for i, f in enumerate(self.findings, start=1))
@@ -429,51 +405,27 @@ def fallback_reseed(
 # External assistant roles
 # ---------------------------------------------------------------------------
 
-def load_template(role: str) -> str:
-    path = resources.files("recipesearch").joinpath("templates", f"{role}.txt")
-    return path.read_text(encoding="utf-8")
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
-def render_template(template: str, mapping: dict[str, str]) -> str:
-    """Substitute {name} placeholders without disturbing literal braces."""
-    out = template
-    for key, value in mapping.items():
-        out = out.replace("{" + key + "}", str(value))
-    return out
+def _json_payload(out: str):
+    """The JSON document in an assistant's output, or None if none decodes.
 
-
-def strip_json_payload(text: str) -> str:
-    """Tolerant extraction: drop markdown fences, keep the JSON body."""
-    body = text.strip()
+    Markdown fences are dropped, and so is any text around the outermost
+    brackets. ``NaN`` and ``Infinity`` do not decode: they are not JSON.
+    """
+    body = out.strip()
     fence = re.search(r"```(?:json)?\s*(.*?)```", body, flags=re.DOTALL)
     if fence:
         body = fence.group(1).strip()
     if body and body[0] not in "[{":
-        start = min(
-            (i for i in (body.find("["), body.find("{")) if i >= 0), default=-1
-        )
-        if start >= 0:
-            end = max(body.rfind("]"), body.rfind("}"))
-            if end > start:
-                body = body[start : end + 1]
-    return body
-
-
-def _invoke_once(command: list[str], prompt: str) -> tuple[str | None, str]:
-    proc, error = run_command(command, prompt, ASSISTANT_TIMEOUT_S)
-    if proc is None:
-        return None, error
-    if proc.returncode != 0:
-        return None, f"exit code {proc.returncode}"
-    if not proc.stdout.strip():
-        return None, "empty output"
-    return proc.stdout, ""
-
-
-def _json_payload(out: str):
-    """The JSON document in an assistant's output, or None if none decodes."""
+        start = min((i for i in (body.find("["), body.find("{")) if i >= 0), default=-1)
+        end = max(body.rfind("]"), body.rfind("}"))
+        if 0 <= start < end:
+            body = body[start : end + 1]
     try:
-        return json.loads(strip_json_payload(out))
+        return json.loads(body, parse_constant=_no_constant)
     except (ValueError, RecursionError):
         return None
 
@@ -506,6 +458,8 @@ def _parse_recipes(out: str, rt: _Runtime, candidates) -> tuple[list[Recipe] | N
 
 def _parse_ranking(out: str, rt: _Runtime, candidates) -> tuple[tuple | None, str]:
     doc = _json_payload(out)
+    if doc is None:
+        return None, "unparsable JSON"
     ranking = doc.get("ranking") if isinstance(doc, dict) else None
     # only JSON integers: int() would pass 1.7 as 1 and true as 1
     if not isinstance(ranking, list) or any(type(i) is not int for i in ranking):
@@ -554,15 +508,22 @@ def ask_role(rt: _Runtime, role: str, step: int, anchor: Recipe,
     command = rt.config.assistant_commands.get(role)
     if command is None:
         return None
-    prompt = render_template(
-        load_template(role), _external_contexts(rt, anchor, guidance, candidates)
-    )
+    prompt = (resources.files("recipesearch") / "templates" / f"{role}.txt").read_text(
+        encoding="utf-8")
+    # {name} placeholders only, so the templates' literal JSON braces stay
+    for key, value in _external_contexts(rt, anchor, guidance, candidates).items():
+        prompt = prompt.replace("{" + key + "}", value)
     for attempt in range(1 + ASSISTANT_RETRIES):
-        out, error = _invoke_once(command, prompt)
-        if out is not None:
-            value, error = _ROLE_PARSERS[role](out, rt, candidates)
-            if value is not None:
-                return value
+        proc, error = run_command(command, prompt, ASSISTANT_TIMEOUT_S)
+        if proc is not None:
+            if proc.returncode != 0:
+                error = f"exit code {proc.returncode}"
+            elif not proc.stdout.strip():
+                error = "empty output"
+            else:
+                value, error = _ROLE_PARSERS[role](proc.stdout, rt, candidates)
+                if value is not None:
+                    return value
         logger.warning("assistant %s failed (step %d, attempt %d): %s",
                        role, step, attempt, error)
         rt.emit({
@@ -572,7 +533,7 @@ def ask_role(rt: _Runtime, role: str, step: int, anchor: Recipe,
             "attempt": attempt,
             "error": error,
         })
-        if out is None and error.startswith(NOT_STARTED):
+        if proc is None and error.startswith(NOT_STARTED):
             return None  # a command that cannot start will not start on a retry
     return None
 
@@ -601,10 +562,6 @@ def candidate_table(candidates: list[Candidate]) -> str:
             f"{describe_recipe(c.recipe)}"
         )
     return "\n".join(lines)
-
-
-def _state_section(state: StateVector) -> str:
-    return json.dumps(state.to_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +731,8 @@ class _Runtime:
         improved = self.incumbent_index is None or record.score > self.incumbent().score
         if improved:
             self.incumbent_index = len(self.records) - 1
-        self.emit(record.to_event())
+        if self.sink is not None:  # the eval line copies every field
+            self.emit(record.to_event())
         return improved
 
 
@@ -882,7 +840,8 @@ def _external_contexts(
         "l_max": str(config.l_max),
         "current_recipe": describe_recipe(anchor),
         "current_score": f"{anchor_record.score:.4f}" if anchor_record else "not yet evaluated",
-        "state_section": _state_section(anchor_record.state) if anchor_record else "unavailable",
+        "state_section": (json.dumps(anchor_record.state.to_dict(), indent=2, sort_keys=True)
+                          if anchor_record else "unavailable"),
         "insights_section": guidance.rendered() if guidance else "none yet",
         "n_evaluations": str(len(records)),
         "budget_total": str(config.budget),
@@ -943,10 +902,10 @@ def run_search(
         rt.emit(guidance.to_event(step))
 
         proposed = ask_role(rt, "proposer", step, anchor, guidance) or []
-        candidates = [c for c in map(rt.try_materialize, proposed) if c is not None]
-        candidates = candidates[: config.candidates_per_step] or _fallback_propose(
-            rt, step, anchor, guidance
-        )
+        # materialized only until enough of them are valid
+        candidates = list(islice(filter(None, map(rt.try_materialize, proposed)),
+                                 config.candidates_per_step))
+        candidates = candidates or _fallback_propose(rt, step, anchor, guidance)
 
         gp = fit_gp(
             np.stack([r.encoding for r in records]),

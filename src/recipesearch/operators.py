@@ -554,8 +554,10 @@ def apply_step(
 
     ``resolve_source`` maps a mix source reference ("incumbent" or
     "eval:<t>") to a previously evaluated Subset; executing a mix step
-    without it is an error.
+    without it is an error. ``subset`` must be of ``signals.pool``.
     """
+    if subset.pool is not signals.pool:
+        raise OperatorError(f"{spec.operator} with the signals of another pool")
     op = spec.operator
     if op in SELECTOR_COLUMNS:
         rank = getattr(signals, SELECTOR_COLUMNS[op] + "_rank")

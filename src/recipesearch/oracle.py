@@ -11,7 +11,11 @@ identical subsets from being scored twice.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -86,23 +90,42 @@ def run_command(
 ) -> tuple[subprocess.CompletedProcess | None, str]:
     """Run ``argv`` with ``stdin`` as its input: the finished process and "", or None and why.
 
-    The one place an external command is started; output is captured as
-    text. Any ``OSError`` of starting it (no such file, no execute bit, not
+    The one place an external command is started; its output is decoded as
+    UTF-8. Any ``OSError`` of starting it (no such file, no execute bit, not
     an executable format) gives ``command not found: <argv[0]>`` or
     ``command not runnable: <argv[0]>: <reason>``, the ``NOT_STARTED``
-    prefixes. A command still running after ``timeout`` seconds is killed
-    and gives ``command timed out after <timeout>s``.
+    prefixes. The command runs in a session of its own. When it is still
+    running after ``timeout`` seconds its whole process group is killed,
+    giving ``command timed out after <timeout>s``; any other exception while
+    waiting, ``KeyboardInterrupt`` included, kills the group and is raised
+    again. Standard output that is not UTF-8 gives ``output is not UTF-8``.
     """
     try:
-        proc = subprocess.run(argv, input=stdin, capture_output=True, text=True,
-                              timeout=timeout)
+        proc = subprocess.Popen(
+            argv, stdin=None if stdin is None else subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
     except FileNotFoundError:
         return None, f"command not found: {argv[0]}"
     except OSError as exc:
         return None, f"command not runnable: {argv[0]}: {exc.strerror or exc}"
-    except subprocess.TimeoutExpired:
-        return None, f"command timed out after {timeout}s"
-    return proc, ""
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(
+                None if stdin is None else stdin.encode("utf-8"), timeout=timeout)
+        except BaseException as exc:
+            with contextlib.suppress(ProcessLookupError):  # the group is already gone
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                return None, f"command timed out after {timeout}s"
+            raise
+    try:
+        stdout = stdout.decode("utf-8")
+    except UnicodeDecodeError:
+        return None, "output is not UTF-8"
+    return subprocess.CompletedProcess(
+        argv, proc.returncode, stdout, stderr.decode("utf-8", errors="replace")), ""
 
 
 def _json_number(value) -> float:
@@ -197,7 +220,7 @@ class SyntheticOracleSpec:
     def from_dict(cls, doc, field_names=None) -> "SyntheticOracleSpec":
         """Build a spec from parsed JSON; a ValueError names every problem.
 
-        Every number must be a JSON number. With ``field_names`` (the flat
+        Every number must be a finite JSON number. With ``field_names`` (the flat
         state fields of the pool), weights, targets and coefficients may
         address only those fields.
         """
@@ -218,6 +241,8 @@ class SyntheticOracleSpec:
                 problems.append(f"{key} must be a number, got {value!r}")
             elif isinstance(value, int) and abs(value) > sys.float_info.max:
                 problems.append(f"{key} is an integer too large for a float")
+            elif not math.isfinite(value):
+                problems.append(f"{key} must be finite, got {value!r}")
         seed = doc.get("noise_seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             problems.append(f"noise_seed must be a nonnegative integer, got {seed!r}")
@@ -236,29 +261,6 @@ class SyntheticOracleSpec:
         )
 
 
-def evaluate_synthetic(
-    request: EvalRequest, spec: SyntheticOracleSpec, state: StateVector
-) -> float:
-    """Score a subset from its state vector under a synthetic family."""
-    fields = state.flat_fields()
-    if spec.family == "constant":
-        score = spec.value
-    elif spec.family == "planted_quadratic":
-        score = spec.offset
-        for name, weight in spec.weights.items():
-            target = spec.targets.get(name, 0.0)
-            score -= weight * (fields[name] - target) ** 2
-    else:  # state_linear
-        score = spec.intercept
-        for name, coef in spec.coefficients.items():
-            score += coef * fields[name]
-    if spec.noise_std > 0.0:
-        digest = int(request.subset.content_hash()[:16], 16)
-        rng = np.random.default_rng(np.random.SeedSequence((spec.noise_seed, digest)))
-        score += spec.noise_std * float(rng.standard_normal())
-    return float(score)
-
-
 class SyntheticOracle:
     """Oracle interface over a synthetic spec."""
 
@@ -266,7 +268,25 @@ class SyntheticOracle:
         self.spec = spec
 
     def evaluate(self, request: EvalRequest, state: StateVector) -> EvalOutcome:
-        return EvalOutcome(score=evaluate_synthetic(request, self.spec, state))
+        """Score a subset from its state vector under the spec's family."""
+        spec = self.spec
+        fields = state.flat_fields()
+        if spec.family == "constant":
+            score = spec.value
+        elif spec.family == "planted_quadratic":
+            score = spec.offset
+            for name, weight in spec.weights.items():
+                target = spec.targets.get(name, 0.0)
+                score -= weight * (fields[name] - target) ** 2
+        else:  # state_linear
+            score = spec.intercept
+            for name, coef in spec.coefficients.items():
+                score += coef * fields[name]
+        if spec.noise_std > 0.0:
+            digest = int(request.subset.content_hash()[:16], 16)
+            rng = np.random.default_rng(np.random.SeedSequence((spec.noise_seed, digest)))
+            score += spec.noise_std * float(rng.standard_normal())
+        return EvalOutcome(score=float(score))
 
 
 class EvalCache:

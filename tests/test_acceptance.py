@@ -32,7 +32,6 @@ from recipesearch.oracle import (
     EvalRequest,
     SyntheticOracle,
     SyntheticOracleSpec,
-    evaluate_synthetic,
 )
 from recipesearch.pool import descending_rank
 from recipesearch.recipe import Recipe, encode_recipe, execute_recipe
@@ -101,7 +100,7 @@ def enumeration(pool200):
         subset = execute_recipe(recipe, signals)
         state = compute_state(subset, signals)
         request = EvalRequest(run_id="enum", step=0, recipe=recipe, subset=subset)
-        return evaluate_synthetic(request, PLANTED, state)
+        return SyntheticOracle(PLANTED).evaluate(request, state).score
 
     all_scores = np.array([score(r) for r in space])
     single_scores = np.array([score(r) for r in singles])

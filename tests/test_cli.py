@@ -45,6 +45,8 @@ BAD_SPECS = {
     "unknown_field": {"family": "planted_quadratic", "weights": {"retain": 1.0}},
     "string_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": "x"}},
     "huge_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": 10**400}},
+    "nan_value": {"family": "constant", "value": float("nan")},
+    "infinite_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": float("inf")}},
 }
 
 
@@ -483,6 +485,18 @@ class TestRun:
         assert failures == [("proposer", 0, f"command not runnable: {path}: Permission denied")]
         assert events[-1]["type"] == "result"
 
+    def test_assistant_output_not_utf8_falls_back(self, synth_files, tmp_path, capsys):
+        cmd = shlex.join([sys.executable, str(not_utf8_script(tmp_path))])
+        argv = run_argv("run", synth_files, tmp_path / "out", "--budget", "4",
+                        "--assistant-cmd", f"summarizer={cmd}")
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
+        failures = [(e["role"], e["attempt"], e["error"]) for e in events
+                    if e["type"] == "assistant_failure"]
+        assert failures == [("summarizer", attempt, "output is not UTF-8") for attempt in range(3)]
+        assert events[-1]["type"] == "result"
+
     def test_default_assistant_env_skips_ranker_under_random_select(
         self, synth_files, tmp_path, monkeypatch
     ):
@@ -659,6 +673,13 @@ def printing_scorer(tmp_path, line):
     return ["--oracle", "command", "--oracle-cmd", sys.executable, str(stub)]
 
 
+def not_utf8_script(tmp_path):
+    """A script that reads its stdin, then prints the byte 0xff."""
+    path = tmp_path / "not_utf8.py"
+    path.write_text("import sys\nsys.stdin.read()\nsys.stdout.buffer.write(b'\\xff\\n')\n")
+    return path
+
+
 def unrunnable(tmp_path):
     """A shell script without the execute bit."""
     path = tmp_path / "command.sh"
@@ -814,6 +835,10 @@ FAILURES = {
     "report_out_dir_is_a_file": (
         lambda f, t: occupied(t / "out", "file", report_argv(t)),
         1, "output failed: "),
+    "run_scorer_not_utf8": (
+        lambda f, t: run_argv("run", f, t / "out", "--oracle", "command",
+                              "--oracle-cmd", sys.executable, str(not_utf8_script(t))),
+        1, "run aborted: evaluation output is not UTF-8"),
     "run_nan_scorer": (lambda f, t: run_argv("run", f, t / "out", *nan_scorer(t)),
                        1, "run aborted: non-finite score from the oracle: nan"),
     "baseline_nan_scorer": (lambda f, t: run_argv("baseline", f, t / "out", *nan_scorer(t)),
@@ -1088,7 +1113,7 @@ DEEP_CASES = {
     "oracle_spec": (2, "oracle spec rejected"),
     "scorer": (1, "unparsable evaluation output"),
     "proposer": (0, "unparsable JSON"),
-    "ranker": (0, "missing or invalid ranking"),
+    "ranker": (0, "unparsable JSON"),
     "reseeder": (0, "unparsable JSON"),
 }
 ROLES = ("proposer", "ranker", "reseeder")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from unittest import mock
 
@@ -23,7 +24,6 @@ from recipesearch.controller import (
     motif_signals,
     run_search,
     state_correlations,
-    strip_json_payload,
 )
 from recipesearch.operators import MIX, OperatorSpec, Subset, default_catalog
 from recipesearch.oracle import (
@@ -39,6 +39,7 @@ from recipesearch.recipe import (
     Recipe,
     execute_recipe,
     propose_local_edits,
+    recipe_to_obj,
     sample_random_recipe,
     validate_recipe,
 )
@@ -552,9 +553,9 @@ class TestExternalAssistants:
         return [sys.executable, str(path)]
 
     def test_strip_json_payload_variants(self):
-        assert strip_json_payload('[1, 2]') == "[1, 2]"
-        assert strip_json_payload('```json\n[1, 2]\n```') == "[1, 2]"
-        assert strip_json_payload('noise {"a": 1} trailing') == '{"a": 1}'
+        assert controller._json_payload('[1, 2]') == [1, 2]
+        assert controller._json_payload('```json\n[1, 2]\n```') == [1, 2]
+        assert controller._json_payload('noise {"a": 1} trailing') == {"a": 1}
 
     def test_proposer_stub_consumed(self, small_pool, tmp_path):
         pool, signals = small_pool
@@ -618,7 +619,6 @@ class TestExternalAssistants:
             raise AssertionError("a fallback role built a prompt")
 
         monkeypatch.setattr(controller, "_external_contexts", forbidden)
-        monkeypatch.setattr(controller, "load_template", forbidden)
         pool, signals = small_pool
         events = []
         run_search(SearchConfig(budget=12, patience=1, master_seed=24), pool, signals,
@@ -707,12 +707,12 @@ def ask(role_setup, role, command):
 
 def printing(out):
     """A stand-in for the role command's process that prints ``out``."""
-    return mock.patch.object(controller, "_invoke_once", lambda command, prompt: (out, ""))
+    return mock.patch.object(controller, "run_command", lambda command, prompt, timeout: (
+        subprocess.CompletedProcess(command, 0, out, ""), ""))
 
 
 # role -> (its output, the error of each of its three failed attempts)
 PARSE_FAILURES = {
-    "summarizer_blank": ("summarizer", " \n\t\n", "no findings"),
     "proposer_not_json": ("proposer", "no json here", "unparsable JSON"),
     "proposer_scalar": ("proposer", "42", "not a JSON array"),
     "proposer_no_valid_recipe": ("proposer", '[{"steps": []}, {"steps": 3}]',
@@ -723,6 +723,8 @@ PARSE_FAILURES = {
     "ranker_no_ranking": ("ranker", '{"confidence": "high"}', "missing or invalid ranking"),
     "ranker_not_a_permutation": ("ranker", '{"ranking": [0, 0]}',
                                  "ranking is not a permutation of 0..1"),
+    "ranker_nan": ("ranker", '{"ranking": [0, 1], "confidence": NaN, "rationale": Infinity}',
+                   "unparsable JSON"),
     "reseeder_not_json": ("reseeder", "no json here", "unparsable JSON"),
     "reseeder_object": ("reseeder", '{"steps": []}', "not a step array"),
     "reseeder_invalid_motif": ("reseeder", '[{"operator": "nope"}]',
@@ -744,21 +746,25 @@ def test_parse_failure_is_retried_with_its_reason(role_setup, case):
     ]
 
 
-# command -> (the error of each failed attempt, attempts made)
+# case -> (role, its command, the error of each failed attempt, attempts made)
 INVOKE_FAILURES = {
-    "missing_binary": (["/nonexistent/assistant-bin"],
+    "missing_binary": ("proposer", ["/nonexistent/assistant-bin"],
                        "command not found: /nonexistent/assistant-bin", 1),
-    "nonzero_exit": ([sys.executable, "-c", "import sys; sys.stdin.read(); sys.exit(3)"],
+    "nonzero_exit": ("proposer",
+                     [sys.executable, "-c", "import sys; sys.stdin.read(); sys.exit(3)"],
                      "exit code 3", 3),
-    "no_output": ([sys.executable, "-c", "import sys; sys.stdin.read(); print('  ')"],
+    "no_output": ("proposer", [sys.executable, "-c", "import sys; sys.stdin.read(); print('  ')"],
                   "empty output", 3),
+    "summarizer_blank": ("summarizer",
+                         [sys.executable, "-c", r"import sys; sys.stdin.read(); print(' \n\t')"],
+                         "empty output", 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVOKE_FAILURES))
 def test_invocation_failure_reasons(role_setup, case):
-    command, error, attempts = INVOKE_FAILURES[case]
-    value, failures = ask(role_setup, "proposer", command)
+    role, command, error, attempts = INVOKE_FAILURES[case]
+    value, failures = ask(role_setup, role, command)
     assert value is None
     assert [(e["attempt"], e["error"]) for e in failures] == [
         (attempt, error) for attempt in range(attempts)
@@ -843,6 +849,29 @@ def test_external_ranking_picks_its_first_candidate(small_pool):
             "confidence": "high", "rationale": "second first", "eval_rationale": None,
         }
         assert result.records[event["step"] - 1].subset_hash == items[1]["subset_hash"]
+
+
+def test_proposals_materialize_only_until_enough_are_valid(small_pool, monkeypatch):
+    pool, signals = small_pool
+    proposed = [Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.3 + 0.01 * i}),))
+                for i in range(30)]
+    materialized = []
+    real_materialize = controller._Runtime.materialize
+
+    def counting(rt, recipe):
+        materialized.append(recipe)
+        return real_materialize(rt, recipe)
+
+    monkeypatch.setattr(controller._Runtime, "materialize", counting)
+    events = []
+    config = SearchConfig(budget=6, master_seed=20, candidates_per_step=5,
+                          assistant_commands={"proposer": ["assistant"]})
+    with printing(json.dumps([recipe_to_obj(r) for r in proposed])):
+        run_search(config, pool, signals, constant_oracle(), sink=events.append)
+    steps = [e for e in events if e["type"] == "candidates"]
+    assert [[item["recipe"] for item in e["items"]] for e in steps] == [
+        [recipe_to_obj(r) for r in proposed[:5]]] * 3
+    assert sum(recipe in proposed for recipe in materialized) == 3 * 5
 
 
 def test_external_motif_becomes_the_reseed_anchor(small_pool):

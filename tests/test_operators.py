@@ -328,14 +328,13 @@ class TestMonaUnion:
         assert sorted(out.ids()) == ["b", "c"]
 
 
-def _orthogonal_pool(tmp_path):
-    rows = [
-        {"id": i, "instruction": "q", "response": "r", "source": "s"}
-        for i in ("a", "b", "c", "d")
-    ]
+def _pool_with_activations(tmp_path, sparse_rows):
+    """A pool of one sample per ``sparse`` activation row, with its signals."""
+    ids = [f"s{i}" for i in range(len(sparse_rows))]
+    rows = [{"id": i, "instruction": "q", "response": "r", "source": "s"} for i in ids]
     sigs = [
-        {"id": sid, "ifd": 1.0, "varentropy": 1.0, "ao": 1.0, "sparse": [[j, 1.0]]}
-        for j, sid in enumerate(("a", "b", "c", "d"))
+        {"id": sid, "ifd": 1.0, "varentropy": 1.0, "ao": 1.0, "sparse": sparse}
+        for sid, sparse in zip(ids, sparse_rows)
     ]
     targets = {"sae_dim": 8, "benchmarks": {"t": [[0, 1.0]]}}
     write_jsonl(tmp_path / "p.jsonl", rows)
@@ -366,7 +365,7 @@ class TestSemDedup:
         assert out.ids() == ["a"]  # same direction, cos = 1 >= tau
 
     def test_orthogonal_identity(self, tmp_path):
-        pool, signals = _orthogonal_pool(tmp_path)
+        pool, signals = _pool_with_activations(tmp_path, [[[j, 1.0]] for j in range(4)])
         subset = Subset.full(pool)
         out = apply_semdedup(subset, signals, n_clusters=2, tau=0.5, seed=3)
         # brute force: all pairwise cosines are 0 < tau, nothing may drop
@@ -449,6 +448,31 @@ class TestSemDedup:
         a = apply_semdedup(subset, signals, 4, 0.85, seed=21)
         b = apply_semdedup(subset, signals, 4, 0.85, seed=21)
         assert a.ids() == b.ids()
+
+    # Fewer distinct directions than clusters: k-means++ runs out of distance
+    # and draws a center uniformly, and the clusters left empty go to the
+    # repair pass. case -> (activation rows, n_clusters)
+    FEW_DIRECTIONS = {
+        "one_direction": ([[[0, scale]] for scale in (1.0, 2.0, 0.5, 3.0, 1.0, 4.0)], 3),
+        "one_direction_a_cluster_per_row": ([[[2, 1.0], [5, 2.0]]] * 5, 5),
+        "two_directions": ([[[0, 1.0]], [[1, 2.0]]] * 4, 5),
+        "three_directions": ([[[0, 1.0]], [[1, 1.0]], [[0, 1.0], [1, 1.0]]] * 3, 7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FEW_DIRECTIONS))
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fewer_directions_than_clusters(self, tmp_path, case, seed):
+        sparse_rows, k = self.FEW_DIRECTIONS[case]
+        pool, signals = _pool_with_activations(tmp_path, sparse_rows)
+        x = signals.activations
+        norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+        xn = sp.csr_matrix(x.multiply(1.0 / norms[:, None]))
+        labels = minibatch_kmeans(xn, k, seed)
+        assert labels.shape == (len(pool),)
+        assert ((labels >= 0) & (labels < k)).all()
+        assert np.array_equal(labels, minibatch_kmeans(xn, k, seed))
+        out = apply_semdedup(Subset.full(pool), signals, k, 0.9, seed)
+        assert np.array_equal(out.positions, np.flatnonzero(per_row_greedy_pass(xn, labels, 0.9)))
 
 
 def per_row_greedy_pass(x_normalized, labels, tau):
@@ -578,6 +602,17 @@ class TestMix:
 
 
 class TestSignalsOfAnotherPool:
+    @pytest.mark.parametrize("spec", [
+        OperatorSpec("ifd_topfrac", {"fraction": 0.5}),
+        OperatorSpec("ao_topfrac", {"fraction": 0.5}),
+        OperatorSpec("random_k", {"k": 10, "seed": 0}),
+        OperatorSpec("mix", {"source": "incumbent"}),
+    ], ids=lambda spec: spec.operator)
+    def test_apply_step_refuses_them(self, pools_a_b, spec):
+        (_, signals_a), (pool_b, _) = pools_a_b
+        with pytest.raises(OperatorError, match="signals of another pool"):
+            apply_step(spec, Subset.full(pool_b), signals_a, lambda ref: Subset.full(pool_b))
+
     def test_relevance_union_refuses_them(self, pools_a_b):
         (_, signals_a), (pool_b, _) = pools_a_b
         with pytest.raises(OperatorError, match="signals of another pool"):

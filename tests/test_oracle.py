@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +21,7 @@ from recipesearch.oracle import (
     OracleError,
     SyntheticOracle,
     SyntheticOracleSpec,
-    evaluate_synthetic,
+    run_command,
     write_manifest,
 )
 from recipesearch.recipe import Recipe
@@ -127,12 +131,62 @@ class TestCommandOracle:
         assert set(records[0]) == {"id", "instruction", "response", "source"}
 
 
+def ended(pid, seconds=5.0):
+    """Whether process ``pid`` ends within ``seconds``; it is killed if it does not.
+
+    A killed process counts as ended once it is a zombie, as it stays until
+    its parent, or the process that adopted it, reaps it.
+    """
+    def gone():
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            return True
+
+    deadline = time.monotonic() + seconds
+    while not gone() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if gone():
+        return True
+    os.kill(pid, signal.SIGKILL)
+    return False
+
+
+def child_recording(pid_file):
+    """A command whose shell starts a child, records the child's pid and waits for it."""
+    return ["sh", "-c", f"sleep 30 & echo $! > {pid_file}; wait"]
+
+
+def test_timeout_kills_the_command_and_its_children(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    started = time.monotonic()
+    assert run_command(child_recording(pid_file), None, 1.0) == (
+        None, "command timed out after 1.0s")
+    assert time.monotonic() - started < 10
+    assert ended(int(pid_file.read_text()))
+
+
+def test_interrupt_kills_the_command_and_its_children(tmp_path, monkeypatch):
+    pid_file = tmp_path / "child.pid"
+
+    def interrupted(proc, *args, **kwargs):
+        while not pid_file.exists() or not pid_file.read_text().strip():
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_command(child_recording(pid_file), None, 60.0)
+    assert ended(int(pid_file.read_text()))
+
+
 class TestSyntheticOracle:
     def test_constant_family(self, tiny):
         pool, _ = tiny
         spec = SyntheticOracleSpec(family="constant", value=10.0)
         for ids in (["a"], ["a", "b"], ["d"]):
-            score = evaluate_synthetic(make_request(pool, ids), spec, make_state())
+            score = SyntheticOracle(spec).evaluate(make_request(pool, ids), make_state()).score
             assert score == 10.0
 
     def test_planted_quadratic_vertex(self, tiny):
@@ -142,9 +196,9 @@ class TestSyntheticOracle:
             weights={"retain_ratio": 2.0}, targets={"retain_ratio": 0.5},
         )
         request = make_request(pool, ["a"])
-        at_target = evaluate_synthetic(request, spec, make_state(retain_ratio=0.5))
-        off_low = evaluate_synthetic(request, spec, make_state(retain_ratio=0.3))
-        off_high = evaluate_synthetic(request, spec, make_state(retain_ratio=0.7))
+        at_target = SyntheticOracle(spec).evaluate(request, make_state(retain_ratio=0.5)).score
+        off_low = SyntheticOracle(spec).evaluate(request, make_state(retain_ratio=0.3)).score
+        off_high = SyntheticOracle(spec).evaluate(request, make_state(retain_ratio=0.7)).score
         assert at_target == 3.0
         assert off_low == pytest.approx(3.0 - 2.0 * 0.04)
         assert off_high < at_target and off_low < at_target
@@ -156,7 +210,7 @@ class TestSyntheticOracle:
             coefficients={"retain_ratio": 2.0, "score_mean": 4.0},
         )
         state = make_state(retain_ratio=0.5, score_mean=0.5)
-        score = evaluate_synthetic(make_request(pool, ["a"]), spec, state)
+        score = SyntheticOracle(spec).evaluate(make_request(pool, ["a"]), state).score
         assert score == pytest.approx(1.0 + 2.0 * 0.5 + 4.0 * 0.5)
 
     def test_per_task_field_addressable(self, tiny):
@@ -165,7 +219,7 @@ class TestSyntheticOracle:
             family="state_linear", coefficients={"score_per_task.g": 10.0}
         )
         state = make_state(score_per_task={"g": 0.25})
-        assert evaluate_synthetic(make_request(pool, ["a"]), spec, state) == 2.5
+        assert SyntheticOracle(spec).evaluate(make_request(pool, ["a"]), state).score == 2.5
 
     def test_noise_deterministic_per_subset(self, tiny):
         pool, _ = tiny
@@ -174,10 +228,10 @@ class TestSyntheticOracle:
         r1 = make_request(pool, ["a", "b"])
         r2 = make_request(pool, ["a", "b"], step=9)  # same subset, later step
         r3 = make_request(pool, ["a", "c"])
-        s1 = evaluate_synthetic(r1, spec, make_state())
-        assert evaluate_synthetic(r1, spec, make_state()) == s1
-        assert evaluate_synthetic(r2, spec, make_state()) == s1  # content-keyed
-        assert evaluate_synthetic(r3, spec, make_state()) != s1
+        s1 = SyntheticOracle(spec).evaluate(r1, make_state()).score
+        assert SyntheticOracle(spec).evaluate(r1, make_state()).score == s1
+        assert SyntheticOracle(spec).evaluate(r2, make_state()).score == s1  # content-keyed
+        assert SyntheticOracle(spec).evaluate(r3, make_state()).score != s1
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown synthetic oracle family"):
