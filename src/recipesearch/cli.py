@@ -68,6 +68,7 @@ from .recipe import (
     ExecutionError,
     Recipe,
     RecipeValidationError,
+    SEED_BOUND,
     describe_recipe,
     execute_recipe,
     parse_recipe,
@@ -384,6 +385,14 @@ def _write_run_outputs(out_dir: Path, result) -> None:
 RUN_ERRORS = (OracleError, ControllerError, ExecutionError, StateError)
 
 
+def _header(run_id: str, mode: str, config: dict, catalog: Catalog, signals) -> dict:
+    """The first ledger line: what ran, with which settings, on which catalog and pool."""
+    return {
+        "type": "header", "run_id": run_id, "mode": mode, "config": config,
+        "catalog_digest": catalog.digest(), "pool_digest": signals.pool.content_digest(),
+    }
+
+
 def _ledger_run(out_dir: Path, header: dict, body, label: str) -> int:
     """Write the ledger header, run ``body(ledger)``, and close the ledger.
 
@@ -434,14 +443,7 @@ def cmd_run(args) -> int:
     oracle = _build_oracle(args, signals, out_dir)
     with _output(out_dir):
         (out_dir / "catalog.json").write_text(catalog.to_json() + "\n", encoding="utf-8")
-    header = {
-        "type": "header",
-        "run_id": config.resolved_run_id(),
-        "mode": "search",
-        "config": config.to_dict(),
-        "catalog_digest": catalog.digest(),
-        "pool_digest": signals.pool.content_digest(),
-    }
+    header = _header(config.resolved_run_id(), "search", config.to_dict(), catalog, signals)
 
     def body(ledger: RunLedger) -> None:
         result = run_search(config, signals.pool, signals, oracle, catalog=catalog,
@@ -475,7 +477,7 @@ def _suite_recipes(args, pool_size: int, rng: np.random.Generator) -> list[Recip
         return []
     if args.suite == "random_topk":
         k = _default(args.size, max(1, pool_size // 2))
-        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(args.budget)]
+        seeds = [int(rng.integers(0, SEED_BOUND)) for _ in range(args.budget)]
         return [Recipe((OperatorSpec(RANDOM_K, {"k": k, "seed": seed}),)) for seed in seeds]
     recipes = []
     for selector in SINGLE_OP_SELECTORS:
@@ -530,17 +532,10 @@ def cmd_baseline(args) -> int:
     out_dir = Path(args.out_dir)
     oracle = _build_oracle(args, signals, out_dir)
     run_id = args.run_id or f"baseline-{args.suite}-seed{args.master_seed}"
-    header = {
-        "type": "header",
-        "run_id": run_id,
-        "mode": f"baseline:{args.suite}",
-        "config": {
-            "suite": args.suite, "budget": args.budget,
-            "master_seed": args.master_seed, "l_max": args.l_max,
-        },
-        "catalog_digest": catalog.digest(),
-        "pool_digest": signals.pool.content_digest(),
-    }
+    header = _header(run_id, f"baseline:{args.suite}", {
+        "suite": args.suite, "budget": args.budget,
+        "master_seed": args.master_seed, "l_max": args.l_max,
+    }, catalog, signals)
     config = SearchConfig(
         budget=args.budget, l_max=args.l_max, master_seed=args.master_seed, run_id=run_id,
     )

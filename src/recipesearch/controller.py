@@ -24,7 +24,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 from scipy import stats
@@ -107,16 +107,10 @@ class SearchConfig:
             raise ControllerError(
                 f"budget must exceed warmup count {WARMUP_COUNT}, got {self.budget}"
             )
-        if self.l_max < 1:
-            raise ControllerError(f"l_max must be >= 1, got {self.l_max}")
-        if self.master_seed < 0:
-            raise ControllerError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.patience < 1:
-            raise ControllerError(f"patience must be >= 1, got {self.patience}")
-        if self.candidates_per_step < 1:
-            raise ControllerError(
-                f"candidates_per_step must be >= 1, got {self.candidates_per_step}"
-            )
+        for name, floor in (("l_max", 1), ("master_seed", 0), ("patience", 1),
+                            ("candidates_per_step", 1)):
+            if getattr(self, name) < floor:
+                raise ControllerError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         for role, command in self.assistant_commands.items():
             if role not in ASSISTANT_ROLES:
                 raise ControllerError(
@@ -674,15 +668,26 @@ class _Runtime:
             logger.debug("candidate aborted: %s (%s)", describe_recipe(recipe), exc)
             return None
 
-    def draw_candidate(self, rng: np.random.Generator, cap: int) -> Candidate | None:
-        """The first of up to ``cap`` random recipes that materializes, else None."""
+    def draw_candidate(self, rng: np.random.Generator, cap: int, miss=None) -> Candidate | None:
+        """The first of up to ``cap`` random recipes that materializes and that
+        ``miss`` accepts, else the draw that misses by least (earliest on a tie).
+
+        ``miss(cand)`` is None to accept, else the distance by which the draw
+        misses; without ``miss`` the first draw that materializes is taken.
+        """
+        nearest: tuple[float, Candidate] | None = None
         for _ in range(cap):
             cand = self.try_materialize(
                 sample_random_recipe(self.catalog, rng, self.config.l_max)
             )
-            if cand is not None:
+            if cand is None:
+                continue
+            dist = None if miss is None else miss(cand)
+            if dist is None:
                 return cand
-        return None
+            if nearest is None or dist < nearest[0]:
+                nearest = (dist, cand)
+        return None if nearest is None else nearest[1]
 
     def evaluate(self, cand: Candidate, is_warmup: bool) -> bool:
         """One budget unit at step ``len(records) + 1``: oracle or cache, then record.
@@ -736,6 +741,12 @@ class _Runtime:
         return improved
 
 
+def _band_miss(lo: float, hi: float):
+    """The ``miss`` of draw_candidate that accepts a retain ratio in (lo, hi]."""
+    return lambda c: (None if lo < c.retain_ratio <= hi
+                      else max(lo - c.retain_ratio, c.retain_ratio - hi))
+
+
 def _run_warmup(rt: _Runtime) -> Recipe:
     """Probe low/medium/high retention bins, then evaluate the three probes.
 
@@ -744,31 +755,15 @@ def _run_warmup(rt: _Runtime) -> Recipe:
     for it. Returns the seed anchor: the best-scoring probe, ties to the
     earliest, which is the incumbent after the probes.
     """
-    config = rt.config
-    rng = role_rng(config.master_seed, 0, "warmup")
+    rng = role_rng(rt.config.master_seed, 0, "warmup")
     probes: list[Candidate] = []
-    for bin_idx, (lo, hi) in enumerate(RETAIN_BANDS):
-        found: Candidate | None = None
-        nearest: tuple[float, Candidate] | None = None
-        for _ in range(WARMUP_RESAMPLE_CAP):
-            recipe = sample_random_recipe(rt.catalog, rng, config.l_max)
-            cand = rt.try_materialize(recipe)
-            if cand is None:
-                continue
-            ratio = cand.retain_ratio
-            if lo < ratio <= hi:
-                found = cand
-                break
-            dist = max(lo - ratio, ratio - hi)  # ratio is outside the band
-            if nearest is None or dist < nearest[0]:
-                nearest = (dist, cand)
-        if found is None:
-            if nearest is None:
-                raise ControllerError(
-                    f"warmup bin {bin_idx} unfillable after {WARMUP_RESAMPLE_CAP} draws"
-                )
-            found = nearest[1]
-        probes.append(found)
+    for bin_idx, band in enumerate(RETAIN_BANDS):
+        cand = rt.draw_candidate(rng, WARMUP_RESAMPLE_CAP, miss=_band_miss(*band))
+        if cand is None:
+            raise ControllerError(
+                f"warmup bin {bin_idx} unfillable after {WARMUP_RESAMPLE_CAP} draws"
+            )
+        probes.append(cand)
 
     for cand in probes:
         rt.evaluate(cand, is_warmup=True)
@@ -786,40 +781,28 @@ def _bias_to_insert_weights(op_bias: dict[str, float], catalog: Catalog) -> dict
     }
 
 
-def _fallback_propose(
-    rt: _Runtime, step: int, anchor: Recipe, guidance: Guidance
-) -> list[Candidate]:
+def _fallback_propose(rt: _Runtime, step: int, anchor: Recipe, guidance: Guidance):
+    """Materialized local edits of ``anchor``, None for each that aborts.
+
+    Round ``r`` asks for as many edits as ``candidates_per_step`` still
+    lacks valid ones; a ProposeError ends the stream. The consumer bounds it.
+    """
     config = rt.config
-    m = config.candidates_per_step
-    cap = 3 * m
-    weights = _bias_to_insert_weights(guidance.op_bias, rt.catalog)
-    valid: list[Candidate] = []
-    attempts = 0
-    batch_round = 0
-    while len(valid) < m and attempts < cap:
-        need = m - len(valid)
+    weights = _bias_to_insert_weights(guidance.op_bias, rt.catalog) or None
+    valid = 0
+    for batch_round in count():
         seed = role_seed(config.master_seed, step, "propose", batch_round)
         try:
             recipes = propose_local_edits(
-                anchor, seed, need, rt.catalog, config.l_max,
-                insert_weights=weights or None,
+                anchor, seed, config.candidates_per_step - valid, rt.catalog,
+                config.l_max, insert_weights=weights,
             )
         except ProposeError:
-            break
+            return
         for recipe in recipes:
-            attempts += 1
             cand = rt.try_materialize(recipe)
-            if cand is not None:
-                valid.append(cand)
-            if len(valid) >= m or attempts >= cap:
-                break
-        batch_round += 1
-    if not valid:
-        cand = rt.draw_candidate(role_rng(config.master_seed, step, "rescue"), cap)
-        if cand is None:
-            raise ControllerError(f"no executable candidate found at step {step}")
-        valid.append(cand)
-    return valid
+            valid += cand is not None
+            yield cand
 
 
 def _external_contexts(
@@ -902,10 +885,18 @@ def run_search(
         rt.emit(guidance.to_event(step))
 
         proposed = ask_role(rt, "proposer", step, anchor, guidance) or []
-        # materialized only until enough of them are valid
-        candidates = list(islice(filter(None, map(rt.try_materialize, proposed)),
-                                 config.candidates_per_step))
-        candidates = candidates or _fallback_propose(rt, step, anchor, guidance)
+        m = config.candidates_per_step
+        # each source is materialized only until enough of its candidates are valid
+        for source in (map(rt.try_materialize, proposed),
+                       islice(_fallback_propose(rt, step, anchor, guidance), 3 * m)):
+            candidates = list(islice(filter(None, source), m))
+            if candidates:
+                break
+        else:
+            rescue = rt.draw_candidate(role_rng(config.master_seed, step, "rescue"), 3 * m)
+            if rescue is None:
+                raise ControllerError(f"no executable candidate found at step {step}")
+            candidates = [rescue]
 
         gp = fit_gp(
             np.stack([r.encoding for r in records]),

@@ -30,6 +30,11 @@ DEFAULT_L_MAX = 5
 EDIT_RETRY_CAP = 50
 # Encoding slot value for operators that are purely presence-based (mix).
 PRESENCE_ONLY_SLOT = 0.5
+# Sampled fraction parameters: the range they are drawn and retuned in, and
+# the decimal places they are rounded to. Sampled seeds lie in [0, SEED_BOUND).
+FRACTION_RANGE = (0.01, 1.0)
+FRACTION_DIGITS = 4
+SEED_BOUND = 2**31 - 1
 
 
 class RecipeValidationError(ValueError):
@@ -224,18 +229,22 @@ def encode_recipe(recipe: Recipe, catalog: Catalog) -> np.ndarray:
 # Random sampling and local edits
 # ---------------------------------------------------------------------------
 
+def _int_ceiling(ps) -> int:
+    """The largest sampled value of an int parameter: its sample_max, else its maximum."""
+    return int(ps.sample_max if ps.sample_max is not None else ps.maximum)
+
+
 def sample_params(op_name: str, catalog: Catalog, rng: np.random.Generator) -> dict:
     """Uniform parameters within the catalog sampling bounds; seeds drawn too."""
     entry = catalog.get(op_name)
     params: dict = {}
     for key, ps in entry.params.items():
         if ps.kind == "fraction":
-            params[key] = round(float(rng.uniform(0.01, 1.0)), 4)
+            params[key] = round(float(rng.uniform(*FRACTION_RANGE)), FRACTION_DIGITS)
         elif ps.kind == "int":
-            hi = int(ps.sample_max if ps.sample_max is not None else ps.maximum)
-            params[key] = int(rng.integers(int(ps.minimum), hi + 1))
+            params[key] = int(rng.integers(int(ps.minimum), _int_ceiling(ps) + 1))
         elif ps.kind == "seed":
-            params[key] = int(rng.integers(0, 2**31 - 1))
+            params[key] = int(rng.integers(0, SEED_BOUND))
         elif ps.kind == "source":
             params[key] = "incumbent"
     return params
@@ -263,8 +272,9 @@ def sample_random_recipe(
 def _retune_value(value: float, ps, rng: np.random.Generator):
     if ps.kind == "fraction":
         delta = float(rng.uniform(-0.2, 0.2))
-        return round(min(max(value + delta, 0.01), 1.0), 4)
-    hi = int(ps.sample_max if ps.sample_max is not None else ps.maximum)
+        lo, hi = FRACTION_RANGE
+        return round(min(max(value + delta, lo), hi), FRACTION_DIGITS)
+    hi = _int_ceiling(ps)
     span = max(1, int(round(0.2 * hi)))
     delta = int(rng.integers(-span, span + 1))
     return int(min(max(int(value) + delta, int(ps.minimum)), hi))

@@ -41,12 +41,24 @@ PLANTED_SPEC = {
     "family": "planted_quadratic", "offset": 1.0,
     "weights": {"retain_ratio": 1.0}, "targets": {"retain_ratio": 0.5},
 }
+# case -> (oracle spec document, the reason its rejection gives)
 BAD_SPECS = {
-    "unknown_field": {"family": "planted_quadratic", "weights": {"retain": 1.0}},
-    "string_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": "x"}},
-    "huge_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": 10**400}},
-    "nan_value": {"family": "constant", "value": float("nan")},
-    "infinite_weight": {"family": "planted_quadratic", "weights": {"retain_ratio": float("inf")}},
+    "unknown_field": ({"family": "planted_quadratic", "weights": {"retain": 1.0}},
+                      "weights: unknown state field 'retain'"),
+    "string_weight": ({"family": "planted_quadratic", "weights": {"retain_ratio": "x"}},
+                      "weights.retain_ratio must be a number, got 'x'"),
+    "huge_weight": ({"family": "planted_quadratic", "weights": {"retain_ratio": 10**400}},
+                    "weights.retain_ratio is an integer too large for a float"),
+    "nan_value": ({"family": "constant", "value": float("nan")},
+                  "value must be finite, got nan"),
+    "infinite_weight": ({"family": "planted_quadratic",
+                         "weights": {"retain_ratio": float("inf")}},
+                        "weights.retain_ratio must be finite, got inf"),
+    "array_spec": ([{"family": "constant", "value": 1.0}], "oracle spec must be a JSON object"),
+    "weights_not_object": ({"family": "planted_quadratic", "weights": [["retain_ratio", 1.0]]},
+                           "weights must be an object of state field -> number"),
+    "negative_noise_seed": ({"family": "constant", "noise_seed": -1},
+                            "noise_seed must be a nonnegative integer, got -1"),
 }
 
 
@@ -92,6 +104,8 @@ WRONG_TYPES = {
     "string_sae_dim": ("targets", {"sae_dim": "8.9"}, "sae_dim must be a positive integer"),
     "null_instruction": ("pool", {"instruction": None},
                          "field 'instruction' must be a JSON string, got None at line 2"),
+    "empty_id": ("pool", {"id": ""}, "empty id at line 2"),
+    "empty_benchmarks": ("targets", {"benchmarks": {}}, "no benchmarks defined"),
 }
 
 
@@ -247,10 +261,11 @@ class TestLedgerLifecycle:
         self, synth_files, tmp_path, capsys, command, spec
     ):
         out_dir = tmp_path / "out"
+        doc, reason = BAD_SPECS[spec]
         argv = run_argv(command, synth_files, out_dir,
-                        "--oracle-spec", write_spec(tmp_path, BAD_SPECS[spec]))
+                        "--oracle-spec", write_spec(tmp_path, doc))
         assert main(argv) == 2
-        assert "oracle spec rejected:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"oracle spec rejected: {reason}\n"
         assert not (out_dir / "ledger.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
@@ -660,10 +675,11 @@ def exec_argv(synth_files, tmp_path, recipe, *extra):
             "--out", str(tmp_path / "m.jsonl"), *extra]
 
 
-def no_activations(synth_files, tmp_path):
+def signals_with(synth_files, tmp_path, **fields):
+    """The data files, with ``fields`` set on every signals line."""
     rows = [json.loads(line) for line in Path(synth_files[1]).read_text().splitlines()]
-    write_jsonl(tmp_path / "empty_sparse.jsonl", [dict(row, sparse=[]) for row in rows])
-    return with_file(synth_files, "signals", str(tmp_path / "empty_sparse.jsonl"))
+    write_jsonl(tmp_path / "edited_signals.jsonl", [dict(row, **fields) for row in rows])
+    return with_file(synth_files, "signals", str(tmp_path / "edited_signals.jsonl"))
 
 
 def printing_scorer(tmp_path, line):
@@ -734,6 +750,13 @@ def report_argv(tmp_path):
 FAILURES = {
     "config": (lambda f, t: run_argv("run", f, t / "out", "--l-max", "0"),
                2, "config rejected: "),
+    "config_patience": (lambda f, t: run_argv("run", f, t / "out", "-P", "0"),
+                        2, "config rejected: patience must be >= 1, got 0\n"),
+    "config_candidates": (lambda f, t: run_argv("run", f, t / "out", "-M", "0"),
+                          2, "config rejected: candidates_per_step must be >= 1, got 0\n"),
+    "ingestion_all_zero_varentropy": (
+        lambda f, t: run_argv("run", signals_with(f, t, varentropy=0.0), t / "out"),
+        1, "ingestion failed: all-zero varentropy column\n"),
     "ingestion": (lambda f, t: run_argv("run", with_file(f, "signals", "/no/such"), t / "out"),
                   1, "ingestion failed: "),
     "ingest_check_pool_not_utf8": (
@@ -747,7 +770,7 @@ FAILURES = {
                               t / "out"),
         1, "ingestion failed: targets file "),
     "oracle_spec": (lambda f, t: run_argv("run", f, t / "out", "--oracle-spec",
-                                          write_spec(t, BAD_SPECS["unknown_field"])),
+                                          write_spec(t, BAD_SPECS["unknown_field"][0])),
                     2, "oracle spec rejected: "),
     "exec_recipe_rejected": (
         lambda f, t: exec_argv(f, t, {"steps": [{"operator": "random_k", "params": {"k": "x"}}]}),
@@ -767,7 +790,7 @@ FAILURES = {
         lambda f, t: exec_argv(f, t, {"steps": [{"operator": "semdedup", "params": {
             "n_clusters": 5000, "tau": 0.9, "seed": 0}}]}),
         1, "execution aborted: step 1: n_clusters 5000 exceeds subset size 200"),
-    "exec_state_error": (lambda f, t: exec_argv(no_activations(f, t), t, IFD_HALF),
+    "exec_state_error": (lambda f, t: exec_argv(signals_with(f, t, sparse=[]), t, IFD_HALF),
                          1, "execution aborted: no subset sample carries activation"),
     "run_score_overflow": (
         lambda f, t: run_argv("run", f, t / "out", "--oracle-spec", write_spec(t, OVERFLOW_SPEC)),

@@ -898,7 +898,9 @@ def test_proposer_failure_evaluates_a_rescue_draw(small_pool, monkeypatch):
     draws = []
     real_draw = controller._Runtime.draw_candidate
 
-    def spying_draw(rt, rng, cap):
+    def spying_draw(rt, rng, cap, miss=None):
+        if miss is not None:  # a warmup probe
+            return real_draw(rt, rng, cap, miss)
         state = rng.bit_generator.state
         draws.append((state, real_draw(rt, rng, cap)))
         return draws[-1][1]
@@ -915,7 +917,12 @@ def test_proposer_failure_evaluates_a_rescue_draw(small_pool, monkeypatch):
 def test_no_rescue_draw_ends_the_search(small_pool, monkeypatch):
     pool, signals = small_pool
     monkeypatch.setattr(controller, "propose_local_edits", no_local_edits)
-    monkeypatch.setattr(controller._Runtime, "draw_candidate", lambda rt, rng, cap: None)
+    real_draw = controller._Runtime.draw_candidate
+
+    def no_rescue_draw(rt, rng, cap, miss=None):  # warmup probes still draw
+        return None if miss is None else real_draw(rt, rng, cap, miss)
+
+    monkeypatch.setattr(controller._Runtime, "draw_candidate", no_rescue_draw)
     with pytest.raises(ControllerError, match="no executable candidate found at step 4"):
         run_search(SearchConfig(budget=5, master_seed=3), pool, signals, constant_oracle())
 
@@ -932,6 +939,24 @@ def test_warmup_falls_back_to_the_nearest_draw(small_pool, monkeypatch):
     assert [r.recipe for r in records] == draws
     assert not any(lo < r.state.retain_ratio <= hi
                    for r, (lo, hi) in zip(records, controller.RETAIN_BANDS))
+
+
+
+def test_draw_candidate_takes_the_first_accepted_else_the_earliest_nearest(small_pool):
+    pool, signals = small_pool
+    catalog = default_catalog(len(pool))
+    rt = controller._Runtime(SearchConfig(), signals, constant_oracle(), catalog, None)
+    rng = np.random.default_rng(0)
+    draws = [sample_random_recipe(catalog, rng) for _ in range(5)]
+    assert [rt.try_materialize(recipe) is not None for recipe in draws] == [
+        True, True, True, False, True]
+
+    def drawn(misses):  # the draw taken when draws[i] misses by misses[i]
+        miss = lambda cand: misses[draws.index(cand.recipe)]  # noqa: E731
+        return rt.draw_candidate(np.random.default_rng(0), len(draws), miss).recipe
+
+    assert drawn((2.0, 1.0, 3.0, 0.0, 1.0)) == draws[1]  # the earlier of a tie
+    assert drawn((2.0, 1.0, 3.0, None, None)) == draws[4]  # draws[3] aborts
 
 
 class TimedOracle:

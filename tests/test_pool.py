@@ -784,6 +784,7 @@ class TestStrictTypes:
          "target 't1': feature index out of range (8 >= sae_dim 8)"),
         (dict(TINY_TARGETS, sae_dim=2 ** 24 + 1), "sae_dim 16777217 exceeds 2**24 (16777216)"),
         (dict(TINY_TARGETS, sae_dim=2 ** 64), f"sae_dim {2 ** 64} exceeds 2**24"),
+        ([TINY_TARGETS], "expected a JSON object"),
     ])
     def test_target_types(self, tmp_path, doc, message):
         with pytest.raises(PoolError, match=re.escape(message)):

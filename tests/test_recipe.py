@@ -9,6 +9,7 @@ from recipesearch.operators import OperatorSpec, Subset, apply_step, default_cat
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.recipe import (
     ExecutionError,
+    ProposeError,
     Recipe,
     RecipeValidationError,
     encode_recipe,
@@ -322,6 +323,12 @@ class TestLocalEdits:
         for rng_seed in range(20):
             for sibling in propose_local_edits(seed, rng_seed, 3, catalog):
                 assert one_edit_kind(seed, sibling) in ("insert", "retune")
+
+    def test_lone_mix_at_length_cap_has_no_edit(self, catalog):
+        # no insert at L_max, no delete or swap of one step, and mix has no primary
+        seed = Recipe((OperatorSpec("mix", {"source": "incumbent"}),))
+        with pytest.raises(ProposeError, match="no valid one-edit sibling after 50 attempts"):
+            propose_local_edits(seed, 0, 1, catalog, l_max=1)
 
     def test_determinism(self, catalog):
         first = propose_local_edits(FOUR_STEP_SEED, 123, 5, catalog)
