@@ -6,7 +6,8 @@ rewrites ``semdedup_grid.npz`` next to this file from the current code;
 ``np.array_equal``. The grid crosses three synthetic pools with planted
 exact and scaled duplicates, five cluster counts, eight thresholds and two
 seeds, so a change in the clustering or in the greedy pass, down to the
-last bit of one cosine, shows here.
+last bit of one cosine, shows here. A reduced cross on one 50000 x 4096
+pool, the size the materialization goal is set at, pins the same at scale.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ POOLS = ((200, 64, 1), (1000, 64, 2), (4000, 256, 3))
 N_CLUSTERS = (1, 2, 5, 16, 32)
 TAUS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0)
 SEEDS = (0, 7)
+# (n_samples, sae_dim, dataset seed, cluster counts, seeds, thresholds)
+GRIDS = (
+    *((n, dim, data_seed, N_CLUSTERS, SEEDS, TAUS) for n, dim, data_seed in POOLS),
+    (50000, 4096, 4, (1, 32), (0,), (0.9, 1.0)),
+)
 
 
 def build_pool(n: int, dim: int, seed: int, work_dir: str):
@@ -71,21 +77,21 @@ def captured_labels():
 
 def compute_grid() -> dict[str, np.ndarray]:
     """Labels ``(cluster count, seed, row)`` and packed keep masks
-    ``(cluster count, seed, tau, row bits)`` per pool."""
+    ``(cluster count, seed, tau, row bits)`` per pool of ``GRIDS``."""
     out: dict[str, np.ndarray] = {}
-    for n, dim, data_seed in POOLS:
+    for n, dim, data_seed, n_clusters, seeds, taus in GRIDS:
         with tempfile.TemporaryDirectory() as tmp:
             pool, signals = build_pool(n, dim, data_seed, tmp)
         subset = Subset.full(pool)
-        labels = np.zeros((len(N_CLUSTERS), len(SEEDS), n), dtype=np.int8)
-        masks = np.zeros((len(N_CLUSTERS), len(SEEDS), len(TAUS), n), dtype=bool)
-        for a, k in enumerate(N_CLUSTERS):
-            for b, seed in enumerate(SEEDS):
+        labels = np.zeros((len(n_clusters), len(seeds), n), dtype=np.int8)
+        masks = np.zeros((len(n_clusters), len(seeds), len(taus), n), dtype=bool)
+        for a, k in enumerate(n_clusters):
+            for b, seed in enumerate(seeds):
                 with captured_labels() as seen:
-                    for c, tau in enumerate(TAUS):
+                    for c, tau in enumerate(taus):
                         kept = apply_semdedup(subset, signals, k, tau, seed)
                         masks[a, b, c, kept.positions] = True
-                assert len(seen) == len(TAUS)
+                assert len(seen) == len(taus)
                 assert all(np.array_equal(seen[0], other) for other in seen)
                 labels[a, b] = seen[0]
         out[f"labels_{n}x{dim}"] = labels
