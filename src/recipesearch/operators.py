@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy import sparse as sp
@@ -372,32 +372,56 @@ def _check_cluster_count(n_clusters: int, n: int) -> None:
         raise OperatorError(f"n_clusters {n_clusters} exceeds subset size {n}")
 
 
+def _copy_row(x: sp.csr_matrix, i: int, out: np.ndarray) -> None:
+    """Write row ``i`` of ``x`` densely into ``out``, as ``x[i].toarray()``
+    would: the stored entries summed into zeros in stored order."""
+    lo, hi = x.indptr[i], x.indptr[i + 1]
+    out[:] = np.bincount(x.indices[lo:hi], x.data[lo:hi], minlength=out.size)
+
+
 def _kmeans_plusplus(x: sp.csr_matrix, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on L2-normalized rows; returns dense centers."""
     n = x.shape[0]
     centers = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = x[first].toarray().ravel()
-    # rows are unit-norm, so ||x - c||^2 = 1 + ||c||^2 - 2 x.c
-    d2 = np.maximum(1.0 + (centers[0] ** 2).sum() - 2.0 * (x @ centers[0]), 0.0)
-    for j in range(1, n_clusters):
-        total = d2.sum()
-        if total <= 0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        centers[j] = x[pick].toarray().ravel()
-        dj = np.maximum(1.0 + (centers[j] ** 2).sum() - 2.0 * (x @ centers[j]), 0.0)
-        d2 = np.minimum(d2, dj)
+    d2 = np.full(n, np.inf)
+    pick = int(rng.integers(n))
+    for j in range(n_clusters):
+        if j:
+            total = d2.sum()
+            pick = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+        _copy_row(x, pick, centers[j])
+        # rows are unit-norm, so ||x - c||^2 = 1 + ||c||^2 - 2 x.c
+        d2 = np.minimum(d2, np.maximum(1.0 + (centers[j] ** 2).sum() - 2.0 * (x @ centers[j]), 0.0))
     return centers
 
 
+def _row_blocks(x: sp.csr_matrix, size: int) -> Iterator[tuple[int, int, sp.csr_matrix]]:
+    """``(start, stop, rows)`` over consecutive slices of at most ``size``
+    rows of ``x``; ``x`` itself when it fits in one."""
+    n = x.shape[0]
+    if n <= size:
+        yield 0, n, x
+        return
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        yield start, stop, x[start:stop]
+
+
 def _assign(x: sp.csr_matrix, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels and squared distances for unit-norm rows."""
-    sims = x @ centers.T
-    d2 = 1.0 + (centers**2).sum(axis=1)[None, :] - 2.0 * sims
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(x.shape[0]), labels]
+    """Nearest-center labels and squared distances for unit-norm rows.
+
+    Rows go through in blocks of KMEANS_BATCH_SIZE, so the dense distance
+    block is at most KMEANS_BATCH_SIZE x n_clusters. A row's distances do
+    not depend on the block it is in.
+    """
+    shift = 1.0 + (centers**2).sum(axis=1)
+    labels = np.empty(x.shape[0], dtype=np.intp)
+    d2 = np.empty(x.shape[0])
+    for start, stop, rows in _row_blocks(x, KMEANS_BATCH_SIZE):
+        dist = shift - 2.0 * (rows @ centers.T)
+        labels[start:stop] = np.argmin(dist, axis=1)
+        d2[start:stop] = dist[np.arange(stop - start), labels[start:stop]]
+    return labels, d2
 
 
 def minibatch_kmeans(x: sp.csr_matrix, n_clusters: int, seed: int) -> np.ndarray:
@@ -407,29 +431,33 @@ def minibatch_kmeans(x: sp.csr_matrix, n_clusters: int, seed: int) -> np.ndarray
     most KMEANS_BATCH_SIZE rows with count-weighted center updates, and a
     final repair pass that re-seeds any empty cluster to the point farthest
     from its assigned center.
+
+    Each epoch permutes ``x`` once and takes its batches as contiguous row
+    ranges. A batch's cluster means come from one ``np.bincount`` over the
+    batch's stored entries in batch order, each entry first scaled by
+    1/size of its cluster. bincount adds its weights into zeros in input
+    order, so every (cluster, column) sum adds the same products in the
+    same order as ``.mean(axis=0)`` over the members, and as the sparse
+    indicator product this code replaced: the labels are bit for bit the
+    same.
     """
-    n = x.shape[0]
+    n, dim = x.shape
     _check_cluster_count(n_clusters, n)
     rng = np.random.default_rng(seed)
-    batch = min(KMEANS_BATCH_SIZE, n)
     centers = _kmeans_plusplus(x, n_clusters, rng)
     counts = np.zeros(n_clusters, dtype=np.int64)
     for _ in range(KMEANS_EPOCHS):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            m = x[order[start:start + batch]]
+        for _, _, m in _row_blocks(x[rng.permutation(n)], KMEANS_BATCH_SIZE):
             labels, _ = _assign(m, centers)
-            present, sizes = np.unique(labels, return_counts=True)
-            # Row j of the indicator holds 1/size at the batch positions of
-            # cluster present[j], in batch order: its product with the batch
-            # adds (1/size)*x over the members in the order .mean(axis=0)
-            # does, so the means are bit for bit the per-cluster ones.
-            indicator = sp.csr_matrix(
-                (np.repeat(1.0 / sizes, sizes), np.argsort(labels, kind="stable"),
-                 np.concatenate(([0], np.cumsum(sizes)))),
-                shape=(present.size, m.shape[0]),
-            )
-            means = (indicator @ m).toarray()
+            sizes = np.bincount(labels, minlength=n_clusters)
+            present = np.flatnonzero(sizes)
+            # means row j is cluster present[j]; slot is each stored entry's row
+            slot = np.repeat((np.cumsum(sizes > 0) - 1)[labels], np.diff(m.indptr))
+            sizes = sizes[present]
+            means = np.bincount(
+                slot * dim + m.indices, (1.0 / sizes)[slot] * m.data,
+                minlength=present.size * dim,
+            ).reshape(present.size, dim)
             counts[present] += sizes
             eta = (sizes / counts[present])[:, None]
             centers[present] = (1.0 - eta) * centers[present] + eta * means
@@ -438,8 +466,7 @@ def minibatch_kmeans(x: sp.csr_matrix, n_clusters: int, seed: int) -> np.ndarray
         present = np.bincount(labels, minlength=n_clusters) > 0
         if present.all():
             break
-        empty = int(np.flatnonzero(~present)[0])
-        centers[empty] = x[int(np.argmax(d2))].toarray().ravel()
+        _copy_row(x, int(np.argmax(d2)), centers[int(np.flatnonzero(~present)[0])])
         labels, d2 = _assign(x, centers)
     return labels
 
@@ -474,7 +501,7 @@ def apply_semdedup(
     return Subset(subset.positions[keep_mask], subset.pool)
 
 
-SEMDEDUP_TILE_ROWS = 128
+SEMDEDUP_BLOCK_ROWS = 128
 
 
 def semdedup_greedy_pass(
@@ -486,34 +513,59 @@ def semdedup_greedy_pass(
     its max cosine to the rows already kept in its cluster stays below tau,
     with tau in (0, 1].
 
-    Each cluster is scanned in tiles of SEMDEDUP_TILE_ROWS rows: one sparse
-    product of the rows kept so far against the tile and one for the tile's
-    own Gram block, both thresholded at tau, then a scan in pool order with
-    one boolean AND per row. scipy sums each entry of a CSR product over the
-    shared nonzeros in the stored order of the left row, and both products
-    put the earlier row on the left, so every cosine is bit for bit the one
-    a product of that single pair gives.
+    Each stored entry's column moves into its cluster's block: the block
+    columns number the (cluster, feature) pairs that occur. Two rows then
+    share a column only if they share a cluster, so one sparse product of
+    SEMDEDUP_BLOCK_ROWS rows against all rows holds every within-cluster
+    cosine of those rows and nothing else. scipy sums each entry of a CSR
+    product over the left row's stored entries in stored order; moving the
+    columns keeps that order, and the left row is the earlier one, so every
+    cosine is bit for bit the one a product of that single pair gives.
+
+    The pairs s < r at cosine >= tau are edges s -> r, taken block by block
+    in order of s. When s's edges come up, every edge into s has been seen,
+    so s is settled: a kept s drops its targets. A source that no edge
+    reaches is kept, so its targets in the block are dropped in one step
+    first. The pass is linear in the number of edges, and a block holds at
+    most SEMDEDUP_BLOCK_ROWS x cluster-size cosines at a time.
     """
     n = x_normalized.shape[0]
-    keep_mask = np.zeros(n, dtype=bool)
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        kept = members[:0]
-        for start in range(0, members.size, SEMDEDUP_TILE_ROWS):
-            tile = members[start:start + SEMDEDUP_TILE_ROWS]
-            rows = x_normalized[tile]
-            dropped = np.zeros(tile.size, dtype=bool)
-            if kept.size:
-                sims = x_normalized[kept] @ rows.T
-                dropped[sims.indices[sims.data >= tau]] = True
-            # close[r, s]: cosine of tile rows s and r, summed in row s's order
-            close = (rows @ rows.T).toarray().T >= tau
-            keep = np.zeros(tile.size, dtype=bool)
-            for r in np.flatnonzero(~dropped):
-                keep[r] = not (close[r] & keep).any()
-            kept = np.concatenate((kept, tile[keep]))
-        keep_mask[kept] = True
-    return keep_mask
+    _, cluster = np.unique(labels, return_inverse=True)
+    pair = np.repeat(cluster.astype(np.int64), np.diff(x_normalized.indptr))
+    pairs, columns = np.unique(
+        pair * x_normalized.shape[1] + x_normalized.indices, return_inverse=True
+    )
+    blocked = sp.csr_matrix(
+        (x_normalized.data, columns, x_normalized.indptr), shape=(n, pairs.size)
+    )
+    blocked_t = blocked.T.tocsr()
+    keep = np.ones(n, dtype=bool)
+    for start, stop, rows in _row_blocks(blocked, SEMDEDUP_BLOCK_ROWS):
+        gram = rows @ blocked_t
+        close = np.flatnonzero(gram.data >= tau)
+        sources = start + np.searchsorted(gram.indptr, close, side="right") - 1
+        targets = gram.indices[close]
+        live = (targets > sources) & keep[sources] & keep[targets]
+        sources, targets = sources[live], targets[live]
+        inside = targets < stop
+        _settle_block(keep[start:stop], sources[inside] - start, targets[inside] - start)
+        outside = ~inside
+        keep[targets[outside][keep[sources[outside]]]] = False
+    return keep
+
+
+def _settle_block(keep: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> None:
+    """Apply edges ``s -> r`` (``s < r``, ordered by ``s``, both ends still
+    kept) to ``keep`` in place: r is dropped iff a kept s reaches it."""
+    reached = np.zeros(keep.size, dtype=bool)
+    reached[targets] = True
+    keep[targets[~reached[sources]]] = False
+    live = keep[sources] & keep[targets]
+    kept = keep.tolist()
+    for s, r in zip(sources[live].tolist(), targets[live].tolist()):
+        if kept[s]:
+            kept[r] = False
+    keep[:] = kept
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recipesearch import operators
 from recipesearch.operators import (
-    SEMDEDUP_TILE_ROWS,
+    KMEANS_BATCH_SIZE,
+    KMEANS_EPOCHS,
+    SEMDEDUP_BLOCK_ROWS,
     OperatorError,
     OperatorSpec,
     Subset,
@@ -475,6 +479,70 @@ class TestSemDedup:
         assert np.array_equal(out.positions, np.flatnonzero(per_row_greedy_pass(xn, labels, 0.9)))
 
 
+def reference_kmeans_plusplus(x, n_clusters, rng):
+    """k-means++ seeding that takes each center with ``x[i].toarray()``."""
+    n = x.shape[0]
+    centers = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = x[first].toarray().ravel()
+    d2 = np.maximum(1.0 + (centers[0] ** 2).sum() - 2.0 * (x @ centers[0]), 0.0)
+    for j in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        centers[j] = x[pick].toarray().ravel()
+        dj = np.maximum(1.0 + (centers[j] ** 2).sum() - 2.0 * (x @ centers[j]), 0.0)
+        d2 = np.minimum(d2, dj)
+    return centers
+
+
+def reference_assign(x, centers):
+    """Nearest centers from one dense product of all rows."""
+    sims = x @ centers.T
+    d2 = 1.0 + (centers**2).sum(axis=1)[None, :] - 2.0 * sims
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(x.shape[0]), labels]
+
+
+def reference_minibatch_kmeans(x, n_clusters, seed, repairs=None):
+    """Reference: a fancy-indexed batch and a sparse indicator product per
+    minibatch, and whole-matrix assignments. ``repairs``, when a list,
+    collects each cluster the repair pass re-seeds."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    batch = min(KMEANS_BATCH_SIZE, n)
+    centers = reference_kmeans_plusplus(x, n_clusters, rng)
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    for _ in range(KMEANS_EPOCHS):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            m = x[order[start:start + batch]]
+            labels, _ = reference_assign(m, centers)
+            present, sizes = np.unique(labels, return_counts=True)
+            indicator = sp.csr_matrix(
+                (np.repeat(1.0 / sizes, sizes), np.argsort(labels, kind="stable"),
+                 np.concatenate(([0], np.cumsum(sizes)))),
+                shape=(present.size, m.shape[0]),
+            )
+            means = (indicator @ m).toarray()
+            counts[present] += sizes
+            eta = (sizes / counts[present])[:, None]
+            centers[present] = (1.0 - eta) * centers[present] + eta * means
+    labels, d2 = reference_assign(x, centers)
+    for _ in range(n_clusters):
+        present = np.bincount(labels, minlength=n_clusters) > 0
+        if present.all():
+            break
+        empty = int(np.flatnonzero(~present)[0])
+        if repairs is not None:
+            repairs.append(empty)
+        centers[empty] = x[int(np.argmax(d2))].toarray().ravel()
+        labels, d2 = reference_assign(x, centers)
+    return labels
+
+
 def per_row_greedy_pass(x_normalized, labels, tau):
     """Reference: one sparse product per row against the rows kept so far."""
     keep_mask = np.zeros(x_normalized.shape[0], dtype=bool)
@@ -502,11 +570,40 @@ def unit_rows(seed: int, n: int, dim: int, n_bases: int) -> sp.csr_matrix:
     return sp.csr_matrix(x.multiply(1.0 / norms[:, None]))
 
 
+class TestKMeansProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3 * KMEANS_BATCH_SIZE),
+        dim=st.integers(1, 12),
+        base_share=st.floats(0.0, 1.0),
+        n_clusters=st.integers(1, 40),
+    )
+    # a one-row last batch
+    @example(seed=4, n=KMEANS_BATCH_SIZE + 1, dim=8, base_share=0.5, n_clusters=6)
+    # four batches per epoch
+    @example(seed=5, n=3 * KMEANS_BATCH_SIZE + 100, dim=12, base_share=0.3, n_clusters=9)
+    # one direction for five clusters: the repair pass re-seeds centers
+    # (test_repair_example_reseeds checks that it does)
+    @example(seed=6, n=40, dim=6, base_share=0.0, n_clusters=5)
+    def test_matches_reference(self, seed, n, dim, base_share, n_clusters):
+        x = unit_rows(seed, n, dim, max(1, round(base_share * n)))
+        k = min(n_clusters, n)
+        labels = minibatch_kmeans(x, k, seed)
+        assert labels.shape == (n,)
+        assert np.array_equal(labels, reference_minibatch_kmeans(x, k, seed))
+
+    def test_repair_example_reseeds(self):
+        repairs = []
+        reference_minibatch_kmeans(unit_rows(6, 40, 6, 1), 5, 6, repairs)
+        assert repairs
+
+
 class TestGreedyPassProperties:
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 3 * SEMDEDUP_TILE_ROWS),
+        n=st.integers(1, 3 * SEMDEDUP_BLOCK_ROWS),
         dim=st.integers(1, 12),
         base_share=st.floats(0.01, 1.0),
         clusters=st.sampled_from(["one", "few", "singletons"]),
@@ -516,8 +613,8 @@ class TestGreedyPassProperties:
     @example(seed=1, n=60, dim=4, base_share=0.1, clusters="few", tau=1.0)
     # every cluster holds one row
     @example(seed=2, n=50, dim=6, base_share=0.2, clusters="singletons", tau=0.5)
-    # one cluster crosses two tile boundaries
-    @example(seed=3, n=2 * SEMDEDUP_TILE_ROWS + 17, dim=8, base_share=0.3,
+    # one cluster crosses two block boundaries
+    @example(seed=3, n=2 * SEMDEDUP_BLOCK_ROWS + 17, dim=8, base_share=0.3,
              clusters="one", tau=0.9)
     def test_matches_per_row_reference(self, seed, n, dim, base_share, clusters, tau):
         x = unit_rows(seed, n, dim, max(1, round(base_share * n)))
@@ -529,6 +626,51 @@ class TestGreedyPassProperties:
         assert np.array_equal(mask, semdedup_greedy_pass(x, labels, tau))
         if clusters == "singletons":
             assert mask.all()
+
+    @pytest.mark.parametrize("block_rows", [SEMDEDUP_BLOCK_ROWS, 5])
+    def test_near_duplicate_chain_alternates(self, monkeypatch, block_rows):
+        """Row i holds features i and i + 1 at equal weight, so it reaches a
+        cosine of 1/2 with each neighbour and 0 with every other row. Row 1
+        drops against row 0; row 2 stays, as its one close row was dropped;
+        and so on. A pass that also compared against dropped rows would keep
+        row 0 alone."""
+        monkeypatch.setattr(operators, "SEMDEDUP_BLOCK_ROWS", block_rows)
+        n = 2 * SEMDEDUP_BLOCK_ROWS + 17
+        x = sp.csr_matrix(
+            (np.full(2 * n, np.sqrt(0.5)), (np.arange(n)[:, None] + [0, 1]).ravel(),
+             np.arange(0, 2 * n + 1, 2)),
+            shape=(n, n + 1),
+        )
+        labels = np.zeros(n, dtype=np.int64)
+        mask = semdedup_greedy_pass(x, labels, 0.45)
+        assert np.array_equal(mask, np.arange(n) % 2 == 0)
+        assert np.array_equal(mask, per_row_greedy_pass(x, labels, 0.45))
+
+    def test_a_cluster_per_row_at_sae_dim_4096(self):
+        """n_clusters = n on 3000 rows of 2-6 features out of 4096, every
+        7th a copy of the row above: nothing drops, and the block columns
+        number only the (cluster, feature) pairs that occur. Numbering all
+        n x 4096 of them would take about 150 MB."""
+        rng = np.random.default_rng(11)
+        n, dim = 3000, 4096
+        counts = rng.integers(2, 7, size=n)
+        rows = [np.sort(rng.choice(dim, c, replace=False)) for c in counts]
+        for i in range(6, n, 7):
+            rows[i] = rows[i - 1]
+        indptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+        x = sp.csr_matrix((rng.uniform(0.1, 2.0, indptr[-1]), np.concatenate(rows), indptr),
+                          shape=(n, dim))
+        x = sp.csr_matrix(x.multiply(1.0 / np.sqrt(x.multiply(x).sum(axis=1))))
+        labels = rng.permutation(n)
+        tracemalloc.start()
+        try:
+            mask = semdedup_greedy_pass(x, labels, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.all()
+        assert peak < 8_000_000
+        assert not semdedup_greedy_pass(x, np.zeros(n, dtype=np.int64), 0.5).all()
 
     @settings(max_examples=40, deadline=None)
     @given(
