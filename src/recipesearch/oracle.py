@@ -20,7 +20,6 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -56,16 +55,12 @@ class EvalOutcome:
     duration_s: float | None = None
 
 
-# A manifest record line: the bytes of json.dumps(record, sort_keys=True).
-_RECORD = '{"id": %s, "instruction": %s, "response": %s, "source": %s}\n'
-
-
 def write_manifest(path: str, request: EvalRequest) -> None:
     """Write the subset manifest: one header line, then the subset's records in pool order.
 
     Each record line holds ``id``, ``instruction``, ``response`` and
-    ``source``, formatted from the escaped strings into exactly the bytes of
-    ``json.dumps(record, sort_keys=True)``.
+    ``source``, exactly the bytes of ``json.dumps(record, sort_keys=True)``;
+    the pool formats each line once and keeps it (``CanonicalPool.record_lines``).
     """
     header = {
         "run_id": request.run_id,
@@ -73,16 +68,10 @@ def write_manifest(path: str, request: EvalRequest) -> None:
         "recipe": recipe_to_obj(request.recipe),
         "subset_size": len(request.subset),
     }
-    q = encode_basestring_ascii
-    pool = request.subset.pool
-    ids, instructions, responses, sources = (
-        pool.ids, pool.instructions, pool.responses, pool.sources)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(
-            _RECORD % (q(ids[p]), q(instructions[p]), q(responses[p]), q(sources[p]))
-            for p in request.subset.positions.tolist()
-        )
+    lines = request.subset.pool.record_lines(request.subset.positions)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.writelines(lines)
 
 
 def run_command(

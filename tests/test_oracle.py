@@ -6,12 +6,18 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recipesearch.operators as operators
+import recipesearch.pool as pool_module
 from recipesearch.operators import OperatorSpec
 from recipesearch.oracle import (
     CommandOracle,
@@ -24,10 +30,11 @@ from recipesearch.oracle import (
     run_command,
     write_manifest,
 )
+from recipesearch.pool import load_pool
 from recipesearch.recipe import Recipe
 from recipesearch.state import StateVector
 
-from conftest import subset_from_ids
+from conftest import subset_from_ids, write_jsonl
 
 
 def make_state(**overrides) -> StateVector:
@@ -129,6 +136,130 @@ class TestCommandOracle:
         records = [json.loads(ln) for ln in lines[1:]]
         assert [r["id"] for r in records] == ["a", "c"]  # pool order
         assert set(records[0]) == {"id", "instruction", "response", "source"}
+
+
+# Text that JSON escapes: quotes, backslashes, control characters, line and
+# paragraph separators, a BOM, astral characters and lone surrogates.
+AWKWARD = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x85", "\xa0",
+                     "\u2028", "\u2029", "\ufeff", "\ud800", "\udfff",
+                     "\U0001f600", "\U0010ffff"]),
+    st.characters(),
+), max_size=12)
+
+
+def awkward_rows(texts):
+    """Pool rows from ``(id, instruction, response, source)`` texts; ids made unique."""
+    return [
+        {"id": f"{i}:{sid.replace(chr(0), '')}".encode(errors="replace").decode(),
+         "instruction": instruction, "response": response, "source": source}
+        for i, (sid, instruction, response, source) in enumerate(texts)
+    ]
+
+
+def load_rows(rows):
+    """The pool ``load_pool`` makes of these rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pool.jsonl")
+        write_jsonl(path, rows)
+        return load_pool(path)
+
+
+def reference_manifest(request, rows) -> bytes:
+    """The header, then ``json.dumps(record, sort_keys=True)`` of each record in pool order."""
+    header = {"run_id": request.run_id, "step": request.step,
+              "recipe": {"steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]},
+              "subset_size": len(request.subset)}
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps(rows[p], sort_keys=True) for p in request.subset.positions.tolist()]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def position_request(pool, positions, step=1):
+    """``make_request`` of the samples at these positions, repeats allowed."""
+    return make_request(pool, {pool.ids[p] for p in positions}, step=step)
+
+
+class TestManifestRecordCache:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           texts=st.lists(st.tuples(AWKWARD, AWKWARD, AWKWARD, AWKWARD), min_size=1,
+                          max_size=12))
+    def test_every_manifest_matches_the_reference(self, data, texts):
+        rows = awkward_rows(texts)
+        pool = load_rows(rows)
+        subsets = data.draw(st.lists(
+            st.lists(st.integers(0, len(rows) - 1), max_size=len(rows)), min_size=1,
+            max_size=6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.jsonl")
+            for step, positions in enumerate(subsets):
+                request = position_request(pool, positions, step=step)
+                write_manifest(path, request)
+                with open(path, "rb") as fh:
+                    assert fh.read() == reference_manifest(request, rows)
+
+    def test_each_record_is_formatted_once(self, tmp_path, monkeypatch):
+        """A manifest formats its own samples alone, and only those no earlier one did."""
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return escape(text)
+
+        escape = pool_module.encode_basestring_ascii
+        monkeypatch.setattr(pool_module, "encode_basestring_ascii", spy)
+        rows = awkward_rows([(f"s{i}", "a\"b", "\\", "\ud800") for i in range(10)])
+        pool = load_rows(rows)
+        path = tmp_path / "m.jsonl"
+        write_manifest(str(path), position_request(pool, [1, 4, 7]))
+        assert len(calls) == 4 * 3  # id, instruction, response, source of the subset alone
+        write_manifest(str(path), position_request(pool, [1, 4, 7], step=2))
+        assert len(calls) == 4 * 3
+        write_manifest(str(path), position_request(pool, [0, 4, 7, 9], step=3))
+        assert len(calls) == 4 * 5
+        assert path.read_bytes() == reference_manifest(
+            position_request(pool, [0, 4, 7, 9], step=3), rows)
+
+    def test_concurrent_writers_match_sequential_writes(self, tmp_path):
+        """Writers of one fresh pool racing to fill its lines write what they write alone."""
+        rows = awkward_rows([(f"s{i}", f"q\"{i}\\", "\U0001f600" * (i % 5), "\x01")
+                             for i in range(3000)])
+        subsets = [range(0, 3000, 2), range(0, 3000, 3), range(1000, 3000), range(0, 2000)]
+        expected = []
+        for i, positions in enumerate(subsets):
+            write_manifest(str(tmp_path / "seq.jsonl"),
+                           position_request(load_rows(rows), positions, step=i))
+            expected.append((tmp_path / "seq.jsonl").read_bytes())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(4):
+                pool = load_rows(rows)
+                requests = [position_request(pool, positions, step=i)
+                            for i, positions in enumerate(subsets)]
+                paths = [str(tmp_path / f"t{attempt}_{i}.jsonl") for i in range(len(subsets))]
+                barrier = threading.Barrier(len(subsets))
+                errors = []
+
+                def write(i):
+                    try:
+                        barrier.wait(timeout=30)
+                        write_manifest(paths[i], requests[i])
+                    except BaseException as exc:  # reported by the main thread
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=write, args=(i,))
+                           for i in range(len(subsets))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert [Path(path).read_bytes() for path in paths] == expected
+        finally:
+            sys.setswitchinterval(switch)
 
 
 def ended(pid, seconds=5.0):
