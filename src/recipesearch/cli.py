@@ -7,7 +7,9 @@ baseline with its last eval line, and either one that fails with an abort
 line. A run also writes the best-recipe JSON and the selected-subset
 manifest. Every failure is a :class:`CommandError` that ``main`` prints;
 a rejected setting exits 2 with ``config rejected:`` before any ledger is
-opened. Baseline suites are recipe sources evaluated by the search's own
+opened. Every setting, the role commands of ``--assistant-cmd ROLE=CMD``
+included, comes from the command line; recipesearch reads no environment
+variable. Baseline suites are recipe sources evaluated by the search's own
 runtime, so their eval events match a run's. Reports are pure functions of
 ledger bytes and come out as CSV files.
 """
@@ -19,7 +21,6 @@ import csv
 import json
 import logging
 import math
-import os
 import shlex
 import sys
 from contextlib import contextmanager
@@ -30,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import (
-    ASSISTANT_ROLES,
     ControllerError,
     SearchConfig,
     WARMUP_COUNT,
@@ -77,8 +77,6 @@ from .recipe import (
 )
 from .state import StateError, compute_state, flat_field_names, state_from_dict
 
-
-ENV_ASSISTANT_PREFIX = "RECIPESEARCH_ASSISTANT_CMD"
 
 SINGLE_OP_SELECTORS = (
     MONA_FILTER, IFD_TOPFRAC, VARENTROPY_TOPFRAC, NGRAM_TOPFRAC, AO_TOPFRAC, SEMDEDUP,
@@ -254,37 +252,22 @@ def _build_oracle(args, signals, out_dir: Path):
         raise CommandError(2, f"oracle spec rejected: {exc}") from exc
 
 
-def _split_command(text: str, source: str) -> list[str]:
-    try:
-        return shlex.split(text)
-    except ValueError as exc:
-        raise _config_rejected(f"{source}: {exc}") from exc
-
-
 def _assistant_commands(args) -> dict[str, list[str]]:
-    """Role argv from ``--assistant-cmd`` and the environment, split shell-style.
+    """Role argv from the ``--assistant-cmd ROLE=CMD`` flags, split shell-style.
 
-    ``RECIPESEARCH_ASSISTANT_CMD_<ROLE>`` overrides the flag for its role;
-    ``RECIPESEARCH_ASSISTANT_CMD`` fills in every role still without one,
-    except the ranker under ``--random-select``, which leaves it no choice.
-    A ranker command given by flag or by its own variable is still rejected
-    there, by ``SearchConfig.validate``.
+    The flags are the only source of role commands; a later flag for a role
+    replaces an earlier one. Unknown roles, empty commands and a ranker
+    command under ``--random-select`` are rejected by ``SearchConfig.validate``.
     """
     commands: dict[str, list[str]] = {}
     for spec in args.assistant_cmd or []:
         role, _, cmd = spec.partition("=")
         if not cmd:
             raise _config_rejected(f"--assistant-cmd must look like role=command, got {spec!r}")
-        commands[role] = _split_command(cmd, f"--assistant-cmd {role}")
-    default_env = os.environ.get(ENV_ASSISTANT_PREFIX)
-    for role in ASSISTANT_ROLES:
-        name = f"{ENV_ASSISTANT_PREFIX}_{role.upper()}"
-        if os.environ.get(name):
-            commands[role] = _split_command(os.environ[name], name)
-        elif default_env and role not in commands and not (
-            role == "ranker" and args.random_select
-        ):
-            commands[role] = _split_command(default_env, ENV_ASSISTANT_PREFIX)
+        try:
+            commands[role] = shlex.split(cmd)
+        except ValueError as exc:
+            raise _config_rejected(f"--assistant-cmd {role}: {exc}") from exc
     return commands
 
 

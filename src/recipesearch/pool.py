@@ -9,8 +9,9 @@ varentropy, AO, sparse activation vectors) and benchmark target vectors are
 ingested from separate files and validated against the pool, which the
 signal table keeps as its own. Everything is frozen after load, so any
 number of workers may read a pool and its signal table concurrently. The
-selector ranks of a signal table are cached on first read; two concurrent
-first reads compute the same array. A pool's manifest record lines are
+values a signal table derives from its columns (pool statistics, activation
+pattern, selector ranks) are cached on first read; two concurrent first
+reads compute the same value. A pool's manifest record lines are
 formatted on first use and kept while it lives; two concurrent first uses
 format the same bytes.
 """
@@ -149,35 +150,32 @@ class SignalTable:
     compare. Scalar columns are float64 arrays of length ``len(pool)``;
     ``ngram_entropy`` reads the pool's own column. ``activations`` is a CSR
     matrix of nonnegative sparse activations with explicit zeros dropped, so
-    stored entries are exactly the active features. ``pattern_t`` is the
-    same sparsity pattern transposed, a ``(sae_dim, n)`` CSR matrix of 1.0
-    entries, so ``pattern_t @ mask`` counts the samples of a 0/1 row mask
-    that activate each feature; its arrays are read-only. Pool-level
-    reference statistics (pool SNAR, pool signal means, the full
-    sample-by-benchmark relevance matrix) are computed once here because the
-    pool is fixed for the lifetime of a search.
+    stored entries are exactly the active features. ``relevance`` is the
+    ``(n, n_benchmarks)`` weighted Jaccard of each sample against each
+    benchmark target; it is an input, as the targets are not kept.
 
-    The ``*_rank`` properties, which the selectors read, are built from the
-    columns on first read and cached: the :func:`descending_rank` of each
-    selector column, and ``relevance_rank``, the ``(n_benchmarks, n)`` ranks
-    of the relevance columns. A table made with ``dataclasses.replace``
-    starts with an empty cache, so it ranks its own columns. A NaN in a
-    selector or relevance column is rejected when the table is made.
+    Everything else is derived from these columns on first read and cached:
+    ``sae_dim``, the width of ``activations``; ``has_activations``, whether
+    each sample has an active feature; ``pattern_t``, the sparsity pattern
+    of ``activations`` transposed, a ``(sae_dim, n)`` CSR matrix of 1.0
+    entries, so ``pattern_t @ mask`` counts the samples of a 0/1 row mask
+    that activate each feature; ``pool_snar``, the activation rate of each
+    feature over the samples with one; the pool means of ``ifd`` and
+    ``varentropy``; the :func:`descending_rank` of each selector column; and
+    ``relevance_rank``, the ``(n_benchmarks, n)`` ranks of the relevance
+    columns. Every derived array is read-only. A table made with
+    ``dataclasses.replace`` starts with an empty cache, so it derives each
+    value from its own columns. A NaN in a selector or relevance column is
+    rejected when the table is made.
     """
 
     pool: CanonicalPool = field(repr=False)
-    sae_dim: int
     ifd: np.ndarray
     varentropy: np.ndarray
     ao: np.ndarray
     activations: sp.csr_matrix
-    pattern_t: sp.csr_matrix             # (sae_dim, n) 0/1 activation pattern
     benchmarks: tuple[str, ...]
     relevance: np.ndarray                # (n, n_benchmarks) weighted-Jaccard scores
-    has_activations: np.ndarray          # bool mask: sample has >=1 active feature
-    pool_snar: np.ndarray                # per-feature activation rate of the pool
-    pool_mean_ifd: float
-    pool_mean_varentropy: float
 
     def __post_init__(self) -> None:
         for column in (self.ifd, self.varentropy, self.ngram_entropy, self.ao, self.relevance):
@@ -187,6 +185,43 @@ class SignalTable:
     @property
     def ngram_entropy(self) -> np.ndarray:
         return self.pool.ngram_entropy
+
+    @property
+    def sae_dim(self) -> int:
+        return self.activations.shape[1]
+
+    @cached_property
+    def has_activations(self) -> np.ndarray:
+        has_act = np.diff(self.activations.indptr) > 0
+        has_act.setflags(write=False)
+        return has_act
+
+    @cached_property
+    def pattern_t(self) -> sp.csr_matrix:
+        act = self.activations
+        # the CSR arrays of an (n, sae_dim) matrix are the CSC arrays of its transpose
+        pattern_t = sp.csc_matrix(
+            (np.ones(act.indices.size), act.indices, act.indptr), shape=act.shape[::-1]
+        ).tocsr()
+        for arr in (pattern_t.data, pattern_t.indices, pattern_t.indptr):
+            arr.setflags(write=False)
+        return pattern_t
+
+    @cached_property
+    def pool_snar(self) -> np.ndarray:
+        counts = np.bincount(self.activations.indices, minlength=self.sae_dim)
+        # without an active sample every count is 0, and so is every rate
+        snar = counts / max(int(self.has_activations.sum()), 1)
+        snar.setflags(write=False)
+        return snar
+
+    @cached_property
+    def pool_mean_ifd(self) -> float:
+        return float(self.ifd.mean())
+
+    @cached_property
+    def pool_mean_varentropy(self) -> float:
+        return float(self.varentropy.mean())
 
     @cached_property
     def ifd_rank(self) -> np.ndarray:
@@ -546,36 +581,18 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
         raise PoolError("all-zero varentropy column")
 
     activations = sp.csr_matrix((act_data, act_indices, indptr), shape=(n, sae_dim))
-    # the CSR arrays of an (n, sae_dim) matrix are the CSC arrays of its transpose
-    pattern_t = sp.csc_matrix(
-        (np.ones(act_data.size), act_indices, indptr), shape=(sae_dim, n)
-    ).tocsr()
     benchmarks = tuple(sorted(targets))
     relevance = np.column_stack(
         [_weighted_jaccard_matrix(activations, targets[b]) for b in benchmarks]
     )
-    has_act = np.diff(activations.indptr) > 0
-    valid = int(has_act.sum())
-    if valid:
-        counts = np.bincount(activations.indices, minlength=sae_dim)
-        pool_snar = counts / valid
-    else:
-        pool_snar = np.zeros(sae_dim)
-    for arr in (ifd, varentropy, ao, relevance, has_act, pool_snar,
-                pattern_t.data, pattern_t.indices, pattern_t.indptr):
+    for arr in (ifd, varentropy, ao, relevance):
         arr.setflags(write=False)
     return SignalTable(
         pool=pool,
-        sae_dim=sae_dim,
         ifd=ifd,
         varentropy=varentropy,
         ao=ao,
         activations=activations,
-        pattern_t=pattern_t,
         benchmarks=benchmarks,
         relevance=relevance,
-        has_activations=has_act,
-        pool_snar=pool_snar,
-        pool_mean_ifd=float(ifd.mean()),
-        pool_mean_varentropy=float(varentropy.mean()),
     )

@@ -4,8 +4,8 @@ After a candidate recipe is executed, its subset is summarized by eight
 fields: benchmark-relevance mean/std and per-benchmark means (task block),
 retained-example and retained-token ratios (data block), and the activation-
 rate drift plus pool-relative IFD and varentropy means (model block). The
-pool-level reference statistics live on the SignalTable, computed once at
-load, because the pool is fixed.
+pool-level reference statistics live on the SignalTable, derived from its
+columns once, on first read, because the pool is fixed.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def compute_state(subset: Subset, signals: SignalTable) -> StateVector:
     ``signals`` must be those of ``subset.pool``, else StateError is raised.
     Relevance mean and std aggregate over all (sample, benchmark) pairs
     jointly; std is the population standard deviation. mean_ifd and
-    mean_varentropy are ratios to the (load-time) pool means, so the full
-    pool maps to exactly 1.0 on both.
+    mean_varentropy are ratios to the table's pool means, so the full pool
+    maps to exactly 1.0 on both.
     """
     if subset.pool is not signals.pool:
         raise StateError("state with the signals of another pool")

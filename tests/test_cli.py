@@ -453,10 +453,7 @@ class TestRun:
         assert events[-1]["type"] == "abort"
         assert "exited 1" in events[-1]["error"]
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_quoted_assistant_argument_stays_one_element(
-        self, synth_files, tmp_path, monkeypatch, via
-    ):
+    def test_quoted_assistant_argument_stays_one_element(self, synth_files, tmp_path):
         script = tmp_path / "record_argv.py"
         argv_file = tmp_path / "argv.json"
         script.write_text(
@@ -465,22 +462,18 @@ class TestRun:
             "print('a finding')\n"
         )
         cmd = shlex.join([sys.executable, str(script), str(argv_file)]) + " 'two words'"
-        extra = ["--budget", "4"]
-        if via == "flag":
-            extra += ["--assistant-cmd", f"summarizer={cmd}"]
-        else:
-            monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD_SUMMARIZER", cmd)
+        extra = ["--budget", "4", "--assistant-cmd", f"summarizer={cmd}"]
         assert main(run_argv("run", synth_files, tmp_path / "out", *extra)) == 0
         assert json.loads(argv_file.read_text()) == ["two words"]
         config = ledger_lines(tmp_path / "out" / "ledger.jsonl")[0]["config"]
         assert config["assistant_mode"] == "external"
         assert list(config["assistant_commands"]) == ["summarizer"]
 
-    def test_default_assistant_env_makes_every_role_external(
-        self, synth_files, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD", "no-such-assistant-command")
-        assert main(run_argv("run", synth_files, tmp_path / "out", "--budget", "4")) == 0
+    def test_four_assistant_flags_make_every_role_external(self, synth_files, tmp_path):
+        extra = ["--budget", "4"]
+        for role in ("summarizer", "proposer", "ranker", "reseeder"):
+            extra += ["--assistant-cmd", f"{role}=no-such-assistant-command"]
+        assert main(run_argv("run", synth_files, tmp_path / "out", *extra)) == 0
         events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
         assert events[0]["config"]["assistant_mode"] == "external"
         assert sorted(events[0]["config"]["assistant_commands"]) == [
@@ -511,28 +504,6 @@ class TestRun:
                     if e["type"] == "assistant_failure"]
         assert failures == [("summarizer", attempt, "output is not UTF-8") for attempt in range(3)]
         assert events[-1]["type"] == "result"
-
-    def test_default_assistant_env_skips_ranker_under_random_select(
-        self, synth_files, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD", "no-such-assistant-command")
-        argv = run_argv("run", synth_files, tmp_path / "out", "--budget", "4",
-                        "--random-select")
-        assert main(argv) == 0
-        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
-        assert sorted(events[0]["config"]["assistant_commands"]) == [
-            "proposer", "reseeder", "summarizer"]
-        failed = [e["role"] for e in events if e["type"] == "assistant_failure"]
-        assert failed == ["summarizer", "proposer"]
-
-    def test_ranker_env_rejected_under_random_select(
-        self, synth_files, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD_RANKER", "cmd")
-        out_dir = tmp_path / "out"
-        assert main(run_argv("run", synth_files, out_dir, "--random-select")) == 2
-        assert "config rejected:" in capsys.readouterr().err
-        assert not (out_dir / "ledger.jsonl").exists()
 
     def test_fallback_runs_byte_identical(self, synth_files, tmp_path):
         spec = write_spec(tmp_path, PLANTED_SPEC)

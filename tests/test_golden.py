@@ -66,6 +66,16 @@ def test_ledger_matches_golden(synth_files, tmp_path, name):
     assert ledger.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
 
 
+def test_assistant_variables_leave_a_fallback_run_unchanged(synth_files, tmp_path, monkeypatch):
+    """Role commands come from ``--assistant-cmd`` alone; exported variables change no byte."""
+    monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD", "no-such-assistant-command")
+    monkeypatch.setenv("RECIPESEARCH_ASSISTANT_CMD_PROPOSER", "no-such-assistant-command")
+    ledger = write_ledger("run_seed4", synth_files, tmp_path)
+    assert ledger.read_bytes() == (GOLDEN / "run_seed4.jsonl").read_bytes()
+    header = json.loads(ledger.read_text().splitlines()[0])
+    assert header["config"]["assistant_mode"] == "fallback"
+
+
 @pytest.mark.parametrize("name", ["run_seed4", "run_seed5"])
 def test_golden_runs_cover_semdedup_mix_and_reseed(name):
     events = [json.loads(line) for line in (GOLDEN / f"{name}.jsonl").read_text().splitlines()]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
 from recipesearch.operators import Subset
 from recipesearch.pool import load_pool, load_signals
@@ -239,3 +241,27 @@ class TestComputeState:
             "score_mean", "score_std", "score_per_task", "retain_ratio",
             "token_ratio", "distribution_drift", "mean_ifd", "mean_varentropy",
         ]
+
+
+class TestReplacedTable:
+    """A table made with ``dataclasses.replace`` derives its pool statistics again."""
+
+    def test_doubled_ifd_is_its_own_reference_point(self, synth):
+        pool, signals = synth
+        doubled = dataclasses.replace(signals, ifd=2 * signals.ifd)
+        assert doubled.pool_mean_ifd == 2 * signals.pool_mean_ifd
+        state = compute_state(Subset.full(pool), doubled)
+        assert state.mean_ifd == 1.0
+        assert state.mean_varentropy == 1.0
+
+    def test_zero_activations_leave_no_drift_reference(self, synth):
+        pool, signals = synth
+        bare = dataclasses.replace(signals, activations=sp.csr_matrix(signals.activations.shape))
+        assert bare.sae_dim == signals.sae_dim
+        assert not bare.has_activations.any()
+        assert bare.pattern_t.nnz == 0
+        assert not bare.pool_snar.any()
+        for arr in (bare.has_activations, bare.pool_snar, bare.pattern_t.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(StateError, match="no subset sample carries"):
+            compute_state(Subset.full(pool), bare)
