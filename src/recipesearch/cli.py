@@ -68,7 +68,6 @@ from .recipe import (
     ExecutionError,
     Recipe,
     RecipeValidationError,
-    SEED_BOUND,
     describe_recipe,
     execute_recipe,
     parse_recipe,
@@ -450,7 +449,7 @@ def _default(value, fallback):
     return fallback if value is None else value
 
 
-def _suite_recipes(args, pool_size: int, rng: np.random.Generator) -> list[Recipe]:
+def _suite_recipes(args, catalog: Catalog, rng: np.random.Generator) -> list[Recipe]:
     """The fixed recipes of the random_topk and single_op suites, in order.
 
     random_topk gives ``budget`` recipes and single_op one per selector;
@@ -459,14 +458,15 @@ def _suite_recipes(args, pool_size: int, rng: np.random.Generator) -> list[Recip
     if args.suite == "random_recipe":
         return []
     if args.suite == "random_topk":
-        k = _default(args.size, max(1, pool_size // 2))
-        seeds = [int(rng.integers(0, SEED_BOUND)) for _ in range(args.budget)]
-        return [Recipe((OperatorSpec(RANDOM_K, {"k": k, "seed": seed}),)) for seed in seeds]
+        k = _default(args.size, max(1, catalog.pool_size // 2))
+        seed = catalog.get(RANDOM_K).params["seed"]
+        return [Recipe((OperatorSpec(RANDOM_K, {"k": k, "seed": seed.sample(rng)}),))
+                for _ in range(args.budget)]
     recipes = []
     for selector in SINGLE_OP_SELECTORS:
         if selector == SEMDEDUP:
             params = {
-                "n_clusters": _default(args.clusters, max(1, min(pool_size // 64, 32))),
+                "n_clusters": _default(args.clusters, max(1, min(catalog.pool_size // 64, 32))),
                 "tau": _default(args.tau, SINGLE_OP_SEMDEDUP_TAU),
                 "seed": args.master_seed,
             }
@@ -507,7 +507,7 @@ def cmd_baseline(args) -> int:
     signals = _load_data(args, "ingestion failed")
     catalog = default_catalog(len(signals.pool))
     rng = role_rng(args.master_seed, 0, "baseline")
-    recipes = _suite_recipes(args, len(signals.pool), rng)
+    recipes = _suite_recipes(args, catalog, rng)
     for recipe in recipes:
         violations = validate_recipe(recipe, catalog, args.l_max)
         if violations:

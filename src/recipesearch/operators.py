@@ -91,16 +91,75 @@ SELECTOR_COLUMNS = {
 }
 
 
+# Sampled fraction parameters: the range they are drawn and retuned in, and
+# the decimal places they are rounded to. Sampled seeds lie in [0, SEED_BOUND).
+FRACTION_RANGE = (0.01, 1.0)
+FRACTION_DIGITS = 4
+SEED_BOUND = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class ParamSpec:
-    """Bounds and sampling range for one operator parameter."""
+    """One operator parameter. Its kind decides how a value is checked, read
+    from JSON, drawn and retuned; no other code branches on it. A parameter
+    without a default is required."""
 
     kind: str                 # "fraction" | "int" | "seed" | "source"
     minimum: float = 0.0
     maximum: float = 1.0
-    required: bool = True
     default: Any = None
     sample_max: float | None = None  # upper bound used when sampling, if tighter
+
+    def check(self, key: str, value) -> str | None:
+        """The violation of ``value`` for parameter ``key``, or None."""
+        if self.kind == "fraction":
+            if not _is_number(value):
+                return f"{key} must be a number"
+            try:
+                v = float(value)
+            except OverflowError:  # an integer too large for a float
+                v = math.inf
+            if not (0.0 < v <= 1.0) or not math.isfinite(v):
+                return f"{key} out of (0,1]"
+        elif self.kind == "source":
+            if not _valid_source(str(value)):
+                return f"source must be 'incumbent' or 'eval:<t>', got {value!r}"
+        elif not _is_integral(value):
+            return f"{key} must be an integer"
+        elif abs(value) > sys.float_info.max:  # an integer too large for a float
+            return f"{key} out of range"
+        elif int(value) < self.minimum:
+            if self.kind == "seed":
+                return f"{key} must be nonnegative"
+            return f"{key} must be >= {int(self.minimum)}"
+        return None
+
+    def read(self, value):
+        """A JSON ``value``, an integral float made an ``int`` for the integer kinds."""
+        if self.kind in ("int", "seed") and isinstance(value, float) and value.is_integer():
+            return int(value)
+        return value
+
+    def sample(self, rng: np.random.Generator):
+        """A uniform draw within the sampling range; a source is its default."""
+        if self.kind == "fraction":
+            return round(float(rng.uniform(*FRACTION_RANGE)), FRACTION_DIGITS)
+        if self.kind == "int":
+            return int(rng.integers(int(self.minimum), int(self.sample_max or self.maximum) + 1))
+        if self.kind == "seed":
+            return int(rng.integers(0, SEED_BOUND))
+        return self.default
+
+    def retune(self, value, rng: np.random.Generator):
+        """A fraction or int ``value`` moved uniformly, clipped to its sampling range."""
+        if self.kind == "fraction":
+            delta = float(rng.uniform(-0.2, 0.2))
+            lo, hi = FRACTION_RANGE
+            return round(min(max(float(value) + delta, lo), hi), FRACTION_DIGITS)
+        hi = int(self.sample_max or self.maximum)
+        span = max(1, int(round(0.2 * hi)))
+        delta = int(rng.integers(-span, span + 1))
+        return int(min(max(int(float(value)) + delta, int(self.minimum)), hi))
 
 
 @dataclass(frozen=True)
@@ -108,7 +167,15 @@ class CatalogEntry:
     name: str
     params: dict[str, ParamSpec]
     primary: str | None           # parameter that enters the recipe encoding
-    encode_range: tuple[float, float] | None
+
+    @property
+    def encode_range(self) -> tuple[float, float] | None:
+        """Zero up to the primary parameter's maximum; None without a primary."""
+        return None if self.primary is None else (0.0, self.params[self.primary].maximum)
+
+    def sample(self, rng: np.random.Generator) -> dict:
+        """One draw of every parameter, in catalog order."""
+        return {key: ps.sample(rng) for key, ps in self.params.items()}
 
 
 @dataclass(frozen=True)
@@ -144,7 +211,7 @@ class Catalog:
                             "kind": p.kind,
                             "min": p.minimum,
                             "max": p.maximum,
-                            "required": p.required,
+                            "required": p.default is None,
                             "default": p.default,
                         }
                         for k, p in sorted(e.params.items())
@@ -164,7 +231,6 @@ def _fraction_entry(name: str) -> CatalogEntry:
         name=name,
         params={"fraction": ParamSpec("fraction", 0.0, 1.0)},
         primary="fraction",
-        encode_range=(0.0, 1.0),
     )
 
 
@@ -187,25 +253,22 @@ def default_catalog(pool_size: int, operators: Iterable[str] | None = None) -> C
                 "n_clusters": ParamSpec("int", 1.0, float(max(1, pool_size)),
                                         sample_max=cluster_cap),
                 "tau": ParamSpec("fraction", 0.0, 1.0),
-                "seed": ParamSpec("seed", required=False, default=0),
+                "seed": ParamSpec("seed", default=0),
             },
             primary="tau",
-            encode_range=(0.0, 1.0),
         ),
         RANDOM_K: CatalogEntry(
             name=RANDOM_K,
             params={
                 "k": ParamSpec("int", 1.0, float(max(1, pool_size))),
-                "seed": ParamSpec("seed", required=False, default=0),
+                "seed": ParamSpec("seed", default=0),
             },
             primary="k",
-            encode_range=(0.0, float(max(1, pool_size))),
         ),
         MIX: CatalogEntry(
             name=MIX,
-            params={"source": ParamSpec("source", required=False, default="incumbent")},
+            params={"source": ParamSpec("source", default="incumbent")},
             primary=None,
-            encode_range=None,
         ),
     }
     names = list(operators) if operators is not None else list(all_entries)
@@ -244,35 +307,12 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
         if key not in entry.params:
             problems.append(f"{spec.operator}: unknown parameter {key!r}")
     for key, ps in entry.params.items():
-        if key not in spec.params:
-            if ps.required:
-                problems.append(f"{spec.operator}: missing parameter {key!r}")
-            continue
-        value = spec.params[key]
-        if ps.kind == "fraction":
-            if not _is_number(value):
-                problems.append(f"{spec.operator}: {key} must be a number")
-                continue
-            try:
-                v = float(value)
-            except OverflowError:  # an integer too large for a float
-                v = math.inf
-            if not (0.0 < v <= 1.0) or not math.isfinite(v):
-                problems.append(f"{spec.operator}: {key} out of (0,1]")
-        elif ps.kind in ("int", "seed"):
-            if not _is_integral(value):
-                problems.append(f"{spec.operator}: {key} must be an integer")
-            elif abs(value) > sys.float_info.max:  # an integer too large for a float
-                problems.append(f"{spec.operator}: {key} out of range")
-            elif ps.kind == "seed" and int(value) < 0:
-                problems.append(f"{spec.operator}: {key} must be nonnegative")
-            elif ps.kind == "int" and int(value) < int(ps.minimum):
-                problems.append(f"{spec.operator}: {key} must be >= {int(ps.minimum)}")
-        elif ps.kind == "source":
-            if not _valid_source(str(value)):
-                problems.append(
-                    f"{spec.operator}: source must be 'incumbent' or 'eval:<t>', got {value!r}"
-                )
+        if key in spec.params:
+            problem = ps.check(key, spec.params[key])
+        else:
+            problem = None if ps.default is not None else f"missing parameter {key!r}"
+        if problem:
+            problems.append(f"{spec.operator}: {problem}")
     return problems
 
 

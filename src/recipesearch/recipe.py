@@ -30,11 +30,6 @@ DEFAULT_L_MAX = 5
 EDIT_RETRY_CAP = 50
 # Encoding slot value for operators that are purely presence-based (mix).
 PRESENCE_ONLY_SLOT = 0.5
-# Sampled fraction parameters: the range they are drawn and retuned in, and
-# the decimal places they are rounded to. Sampled seeds lie in [0, SEED_BOUND).
-FRACTION_RANGE = (0.01, 1.0)
-FRACTION_DIGITS = 4
-SEED_BOUND = 2**31 - 1
 
 
 class RecipeValidationError(ValueError):
@@ -82,16 +77,11 @@ def validate_recipe(recipe: Recipe, catalog: Catalog, l_max: int = DEFAULT_L_MAX
 
 
 def _coerce_params(raw: dict, operator: str, catalog: Catalog) -> dict:
-    """``raw`` with each integral float of an ``int`` or ``seed`` parameter
-    of the catalog's ``operator`` made an ``int``."""
+    """``raw`` with each value of a parameter of the catalog's ``operator``
+    read by its :meth:`~recipesearch.operators.ParamSpec.read`."""
     specs = catalog.get(operator).params if operator in catalog else {}
-    integer = {key for key, spec in specs.items() if spec.kind in ("int", "seed")}
-    out = {}
-    for key, value in raw.items():
-        if isinstance(value, float) and value.is_integer() and key in integer:
-            value = int(value)
-        out[str(key)] = value
-    return out
+    return {str(key): specs[key].read(value) if key in specs else value
+            for key, value in raw.items()}
 
 
 def recipe_from_obj(obj, catalog: Catalog, l_max: int = DEFAULT_L_MAX) -> Recipe:
@@ -229,27 +219,6 @@ def encode_recipe(recipe: Recipe, catalog: Catalog) -> np.ndarray:
 # Random sampling and local edits
 # ---------------------------------------------------------------------------
 
-def _int_ceiling(ps) -> int:
-    """The largest sampled value of an int parameter: its sample_max, else its maximum."""
-    return int(ps.sample_max if ps.sample_max is not None else ps.maximum)
-
-
-def sample_params(op_name: str, catalog: Catalog, rng: np.random.Generator) -> dict:
-    """Uniform parameters within the catalog sampling bounds; seeds drawn too."""
-    entry = catalog.get(op_name)
-    params: dict = {}
-    for key, ps in entry.params.items():
-        if ps.kind == "fraction":
-            params[key] = round(float(rng.uniform(*FRACTION_RANGE)), FRACTION_DIGITS)
-        elif ps.kind == "int":
-            params[key] = int(rng.integers(int(ps.minimum), _int_ceiling(ps) + 1))
-        elif ps.kind == "seed":
-            params[key] = int(rng.integers(0, SEED_BOUND))
-        elif ps.kind == "source":
-            params[key] = "incumbent"
-    return params
-
-
 def sample_random_recipe(
     catalog: Catalog,
     rng: np.random.Generator,
@@ -264,20 +233,9 @@ def sample_random_recipe(
     length = int(rng.integers(1, min(l_max, len(names)) + 1))
     chosen = rng.choice(len(names), size=length, replace=False)
     steps = tuple(
-        OperatorSpec(names[i], sample_params(names[i], catalog, rng)) for i in chosen
+        OperatorSpec(names[i], catalog.get(names[i]).sample(rng)) for i in chosen
     )
     return Recipe(steps)
-
-
-def _retune_value(value: float, ps, rng: np.random.Generator):
-    if ps.kind == "fraction":
-        delta = float(rng.uniform(-0.2, 0.2))
-        lo, hi = FRACTION_RANGE
-        return round(min(max(value + delta, lo), hi), FRACTION_DIGITS)
-    hi = _int_ceiling(ps)
-    span = max(1, int(round(0.2 * hi)))
-    delta = int(rng.integers(-span, span + 1))
-    return int(min(max(int(value) + delta, int(ps.minimum)), hi))
 
 
 def propose_local_edits(
@@ -352,7 +310,7 @@ def _one_edit(
             w = None
         name = names[int(rng.choice(len(names), p=w))]
         pos = int(rng.integers(length + 1))
-        steps.insert(pos, OperatorSpec(name, sample_params(name, catalog, rng)))
+        steps.insert(pos, OperatorSpec(name, catalog.get(name).sample(rng)))
     elif kind == "delete":
         steps.pop(int(rng.integers(length)))
     elif kind == "swap":
@@ -361,9 +319,9 @@ def _one_edit(
     else:  # retune
         i = tunable[int(rng.integers(len(tunable)))]
         entry = catalog.get(steps[i].operator)
-        ps = entry.params[entry.primary]
-        old = float(steps[i].param(entry.primary))
         new_params = dict(steps[i].params)
-        new_params[entry.primary] = _retune_value(old, ps, rng)
+        new_params[entry.primary] = entry.params[entry.primary].retune(
+            steps[i].param(entry.primary), rng
+        )
         steps[i] = OperatorSpec(steps[i].operator, new_params)
     return Recipe(tuple(steps))
