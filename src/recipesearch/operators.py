@@ -102,11 +102,11 @@ SEED_BOUND = 2**31 - 1
 class ParamSpec:
     """One operator parameter. Its kind decides how a value is checked, read
     from JSON, drawn and retuned; no other code branches on it. A parameter
-    without a default is required."""
+    without a default is required; a bound of None is not published."""
 
     kind: str                 # "fraction" | "int" | "seed" | "source"
-    minimum: float = 0.0
-    maximum: float = 1.0
+    minimum: float | None = None
+    maximum: float | None = None
     default: Any = None
     sample_max: float | None = None  # upper bound used when sampling, if tighter
 
@@ -253,7 +253,7 @@ def default_catalog(pool_size: int, operators: Iterable[str] | None = None) -> C
                 "n_clusters": ParamSpec("int", 1.0, float(max(1, pool_size)),
                                         sample_max=cluster_cap),
                 "tau": ParamSpec("fraction", 0.0, 1.0),
-                "seed": ParamSpec("seed", default=0),
+                "seed": ParamSpec("seed", 0.0, default=0),
             },
             primary="tau",
         ),
@@ -261,7 +261,7 @@ def default_catalog(pool_size: int, operators: Iterable[str] | None = None) -> C
             name=RANDOM_K,
             params={
                 "k": ParamSpec("int", 1.0, float(max(1, pool_size))),
-                "seed": ParamSpec("seed", default=0),
+                "seed": ParamSpec("seed", 0.0, default=0),
             },
             primary="k",
         ),

@@ -868,3 +868,30 @@ class TestClosureAndDispatch:
         assert "semdedup" in names and "mix" in names
         assert doc["pool_size"] == len(pool)
         assert catalog.digest() == catalog.digest()
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 31, 200, 50_000])
+    def test_sampled_and_retuned_values_pass_validation_within_published_bounds(
+        self, pool_size,
+    ):
+        catalog = default_catalog(pool_size)
+        published = {op["name"]: op["params"] for op in json.loads(catalog.to_json())["operators"]}
+        rng = np.random.default_rng(pool_size)
+
+        def check(entry, params):
+            assert not validate_spec(OperatorSpec(entry.name, params), catalog), params
+            for key, value in params.items():
+                bounds = published[entry.name][key]
+                if bounds["min"] is not None:
+                    assert value >= bounds["min"], (entry.name, key, value)
+                if bounds["max"] is not None:
+                    assert value <= bounds["max"], (entry.name, key, value)
+
+        for entry in catalog.entries:
+            for _ in range(100):
+                params = entry.sample(rng)
+                check(entry, params)
+                if entry.primary is not None:
+                    spec = entry.params[entry.primary]
+                    for _ in range(5):  # a walk of retunes reaches the clipped ends
+                        params[entry.primary] = spec.retune(params[entry.primary], rng)
+                        check(entry, params)
