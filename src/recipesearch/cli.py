@@ -158,7 +158,9 @@ def _eval_row(event: dict) -> EvalRow:
         type(op) is not str for op in row.operators
     ):
         raise TypeError("eval line field of the wrong type")
-    float(row.score)  # OverflowError for an integer too large for a float
+    # NaN, Infinity or 1e400; OverflowError for an integer too large for a float
+    if not all(map(math.isfinite, row[:3])):
+        raise ValueError("eval line number that is not finite")
     return row
 
 
@@ -228,6 +230,10 @@ def _check_oracle_args(args) -> None:
         raise _config_rejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
     if args.oracle == "command" and not args.oracle_cmd:
         raise _config_rejected("--oracle command requires --oracle-cmd")
+    if args.oracle != "command" and args.oracle_cmd:
+        raise _config_rejected("--oracle-cmd requires --oracle command")
+    if args.oracle == "command" and args.oracle_spec:
+        raise _config_rejected("--oracle-spec requires --oracle synthetic")
 
 
 def _build_oracle(args, signals, out_dir: Path):

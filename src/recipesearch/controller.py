@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import weakref
 from collections import OrderedDict
@@ -403,11 +404,19 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} overflows a float")
+    return value
+
+
 def _json_payload(out: str):
     """The JSON document in an assistant's output, or None if none decodes.
 
     Markdown fences are dropped, and so is any text around the outermost
     brackets. ``NaN`` and ``Infinity`` do not decode: they are not JSON.
+    Nor does a number that overflows a float, such as ``1e400``.
     """
     body = out.strip()
     fence = re.search(r"```(?:json)?\s*(.*?)```", body, flags=re.DOTALL)
@@ -419,7 +428,7 @@ def _json_payload(out: str):
         if 0 <= start < end:
             body = body[start : end + 1]
     try:
-        return json.loads(body, parse_constant=_no_constant)
+        return json.loads(body, parse_constant=_no_constant, parse_float=_finite_float)
     except (ValueError, RecursionError):
         return None
 

@@ -10,6 +10,7 @@ columns once, on first read, because the pool is fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -54,10 +55,14 @@ def flat_field_names(benchmarks) -> list[str]:
 
 
 def state_from_dict(doc: dict) -> StateVector:
-    """A state from its ``to_dict`` form; TypeError for a value that is not a JSON number."""
+    """A state from its ``to_dict`` form; TypeError for a value that is not a
+    JSON number, ValueError or OverflowError for one a float cannot hold."""
     per_task, scalars = doc["score_per_task"], [doc[name] for name in _SCALAR_FIELDS]
-    if any(type(v) not in (int, float) for v in (*per_task.values(), *scalars)):
+    values = (*per_task.values(), *scalars)
+    if any(type(v) not in (int, float) for v in values):
         raise TypeError("state value that is not a JSON number")  # a bool or a string
+    if not all(map(math.isfinite, values)):  # NaN, Infinity or 1e400
+        raise ValueError("state value that is not finite")
     return StateVector(
         score_per_task={k: float(v) for k, v in per_task.items()},
         **{name: float(v) for name, v in zip(_SCALAR_FIELDS, scalars)},

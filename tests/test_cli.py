@@ -725,6 +725,20 @@ FAILURES = {
                         2, "config rejected: patience must be >= 1, got 0\n"),
     "config_candidates": (lambda f, t: run_argv("run", f, t / "out", "-M", "0"),
                           2, "config rejected: candidates_per_step must be >= 1, got 0\n"),
+    "run_oracle_cmd_without_command": (
+        lambda f, t: run_argv("run", f, t / "out", "--oracle-cmd", "false"),
+        2, "config rejected: --oracle-cmd requires --oracle command\n"),
+    "baseline_oracle_cmd_without_command": (
+        lambda f, t: run_argv("baseline", f, t / "out", "--oracle-cmd", "false"),
+        2, "config rejected: --oracle-cmd requires --oracle command\n"),
+    "run_oracle_spec_with_command": (
+        lambda f, t: run_argv("run", f, t / "out", "--oracle", "command", "--oracle-cmd",
+                              "false", "--oracle-spec", write_spec(t, PLANTED_SPEC)),
+        2, "config rejected: --oracle-spec requires --oracle synthetic\n"),
+    "baseline_oracle_spec_with_command": (
+        lambda f, t: run_argv("baseline", f, t / "out", "--oracle", "command", "--oracle-cmd",
+                              "false", "--oracle-spec", write_spec(t, PLANTED_SPEC)),
+        2, "config rejected: --oracle-spec requires --oracle synthetic\n"),
     "ingestion_all_zero_varentropy": (
         lambda f, t: run_argv("run", signals_with(f, t, varentropy=0.0), t / "out"),
         1, "ingestion failed: all-zero varentropy column\n"),
@@ -1018,12 +1032,26 @@ class TestReport:
                                                            "token_ratio": "0.5"}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],
                                                            "score_per_task": {"g": "0.3"}}),
+        # a number a float cannot hold, written as the line's raw JSON text
+        *(pytest.param(json.dumps(line).replace('"@"', literal), id=f"{field}_{literal}")
+          for field, line in (
+              ("step", dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), step="@")),
+              ("score", dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), score="@")),
+              ("subset_size", dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), subset_size="@")),
+              ("mean_ifd", dict(handmade_eval(2, 1.0, ["ifd_topfrac"]),
+                                state={**handmade_eval(2, 1, [])["state"], "mean_ifd": "@"})),
+              ("score_per_task", dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={
+                  **handmade_eval(2, 1, [])["state"], "score_per_task": {"g": "@"}})),
+          )
+          for literal in ("NaN", "Infinity", "-Infinity", "1e400")),
     ])
     def test_unreadable_eval_line_skipped_like_a_corrupt_one(self, tmp_path, capsys, line):
         ledger = tmp_path / "evals.jsonl"
-        write_jsonl(ledger, [{"type": "header", "run_id": "e"},
-                             handmade_eval(1, 1.0, ["ifd_topfrac"]), line,
-                             handmade_eval(3, 2.0, ["ao_topfrac", "ifd_topfrac"])])
+        rows = [{"type": "header", "run_id": "e"}, handmade_eval(1, 1.0, ["ifd_topfrac"]), line,
+                handmade_eval(3, 2.0, ["ao_topfrac", "ifd_topfrac"])]
+        ledger.write_text("".join(
+            (row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows
+        ))
         out_dir = tmp_path / "rep"
         assert main(["report", str(ledger), "--out-dir", str(out_dir)]) == 0
         err = capsys.readouterr().err

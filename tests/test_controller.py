@@ -725,6 +725,8 @@ PARSE_FAILURES = {
                                  "ranking is not a permutation of 0..1"),
     "ranker_nan": ("ranker", '{"ranking": [0, 1], "confidence": NaN, "rationale": Infinity}',
                    "unparsable JSON"),
+    "ranker_overflow": ("ranker", '{"ranking": [0, 1], "confidence": 1e400}',
+                        "unparsable JSON"),
     "reseeder_not_json": ("reseeder", "no json here", "unparsable JSON"),
     "reseeder_object": ("reseeder", '{"steps": []}', "not a step array"),
     "reseeder_invalid_motif": ("reseeder", '[{"operator": "nope"}]',
