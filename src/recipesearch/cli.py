@@ -297,8 +297,6 @@ def _apply_seed_overrides(recipe: Recipe, seeds: list[int] | None, catalog: Cata
     ]
     if not seeds:
         return recipe
-    if any(s < 0 for s in seeds):
-        raise _recipe_rejected(1, ["seed overrides must be nonnegative integers"])
     if not stochastic:
         print("warning: recipe has no stochastic steps; seed overrides ignored",
               file=sys.stderr)

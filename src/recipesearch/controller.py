@@ -3,11 +3,14 @@
 One run spends exactly ``budget`` full evaluations: three warmup probes
 spanning low/medium/high retention, then one evaluation per search step. Each
 step summarizes the history into guidance, proposes sibling recipes around
-the current seed anchor, materializes them (execute + state, never the
-oracle), scores them with the GP surrogate, and lets the ranker pick exactly
-one for full evaluation. The incumbent and the seed anchor are tracked
-separately; the anchor moves only when the incumbent has stagnated for
-``patience`` consecutive evaluations.
+the current seed anchor, materializes them (execute, never the oracle),
+scores them with the GP surrogate, and lets the ranker pick exactly one for
+full evaluation. A candidate's state is computed only when something reads
+it: its evaluation, or an external ranker's candidate table. Warmup bands
+and the fallback ranker read only the retain ratio, which needs no state.
+The incumbent and the seed anchor are tracked separately; the anchor moves
+only when the incumbent has stagnated for ``patience`` consecutive
+evaluations.
 
 The Summarizer/Proposer/Ranker/Reseeder roles are ports: deterministic
 fallback policies are built in, and a role with a command in
@@ -48,7 +51,7 @@ from .recipe import (
     sample_random_recipe,
     validate_recipe,
 )
-from .state import StateError, StateVector, compute_state
+from .state import StateError, StateVector, check_summarizable, compute_state
 from .surrogate import fit_gp, predict_gp
 
 logger = logging.getLogger(__name__)
@@ -175,18 +178,38 @@ class Guidance:
         return "\n".join(f"{i}. {f}" for i, f in enumerate(self.findings, start=1))
 
 
-@dataclass
 class Candidate:
-    recipe: Recipe
-    subset: Subset
-    state: StateVector
-    encoding: np.ndarray
-    mu: float = 0.0
-    sigma: float = 0.0
+    """A materialized recipe: its subset and encoding, the surrogate's mu and
+    sigma once predicted, and its state.
+
+    Unless given, the state is computed on first read, by ``state_of(subset)``:
+    most candidates are never evaluated, and ranking reads only the retain
+    ratio, which needs no state.
+    """
+
+    def __init__(self, recipe: Recipe, subset: Subset, encoding: np.ndarray,
+                 state: StateVector | None = None, mu: float = 0.0, sigma: float = 0.0,
+                 state_of=None):
+        self.recipe = recipe
+        self.subset = subset
+        self.encoding = encoding
+        self.mu = mu
+        self.sigma = sigma
+        self._state = state
+        self._state_of = state_of
+
+    @property
+    def state(self) -> StateVector:
+        if self._state is None:
+            self._state = self._state_of(self.subset)
+        return self._state
 
     @property
     def retain_ratio(self) -> float:
-        return self.state.retain_ratio
+        if self._state is not None:
+            return self._state.retain_ratio
+        # the expression of compute_state, so the bits are those of the state's
+        return len(self.subset) / len(self.subset.pool)
 
 
 @dataclass
@@ -617,6 +640,7 @@ class _Runtime:
         self.materializations = 0
         self.steps_executed = 0
         self.states_reused = 0
+        self.states_computed = 0
         self.seed_phase = 1
 
     def emit(self, event: dict) -> None:
@@ -640,13 +664,23 @@ class _Runtime:
             return self.subsets[step - 1] if 1 <= step <= len(self.subsets) else None
         return None
 
+    def state_of(self, subset: Subset) -> StateVector:
+        """The subset's state, computed once per subset object."""
+        state = self.states.get(subset)
+        if state is None:
+            state = self.states[subset] = compute_state(subset, self.signals)
+            self.states_computed += 1
+        else:
+            self.states_reused += 1
+        return state
+
     def materialize(self, recipe: Recipe) -> Candidate:
-        """Execute + summarize a candidate, never the oracle.
+        """Execute a candidate, never the oracle; its state waits for a reader.
 
         Execution goes through the run's prefix memo and a state is computed
         once per subset object, so the candidate's subset and state are those
-        of a fresh execution. Raises ExecutionError or StateError when the
-        candidate aborts.
+        of a fresh execution. Raises ExecutionError, or the StateError that
+        computing the state would raise, when the candidate aborts.
         """
         memo = self.prefixes
         served = memo.served
@@ -657,16 +691,12 @@ class _Runtime:
             self.steps_executed += exc.step_index - (memo.served - served)
             raise
         self.steps_executed += len(recipe) - (memo.served - served)
-        state = self.states.get(subset)
-        if state is None:
-            state = self.states[subset] = compute_state(subset, self.signals)
-        else:
-            self.states_reused += 1
+        check_summarizable(subset, self.signals)
         return Candidate(
             recipe=recipe,
             subset=subset,
-            state=state,
             encoding=encode_recipe(recipe, self.catalog),
+            state_of=self.state_of,
         )
 
     def try_materialize(self, recipe: Recipe) -> Candidate | None:
@@ -961,8 +991,9 @@ def run_search(
 
     logger.debug(
         "materializations %d, operator steps executed %d, steps served from the "
-        "prefix memo %d, states reused %d",
+        "prefix memo %d, states reused %d, states computed %d",
         rt.materializations, rt.steps_executed, rt.prefixes.served, rt.states_reused,
+        rt.states_computed,
     )
     incumbent = rt.incumbent()
     return SearchResult(

@@ -156,7 +156,8 @@ class SignalTable:
 
     Everything else is derived from these columns on first read and cached:
     ``sae_dim``, the width of ``activations``; ``has_activations``, whether
-    each sample has an active feature; ``pattern_t``, the sparsity pattern
+    each sample has an active feature, and ``n_without_activations``, how
+    many samples have none; ``pattern_t``, the sparsity pattern
     of ``activations`` transposed, a ``(sae_dim, n)`` CSR matrix of 1.0
     entries, so ``pattern_t @ mask`` counts the samples of a 0/1 row mask
     that activate each feature; ``pool_snar``, the activation rate of each
@@ -195,6 +196,10 @@ class SignalTable:
         has_act = np.diff(self.activations.indptr) > 0
         has_act.setflags(write=False)
         return has_act
+
+    @cached_property
+    def n_without_activations(self) -> int:
+        return len(self.has_activations) - int(np.count_nonzero(self.has_activations))
 
     @cached_property
     def pattern_t(self) -> sp.csr_matrix:

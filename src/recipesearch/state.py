@@ -69,17 +69,34 @@ def state_from_dict(doc: dict) -> StateVector:
     )
 
 
+def check_summarizable(subset: Subset, signals: SignalTable) -> None:
+    """Raise StateError unless ``compute_state`` can summarize ``subset``.
+
+    The subset must be of ``signals.pool``, nonempty, and hold a sample with
+    an active feature. The last check is O(1) when the subset is larger than
+    the table's count of samples without one, as it is on a table where
+    every sample has activations.
+    """
+    if subset.pool is not signals.pool:
+        raise StateError("state with the signals of another pool")
+    if len(subset) == 0:
+        raise StateError("empty subset")
+    if (len(subset) <= signals.n_without_activations
+            and not signals.has_activations[subset.positions].any()):
+        raise StateError("no subset sample carries activation features")
+
+
 def compute_snar(subset: Subset, signals: SignalTable) -> np.ndarray:
     """Fraction of valid subset samples activating each feature, (sae_dim,).
 
     Magnitudes are ignored; samples without any cached activation are
     excluded from the denominator. The per-feature counts are one product of
     ``signals.pattern_t`` with the subset's 0/1 row mask; they are integers,
-    so the rates are exact. The returned array is read-only.
+    so the rates are exact. The returned array is read-only. Raises
+    StateError as :func:`check_summarizable` does.
     """
+    check_summarizable(subset, signals)
     n_valid = int(np.count_nonzero(signals.has_activations[subset.positions]))
-    if n_valid == 0:
-        raise StateError("no subset sample carries activation features")
     row_mask = np.zeros(signals.pattern_t.shape[1])
     row_mask[subset.positions] = 1.0
     rates = (signals.pattern_t @ row_mask) / n_valid
@@ -90,16 +107,12 @@ def compute_snar(subset: Subset, signals: SignalTable) -> np.ndarray:
 def compute_state(subset: Subset, signals: SignalTable) -> StateVector:
     """All eight state fields for a nonempty subset, relative to the subset's pool.
 
-    ``signals`` must be those of ``subset.pool``, else StateError is raised.
-    Relevance mean and std aggregate over all (sample, benchmark) pairs
-    jointly; std is the population standard deviation. mean_ifd and
-    mean_varentropy are ratios to the table's pool means, so the full pool
-    maps to exactly 1.0 on both.
+    Raises StateError as :func:`check_summarizable` does. Relevance mean and
+    std aggregate over all (sample, benchmark) pairs jointly; std is the
+    population standard deviation. mean_ifd and mean_varentropy are ratios to
+    the table's pool means, so the full pool maps to exactly 1.0 on both.
     """
-    if subset.pool is not signals.pool:
-        raise StateError("state with the signals of another pool")
-    if len(subset) == 0:
-        raise StateError("empty subset")
+    check_summarizable(subset, signals)
     pool, pos = subset.pool, subset.positions
     # the same rows as relevance[pos], gathered an order of magnitude faster
     scores = np.take(signals.relevance, pos, axis=0)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recipesearch import cli
+from recipesearch import cli, controller
 from recipesearch import pool as pool_module
 from recipesearch.cli import main
 from recipesearch.controller import _Runtime
@@ -23,6 +23,7 @@ from recipesearch.operators import default_catalog
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.oracle import SyntheticOracle
 from recipesearch.recipe import execute_recipe, parse_recipe
+from recipesearch.state import compute_state
 from recipesearch.synthetic import write_synthetic_dataset
 
 from conftest import write_jsonl
@@ -37,6 +38,7 @@ FOUR_STEP_RECIPE = {
 }
 
 CONSTANT_SPEC = {"family": "constant", "value": 10.0}
+CANDIDATE_HEADER = "idx | mu | sigma | retain | score_mean | drift | recipe\n"
 PLANTED_SPEC = {
     "family": "planted_quadratic", "offset": 1.0,
     "weights": {"retain_ratio": 1.0}, "targets": {"retain_ratio": 0.5},
@@ -469,6 +471,46 @@ class TestRun:
         assert config["assistant_mode"] == "external"
         assert list(config["assistant_commands"]) == ["summarizer"]
 
+    def test_ranker_prompt_states_match_compute_state(self, synth_files, tmp_path,
+                                                     monkeypatch):
+        # each prompt's table shows the state of every candidate, computed when read
+        script = tmp_path / "rank_in_order.py"
+        prompts_file = tmp_path / "prompts.jsonl"
+        script.write_text(
+            "import json, sys\n"
+            "prompt = sys.stdin.read()\n"
+            "with open(sys.argv[1], 'a') as fh:\n"
+            "    fh.write(json.dumps(prompt) + '\\n')\n"
+            f"rows = prompt.split({CANDIDATE_HEADER!r})[1].split('\\n\\n')[0]\n"
+            "print(json.dumps({'ranking': list(range(len(rows.splitlines())))}))\n"
+        )
+        shown = []
+        real_contexts = controller._external_contexts
+
+        def recording(rt, anchor, guidance, candidates):
+            shown.append((rt.signals, candidates))
+            return real_contexts(rt, anchor, guidance, candidates)
+
+        monkeypatch.setattr(controller, "_external_contexts", recording)
+        cmd = shlex.join([sys.executable, str(script), str(prompts_file)])
+        argv = run_argv("run", synth_files, tmp_path / "out", "--budget", "6",
+                        "--oracle-spec", write_spec(tmp_path, PLANTED_SPEC),
+                        "--assistant-cmd", f"ranker={cmd}")
+        assert main(argv) == 0
+        events = ledger_lines(tmp_path / "out" / "ledger.jsonl")
+        assert not [e for e in events if e["type"] == "assistant_failure"]
+        prompts = [json.loads(line) for line in prompts_file.read_text().splitlines()]
+        assert len(prompts) == len(shown) == 3
+        for prompt, (signals, candidates) in zip(prompts, shown):
+            rows = prompt.split(CANDIDATE_HEADER)[1].split("\n\n")[0].splitlines()
+            assert len(rows) == len(candidates) > 0
+            for row, cand in zip(rows, candidates):
+                state = compute_state(cand.subset, signals)
+                _, _, _, retain, score_mean, drift, _ = row.split(" | ", 6)
+                assert retain.strip() == f"{state.retain_ratio:.3f}"
+                assert score_mean.strip() == f"{state.score_mean:.4f}"
+                assert drift.strip() == f"{state.distribution_drift:.4f}"
+
     def test_four_assistant_flags_make_every_role_external(self, synth_files, tmp_path):
         extra = ["--budget", "4"]
         for role in ("summarizer", "proposer", "ranker", "reseeder"):
@@ -767,7 +809,7 @@ FAILURES = {
     "seed_mismatch": (lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "42"),
                       1, "recipe rejected:\n  - 1 seed override(s) for 2 stochastic step(s)"),
     "negative_seed": (lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "7", "-1"),
-                      1, "recipe rejected:\n  - seed overrides must be nonnegative"),
+                      1, "recipe rejected:\n  - step 4: random_k: seed must be nonnegative"),
     "seed_override_out_of_range": (
         lambda f, t: exec_argv(f, t, FOUR_STEP_RECIPE, "--seeds", "7", "9" * 400),
         1, "recipe rejected:\n  - step 4: random_k: seed out of range"),

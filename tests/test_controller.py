@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -265,6 +267,22 @@ class TestSearchStructure:
                             constant_oracle())
         assert len(result.records) == 15
         assert sum(digests) <= 15
+
+    def test_fallback_search_computes_no_more_states_than_it_evaluates(self, monkeypatch):
+        # warmup bands and the fallback ranker read only retain ratios
+        pool, signals = make_synthetic_pool(n_samples=2000, sae_dim=32, seed=7)
+        computed = []
+        real_compute_state = controller.compute_state
+
+        def counting(subset, table):
+            computed.append(subset)
+            return real_compute_state(subset, table)
+
+        monkeypatch.setattr(controller, "compute_state", counting)
+        result = run_search(SearchConfig(budget=15, master_seed=1), pool, signals,
+                            constant_oracle())
+        assert len(result.records) == 15
+        assert 0 < len(computed) <= len(result.records)
 
     def test_incumbent_monotone(self, small_pool):
         pool, signals = small_pool
@@ -1131,6 +1149,8 @@ def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capaci
                 continue
             want_subset, want_state = expected
             assert np.array_equal(actual.subset.positions, want_subset.positions)
+            # read before the state, which may not be computed yet
+            assert actual.retain_ratio.hex() == want_state.retain_ratio.hex()
             assert actual.state.to_dict() == want_state.to_dict()
             assert actual.subset.content_hash() == want_subset.content_hash()
             last_cand = actual
@@ -1149,3 +1169,48 @@ def test_an_eval_source_too_long_for_int_aborts_as_unresolvable(small_pool):
     with pytest.raises(ExecutionError, match="unresolvable mix source"):
         rt.materialize(recipe)
     assert rt.try_materialize(recipe) is None
+
+
+def with_bare_rows(signals, bare):
+    """``signals`` with no activation on the samples where ``bare`` is True."""
+    keep = sp.diags((~bare).astype(np.float64))
+    activations = sp.csr_matrix(keep @ signals.activations)
+    activations.eliminate_zeros()
+    return dataclasses.replace(signals, activations=activations)
+
+
+def state_abort(subset, signals):
+    with pytest.raises(StateError) as info:
+        compute_state(subset, signals)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.5])
+def test_a_subset_without_activations_aborts_at_materialize(small_pool, fraction):
+    pool, signals = small_pool
+    # the upper half by IFD carries no activation, so its top fractions have none
+    signals = with_bare_rows(signals, signals.ifd_rank < len(pool) // 2)
+    rt = controller._Runtime(SearchConfig(budget=5), signals, constant_oracle(),
+                             default_catalog(len(pool)), None)
+    recipe = Recipe((OperatorSpec("ifd_topfrac", {"fraction": fraction}),))
+    subset = execute_recipe(recipe, signals)
+    with pytest.raises(StateError) as info:
+        rt.materialize(recipe)
+    assert str(info.value) == state_abort(subset, signals)
+    assert str(info.value) == "no subset sample carries activation features"
+    assert rt.try_materialize(recipe) is None
+    assert rt.states_computed == 0
+    # one more sample, from the lower half, carries activations
+    wider = rt.materialize(Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.51}),)))
+    assert wider.state == compute_state(wider.subset, signals)
+
+
+def test_an_empty_subset_aborts_at_materialize(small_pool, monkeypatch):
+    pool, signals = small_pool
+    empty = Subset(np.empty(0, dtype=np.int64), pool)
+    monkeypatch.setattr(controller, "execute_recipe", lambda *args: empty)
+    rt = controller._Runtime(SearchConfig(budget=5), signals, constant_oracle(),
+                             default_catalog(len(pool)), None)
+    with pytest.raises(StateError) as info:
+        rt.materialize(Recipe((OperatorSpec(*FR),)))
+    assert str(info.value) == state_abort(empty, signals) == "empty subset"

@@ -91,14 +91,21 @@ def test_golden_runs_cover_semdedup_mix_and_reseed(name):
 @pytest.mark.parametrize("name", ["run_seed4", "run_seed5"])
 def test_golden_runs_take_prefixes_from_the_memo(synth_files, tmp_path, monkeypatch, caplog,
                                                 name):
-    """The golden ledgers pin the memoized path: fewer steps run than recipes reach.
+    """The golden ledgers pin the memoized path: fewer steps run than recipes reach,
+    and no more states are computed than the run evaluates.
 
-    The run's debug line reports the same step counts.
+    The run's debug line reports the same step and state counts.
     """
     caplog.set_level(logging.DEBUG, logger="recipesearch.controller")
     applied = []
     reached = []
+    computed = []
     real_apply, real_materialize = recipe.apply_step, controller._Runtime.materialize
+    real_compute_state = controller.compute_state
+
+    def counting_compute_state(*args):
+        computed.append(1)
+        return real_compute_state(*args)
 
     def counting_apply(*args, **kwargs):
         applied.append(1)
@@ -116,14 +123,18 @@ def test_golden_runs_take_prefixes_from_the_memo(synth_files, tmp_path, monkeypa
 
     monkeypatch.setattr(recipe, "apply_step", counting_apply)
     monkeypatch.setattr(controller._Runtime, "materialize", counting_materialize)
+    monkeypatch.setattr(controller, "compute_state", counting_compute_state)
     ledger = write_ledger(name, synth_files, tmp_path)
     assert ledger.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
     assert 0 < len(applied) < sum(reached)
+    evals = sum(json.loads(line)["type"] == "eval" for line in ledger.read_text().splitlines())
+    assert 0 < len(computed) <= evals
     [line] = [r.getMessage() for r in caplog.records if "prefix memo" in r.getMessage()]
     assert line.startswith(
         f"materializations {len(reached)}, operator steps executed {len(applied)}, "
         f"steps served from the prefix memo {sum(reached) - len(applied)}, states reused "
     )
+    assert line.endswith(f", states computed {len(computed)}")
 
 
 def test_report_tables_match_golden(tmp_path, monkeypatch, capsys):

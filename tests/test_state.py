@@ -126,6 +126,7 @@ def test_snar_matches_the_row_gather_bit_for_bit(case):
     assert not any(a.flags.writeable for a in (pattern_t.data, pattern_t.indices,
                                                pattern_t.indptr))
     n_valid = int(signals.has_activations.sum())
+    assert signals.n_without_activations == sum(not features for features in active)
     if n_valid:
         counts = pattern_t @ signals.has_activations.astype(np.float64)
         assert np.array_equal(counts / n_valid, signals.pool_snar)
