@@ -55,6 +55,7 @@ from .operators import (
 )
 from .oracle import (
     COMMAND_TIMEOUT_DEFAULT,
+    COMMAND_TIMEOUT_MAX,
     CommandOracle,
     EvalRequest,
     OracleError,
@@ -226,8 +227,9 @@ def _load_data(args, prefix: str):
 def _check_oracle_args(args) -> None:
     """Reject oracle settings that are wrong whatever the data."""
     timeout = args.oracle_timeout
-    if not (math.isfinite(timeout) and timeout > 0):
-        raise _config_rejected(f"--oracle-timeout must be a finite number > 0, got {timeout}")
+    if not 0 < timeout <= COMMAND_TIMEOUT_MAX:  # NaN fails every comparison
+        raise _config_rejected(f"--oracle-timeout must be a finite number > 0 and at most "
+                               f"{COMMAND_TIMEOUT_MAX}, got {timeout}")
     if args.oracle == "command" and not args.oracle_cmd:
         raise _config_rejected("--oracle command requires --oracle-cmd")
     if args.oracle != "command" and args.oracle_cmd:

@@ -5,9 +5,10 @@ spanning low/medium/high retention, then one evaluation per search step. Each
 step summarizes the history into guidance, proposes sibling recipes around
 the current seed anchor, materializes them (execute, never the oracle),
 scores them with the GP surrogate, and lets the ranker pick exactly one for
-full evaluation. A candidate's state is computed only when something reads
-it: its evaluation, or an external ranker's candidate table. Warmup bands
-and the fallback ranker read only the retain ratio, which needs no state.
+full evaluation. A candidate has no state: one is computed when an
+evaluation misses the run's cache, which then keeps it with the score, or
+for an external ranker's candidate table. Warmup bands and the fallback
+ranker read only the retain ratio, which needs no state.
 The incumbent and the seed anchor are tracked separately; the anchor moves
 only when the incumbent has stagnated for ``patience`` consecutive
 evaluations.
@@ -24,7 +25,6 @@ import json
 import logging
 import math
 import re
-import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -178,36 +178,19 @@ class Guidance:
         return "\n".join(f"{i}. {f}" for i, f in enumerate(self.findings, start=1))
 
 
+@dataclass
 class Candidate:
-    """A materialized recipe: its subset and encoding, the surrogate's mu and
-    sigma once predicted, and its state.
+    """A materialized recipe: its subset and encoding, and the surrogate's mu
+    and sigma once predicted."""
 
-    Unless given, the state is computed on first read, by ``state_of(subset)``:
-    most candidates are never evaluated, and ranking reads only the retain
-    ratio, which needs no state.
-    """
-
-    def __init__(self, recipe: Recipe, subset: Subset, encoding: np.ndarray,
-                 state: StateVector | None = None, mu: float = 0.0, sigma: float = 0.0,
-                 state_of=None):
-        self.recipe = recipe
-        self.subset = subset
-        self.encoding = encoding
-        self.mu = mu
-        self.sigma = sigma
-        self._state = state
-        self._state_of = state_of
-
-    @property
-    def state(self) -> StateVector:
-        if self._state is None:
-            self._state = self._state_of(self.subset)
-        return self._state
+    recipe: Recipe
+    subset: Subset
+    encoding: np.ndarray
+    mu: float = 0.0
+    sigma: float = 0.0
 
     @property
     def retain_ratio(self) -> float:
-        if self._state is not None:
-            return self._state.retain_ratio
         # the expression of compute_state, so the bits are those of the state's
         return len(self.subset) / len(self.subset.pool)
 
@@ -577,14 +560,16 @@ def history_table(records: list[EvalRecord]) -> str:
     return "\n".join(lines)
 
 
-def candidate_table(candidates: list[Candidate]) -> str:
+def candidate_table(candidates: list[Candidate], state_of) -> str:
+    """The ranker's table; ``state_of(subset)`` gives each candidate's state."""
     lines = [
         "idx | mu | sigma | retain | score_mean | drift | recipe",
     ]
     for i, c in enumerate(candidates):
+        state = state_of(c.subset)
         lines.append(
             f"{i:3d} | {c.mu:9.4f} | {c.sigma:7.4f} | {c.retain_ratio:6.3f} | "
-            f"{c.state.score_mean:9.4f} | {c.state.distribution_drift:6.4f} | "
+            f"{state.score_mean:9.4f} | {state.distribution_drift:6.4f} | "
             f"{describe_recipe(c.recipe)}"
         )
     return "\n".join(lines)
@@ -635,11 +620,8 @@ class _Runtime:
         self.incumbent_index: int | None = None
         self.cache = EvalCache()
         self.prefixes = PrefixMemo()
-        # a subset's state, kept while the subset lives (Subset hashes by identity)
-        self.states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.materializations = 0
         self.steps_executed = 0
-        self.states_reused = 0
         self.states_computed = 0
         self.seed_phase = 1
 
@@ -665,22 +647,17 @@ class _Runtime:
         return None
 
     def state_of(self, subset: Subset) -> StateVector:
-        """The subset's state, computed once per subset object."""
-        state = self.states.get(subset)
-        if state is None:
-            state = self.states[subset] = compute_state(subset, self.signals)
-            self.states_computed += 1
-        else:
-            self.states_reused += 1
-        return state
+        """The subset's state, freshly computed and counted."""
+        self.states_computed += 1
+        return compute_state(subset, self.signals)
 
     def materialize(self, recipe: Recipe) -> Candidate:
-        """Execute a candidate, never the oracle; its state waits for a reader.
+        """Execute a candidate, never the oracle, and compute no state.
 
-        Execution goes through the run's prefix memo and a state is computed
-        once per subset object, so the candidate's subset and state are those
-        of a fresh execution. Raises ExecutionError, or the StateError that
-        computing the state would raise, when the candidate aborts.
+        Execution goes through the run's prefix memo, so the candidate's
+        subset is that of a fresh execution. Raises ExecutionError, or the
+        StateError that computing the state would raise, when the candidate
+        aborts.
         """
         memo = self.prefixes
         served = memo.served
@@ -696,7 +673,6 @@ class _Runtime:
             recipe=recipe,
             subset=subset,
             encoding=encode_recipe(recipe, self.catalog),
-            state_of=self.state_of,
         )
 
     def try_materialize(self, recipe: Recipe) -> Candidate | None:
@@ -733,21 +709,25 @@ class _Runtime:
 
         Returns True iff the record strictly improves the incumbent. A
         non-finite score or ``per_benchmark`` value raises OracleError before
-        it is cached or recorded. A cache hit records the stored score and
-        no duration.
+        it is cached or recorded. A miss computes the subset's state, which
+        the cache keeps with the outcome; a cache hit records the stored
+        score and state and no duration.
         """
         step = len(self.records) + 1
         subset_hash = cand.subset.content_hash()
-        outcome = self.cache.lookup(subset_hash)
-        cache_hit = outcome is not None
-        if not cache_hit:
+        hit = self.cache.lookup(subset_hash)
+        cache_hit = hit is not None
+        if cache_hit:
+            outcome, state = hit
+        else:
             request = EvalRequest(
                 run_id=self.config.resolved_run_id(),
                 step=step,
                 recipe=cand.recipe,
                 subset=cand.subset,
             )
-            outcome = self.oracle.evaluate(request, cand.state)
+            state = self.state_of(cand.subset)
+            outcome = self.oracle.evaluate(request, state)
             if not np.isfinite(outcome.score):
                 raise OracleError(f"non-finite score from the oracle: {outcome.score}")
             for name, value in (outcome.per_benchmark or {}).items():
@@ -755,12 +735,12 @@ class _Runtime:
                     raise OracleError(
                         f"non-finite per_benchmark value from the oracle: {name}: {value}"
                     )
-            self.cache.store(subset_hash, outcome)
+            self.cache.store(subset_hash, outcome, state)
         record = EvalRecord(
             step=step,
             recipe=cand.recipe,
             encoding=cand.encoding,
-            state=cand.state,
+            state=state,
             score=float(outcome.score),
             per_benchmark=outcome.per_benchmark,
             subset_size=len(cand.subset),
@@ -871,7 +851,7 @@ def _external_contexts(
         "phase": "explore" if len(records) < (config.budget + WARMUP_COUNT) // 2 else "exploit",
     }
     if candidates is not None:
-        ctx["candidate_table"] = candidate_table(candidates)
+        ctx["candidate_table"] = candidate_table(candidates, rt.state_of)
     op_sig, pair_sig = motif_signals(records) if records else ({}, {})
     ctx["positive_operator_signals"] = json.dumps(
         {k: v for k, v in sorted(op_sig.items()) if v > 0}, sort_keys=True
@@ -991,9 +971,8 @@ def run_search(
 
     logger.debug(
         "materializations %d, operator steps executed %d, steps served from the "
-        "prefix memo %d, states reused %d, states computed %d",
-        rt.materializations, rt.steps_executed, rt.prefixes.served, rt.states_reused,
-        rt.states_computed,
+        "prefix memo %d, states computed %d",
+        rt.materializations, rt.steps_executed, rt.prefixes.served, rt.states_computed,
     )
     incumbent = rt.incumbent()
     return SearchResult(

@@ -6,7 +6,7 @@ selected subset as a manifest file and hands it to a user-supplied command
 higher is better). The synthetic oracles score a subset from its state
 vector alone and exist so the whole search loop can be verified at desk
 scale without any training. A per-run cache keyed by subset content keeps
-identical subsets from being scored twice.
+identical subsets from being scored, or summarized, twice.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .recipe import Recipe, recipe_to_obj
 from .state import StateVector
 
 COMMAND_TIMEOUT_DEFAULT = 24 * 3600.0  # full evaluations can take hours
+# The longest command timeout, in seconds: waiting polls in whole
+# milliseconds held in a C int, so a longer timeout raises OverflowError.
+COMMAND_TIMEOUT_MAX = 2147483
 
 # The reasons of ``run_command`` for a command that never started.
 NOT_STARTED = ("command not found: ", "command not runnable: ")
@@ -279,14 +282,18 @@ class SyntheticOracle:
 
 
 class EvalCache:
-    """Per-run score cache keyed by subset content hash."""
+    """Per-run cache of each scored subset's outcome and state, keyed by content hash.
+
+    Equal hashes mean equal positions, so the stored state has the bits a
+    fresh ``compute_state`` of the subset would give.
+    """
 
     def __init__(self) -> None:
-        self._store: dict[str, EvalOutcome] = {}
+        self._store: dict[str, tuple[EvalOutcome, StateVector]] = {}
 
-    def lookup(self, subset_hash: str) -> EvalOutcome | None:
-        """The outcome stored for this subset, or None."""
+    def lookup(self, subset_hash: str) -> tuple[EvalOutcome, StateVector] | None:
+        """The outcome and state stored for this subset, or None."""
         return self._store.get(subset_hash)
 
-    def store(self, subset_hash: str, outcome: EvalOutcome) -> None:
-        self._store[subset_hash] = outcome
+    def store(self, subset_hash: str, outcome: EvalOutcome, state: StateVector) -> None:
+        self._store[subset_hash] = (outcome, state)

@@ -21,7 +21,7 @@ from recipesearch.cli import main
 from recipesearch.controller import _Runtime
 from recipesearch.operators import default_catalog
 from recipesearch.pool import load_pool, load_signals
-from recipesearch.oracle import SyntheticOracle
+from recipesearch.oracle import COMMAND_TIMEOUT_MAX, SyntheticOracle
 from recipesearch.recipe import execute_recipe, parse_recipe
 from recipesearch.state import compute_state
 from recipesearch.synthetic import write_synthetic_dataset
@@ -329,7 +329,7 @@ class TestLedgerLifecycle:
         assert events[-1] == {"type": "abort", "error": err.strip()}
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
-    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "2147484", "1e10"])
     def test_bad_oracle_timeout_rejected_before_ledger(
         self, synth_files, tmp_path, capsys, command, timeout
     ):
@@ -351,6 +351,16 @@ class TestLedgerLifecycle:
         events = ledger_lines(out_dir / "ledger.jsonl")
         assert events[-1]["type"] == "abort"
         assert "timed out after 0.2s" in events[-1]["error"]
+
+    def test_longest_oracle_timeout_runs(self, synth_files, tmp_path):
+        # a longer wait overflows the whole milliseconds that poll takes
+        out_dir = tmp_path / "out"
+        argv = run_argv("run", synth_files, out_dir, "--budget", "4",
+                        "--oracle-timeout", str(COMMAND_TIMEOUT_MAX),
+                        *printing_scorer(tmp_path, '{"score": 1.0}'))
+        assert main(argv) == 0
+        events = ledger_lines(out_dir / "ledger.jsonl")
+        assert sum(e["type"] == "eval" for e in events) == 4
 
     @pytest.mark.parametrize("command", ["run", "baseline"])
     def test_pool_without_activations_aborts_after_draw_cap(
@@ -767,6 +777,11 @@ FAILURES = {
                         2, "config rejected: patience must be >= 1, got 0\n"),
     "config_candidates": (lambda f, t: run_argv("run", f, t / "out", "-M", "0"),
                           2, "config rejected: candidates_per_step must be >= 1, got 0\n"),
+    "run_oracle_timeout_too_large": (
+        lambda f, t: run_argv("run", f, t / "out", "--oracle-timeout", "1e7",
+                              *printing_scorer(t, '{"score": 1.0}')),
+        2, "config rejected: --oracle-timeout must be a finite number > 0 and at most "
+           "2147483, got 10000000.0\n"),
     "run_oracle_cmd_without_command": (
         lambda f, t: run_argv("run", f, t / "out", "--oracle-cmd", "false"),
         2, "config rejected: --oracle-cmd requires --oracle command\n"),

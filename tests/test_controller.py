@@ -55,6 +55,12 @@ def small_pool():
     return make_synthetic_pool(n_samples=120, sae_dim=32, seed=7)
 
 
+@pytest.fixture(scope="module")
+def thousand_pool():
+    # 1000 samples, so retain ratios such as 0.001 and 0.4 are exact sizes
+    return make_synthetic_pool(n_samples=1000, sae_dim=8, seed=7)[0]
+
+
 def constant_oracle(value=10.0):
     return SyntheticOracle(SyntheticOracleSpec(family="constant", value=value))
 
@@ -284,6 +290,34 @@ class TestSearchStructure:
         assert len(result.records) == 15
         assert 0 < len(computed) <= len(result.records)
 
+    @pytest.mark.parametrize("master_seed", [3, 4, 5])
+    def test_fallback_search_computes_a_state_per_cache_miss(self, monkeypatch, master_seed):
+        # a cache hit takes the state stored with its score
+        pool, signals = make_synthetic_pool(n_samples=2000, sae_dim=32, seed=7)
+        computed = []
+        evaluated = []
+        real_compute_state = controller.compute_state
+        real_evaluate = controller._Runtime.evaluate
+
+        def counting(subset, table):
+            computed.append(subset)
+            return real_compute_state(subset, table)
+
+        def recording(rt, cand, is_warmup):
+            evaluated.append(cand.subset)
+            return real_evaluate(rt, cand, is_warmup)
+
+        monkeypatch.setattr(controller, "compute_state", counting)
+        monkeypatch.setattr(controller._Runtime, "evaluate", recording)
+        result = run_search(SearchConfig(budget=15, master_seed=master_seed), pool, signals,
+                            constant_oracle())
+        hits = [i for i, r in enumerate(result.records) if r.cache_hit]
+        assert len(result.records) == len(evaluated) == 15
+        assert hits
+        assert len(computed) == len(result.records) - len(hits)
+        for i in hits:
+            assert result.records[i].state == compute_state(evaluated[i], signals)
+
     def test_incumbent_monotone(self, small_pool):
         pool, signals = small_pool
         spec = SyntheticOracleSpec(
@@ -426,12 +460,19 @@ class TestFallbackSummarize:
 
 
 class TestFallbackRank:
+    @pytest.fixture(autouse=True)
+    def _pool(self, thousand_pool):
+        self.pool = thousand_pool
+
     def make_candidate(self, mu, sigma, retain=0.5):
-        return Candidate(
+        size = round(retain * len(self.pool))
+        cand = Candidate(
             recipe=Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),)),
-            subset=None, state=make_state(retain=retain),
+            subset=Subset(np.arange(size, dtype=np.int64), self.pool),
             encoding=np.zeros(4), mu=mu, sigma=sigma,
         )
+        assert cand.retain_ratio == retain
+        return cand
 
     def test_acquisition_arithmetic(self):
         cands = [self.make_candidate(5.0, 0.0), self.make_candidate(4.0, 2.0)]
@@ -1149,9 +1190,8 @@ def test_prefix_memo_gives_what_a_fresh_execution_gives(small_pool, seed, capaci
                 continue
             want_subset, want_state = expected
             assert np.array_equal(actual.subset.positions, want_subset.positions)
-            # read before the state, which may not be computed yet
             assert actual.retain_ratio.hex() == want_state.retain_ratio.hex()
-            assert actual.state.to_dict() == want_state.to_dict()
+            assert compute_state(actual.subset, rt.signals).to_dict() == want_state.to_dict()
             assert actual.subset.content_hash() == want_subset.content_hash()
             last_cand = actual
 
@@ -1202,7 +1242,8 @@ def test_a_subset_without_activations_aborts_at_materialize(small_pool, fraction
     assert rt.states_computed == 0
     # one more sample, from the lower half, carries activations
     wider = rt.materialize(Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.51}),)))
-    assert wider.state == compute_state(wider.subset, signals)
+    assert compute_state(wider.subset, signals).retain_ratio == wider.retain_ratio
+    assert rt.states_computed == 0
 
 
 def test_an_empty_subset_aborts_at_materialize(small_pool, monkeypatch):

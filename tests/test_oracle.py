@@ -397,9 +397,11 @@ class TestCache:
         h2 = subset_from_ids(["b", "a"], pool).content_hash()  # same id set
         assert h1 == h2
         assert cache.lookup(h1) is None
-        cache.store(h1, EvalOutcome(score=5.0))
+        state = make_state()
+        cache.store(h1, EvalOutcome(score=5.0), state)
         hit = cache.lookup(h2)
-        assert hit is not None and hit.score == 5.0
+        assert hit is not None and hit[0].score == 5.0
+        assert hit[1] is state
 
     def test_digest_computed_once(self, tiny, monkeypatch):
         pool, _ = tiny
@@ -416,12 +418,13 @@ class TestCache:
     def test_miss_on_one_element_difference(self, tiny):
         pool, _ = tiny
         cache = EvalCache()
-        cache.store(subset_from_ids(["a", "b"], pool).content_hash(), EvalOutcome(1.0))
+        cache.store(subset_from_ids(["a", "b"], pool).content_hash(), EvalOutcome(1.0),
+                    make_state())
         assert cache.lookup(subset_from_ids(["a", "c"], pool).content_hash()) is None
 
     def test_fresh_cache_always_misses(self, tiny):
         pool, _ = tiny
         h = subset_from_ids(["a"], pool).content_hash()
         cache_one = EvalCache()
-        cache_one.store(h, EvalOutcome(1.0))
+        cache_one.store(h, EvalOutcome(1.0), make_state())
         assert EvalCache().lookup(h) is None
