@@ -8,6 +8,7 @@ few thresholds, the seeded random sampler, and set union.
 import tempfile
 
 from recipesearch.operators import (
+    SELECTOR_COLUMNS,
     Subset,
     apply_mix,
     apply_mona_union,
@@ -29,8 +30,8 @@ def main():
 
     # scalar-signal selectors are one routine over the ranks of different
     # columns, built on first use (rank 0 is the highest score)
-    for column in ("ifd", "varentropy", "ngram_entropy", "ao"):
-        kept = apply_top_fraction(full, getattr(signals, f"{column}_rank"), 0.3)
+    for column in SELECTOR_COLUMNS.values():
+        kept = apply_top_fraction(full, signals.rank(column), 0.3)
         print(f"top 30% by {column:14s} -> {len(kept):3d} samples "
               f"(first ids: {', '.join(kept.ids()[:4])})")
 

@@ -42,25 +42,22 @@ from .controller import (
     tertile_counts,
 )
 from .operators import (
-    AO_TOPFRAC,
-    IFD_TOPFRAC,
     MONA_FILTER,
-    NGRAM_TOPFRAC,
     RANDOM_K,
+    SELECTOR_COLUMNS,
     SEMDEDUP,
-    VARENTROPY_TOPFRAC,
     Catalog,
     OperatorSpec,
     default_catalog,
 )
 from .oracle import (
     COMMAND_TIMEOUT_DEFAULT,
-    COMMAND_TIMEOUT_MAX,
     CommandOracle,
     EvalRequest,
     OracleError,
     SyntheticOracle,
     SyntheticOracleSpec,
+    timeout_error,
     write_manifest,
 )
 from .pool import PoolError, load_pool, load_signals
@@ -78,9 +75,7 @@ from .recipe import (
 from .state import StateError, compute_state, flat_field_names, state_from_dict
 
 
-SINGLE_OP_SELECTORS = (
-    MONA_FILTER, IFD_TOPFRAC, VARENTROPY_TOPFRAC, NGRAM_TOPFRAC, AO_TOPFRAC, SEMDEDUP,
-)
+SINGLE_OP_SELECTORS = (MONA_FILTER, *SELECTOR_COLUMNS, SEMDEDUP)
 # Size-controlled selectors default to half retention; relevance filtering
 # keeps its conventional much smaller per-benchmark fraction.
 SINGLE_OP_DEFAULT_FRACTION = 0.5
@@ -226,10 +221,9 @@ def _load_data(args, prefix: str):
 
 def _check_oracle_args(args) -> None:
     """Reject oracle settings that are wrong whatever the data."""
-    timeout = args.oracle_timeout
-    if not 0 < timeout <= COMMAND_TIMEOUT_MAX:  # NaN fails every comparison
-        raise _config_rejected(f"--oracle-timeout must be a finite number > 0 and at most "
-                               f"{COMMAND_TIMEOUT_MAX}, got {timeout}")
+    error = timeout_error(args.oracle_timeout)
+    if error is not None:
+        raise _config_rejected(f"--oracle-timeout {error}")
     if args.oracle == "command" and not args.oracle_cmd:
         raise _config_rejected("--oracle command requires --oracle-cmd")
     if args.oracle != "command" and args.oracle_cmd:

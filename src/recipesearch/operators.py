@@ -83,6 +83,8 @@ SEMDEDUP = "semdedup"
 RANDOM_K = "random_k"
 MIX = "mix"
 
+# The top-fraction selectors in catalog order, each with the SignalTable
+# column it ranks; the catalog, dispatch and the single-op suite read them here.
 SELECTOR_COLUMNS = {
     IFD_TOPFRAC: "ifd",
     VARENTROPY_TOPFRAC: "varentropy",
@@ -226,14 +228,6 @@ class Catalog:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-def _fraction_entry(name: str) -> CatalogEntry:
-    return CatalogEntry(
-        name=name,
-        params={"fraction": ParamSpec("fraction", 0.0, 1.0)},
-        primary="fraction",
-    )
-
-
 def default_catalog(pool_size: int, operators: Iterable[str] | None = None) -> Catalog:
     """Build the catalog, optionally restricted to a subset of operators.
 
@@ -242,11 +236,9 @@ def default_catalog(pool_size: int, operators: Iterable[str] | None = None) -> C
     """
     cluster_cap = float(max(1, min(pool_size, 32)))
     all_entries = {
-        MONA_FILTER: _fraction_entry(MONA_FILTER),
-        IFD_TOPFRAC: _fraction_entry(IFD_TOPFRAC),
-        VARENTROPY_TOPFRAC: _fraction_entry(VARENTROPY_TOPFRAC),
-        NGRAM_TOPFRAC: _fraction_entry(NGRAM_TOPFRAC),
-        AO_TOPFRAC: _fraction_entry(AO_TOPFRAC),
+        **{name: CatalogEntry(name=name, params={"fraction": ParamSpec("fraction", 0.0, 1.0)},
+                              primary="fraction")
+           for name in (MONA_FILTER, *SELECTOR_COLUMNS)},
         SEMDEDUP: CatalogEntry(
             name=SEMDEDUP,
             params={
@@ -357,7 +349,7 @@ def apply_top_fraction(subset: Subset, rank: np.ndarray, alpha: float) -> Subset
     """Retain the ceil(alpha * |subset|) highest-scoring samples.
 
     ``rank`` is a pool-length :func:`~recipesearch.pool.descending_rank` of
-    the scores, such as ``SignalTable.ifd_rank``, so ties go to the earlier
+    the scores, such as ``SignalTable.rank("ifd")``, so ties go to the earlier
     pool position.
     """
     if len(subset) == 0:
@@ -652,8 +644,8 @@ def apply_step(
         raise OperatorError(f"{spec.operator} with the signals of another pool")
     op = spec.operator
     if op in SELECTOR_COLUMNS:
-        rank = getattr(signals, SELECTOR_COLUMNS[op] + "_rank")
-        return apply_top_fraction(subset, rank, float(spec.param("fraction")))
+        return apply_top_fraction(
+            subset, signals.rank(SELECTOR_COLUMNS[op]), float(spec.param("fraction")))
     if op == MONA_FILTER:
         return apply_mona_union(subset, signals, float(spec.param("fraction")))
     if op == SEMDEDUP:

@@ -30,11 +30,19 @@ from .state import StateVector
 
 COMMAND_TIMEOUT_DEFAULT = 24 * 3600.0  # full evaluations can take hours
 # The longest command timeout, in seconds: waiting polls in whole
-# milliseconds held in a C int, so a longer timeout raises OverflowError.
+# milliseconds held in a C int, so a longer timeout would raise OverflowError.
 COMMAND_TIMEOUT_MAX = 2147483
 
 # The reasons of ``run_command`` for a command that never started.
 NOT_STARTED = ("command not found: ", "command not runnable: ")
+
+
+def timeout_error(timeout: float) -> str | None:
+    """None for a usable command timeout, else why it is not: it must be finite, > 0 and
+    at most ``COMMAND_TIMEOUT_MAX`` seconds."""
+    if 0 < timeout <= COMMAND_TIMEOUT_MAX:  # NaN fails every comparison
+        return None
+    return f"must be a finite number > 0 and at most {COMMAND_TIMEOUT_MAX}, got {timeout}"
 
 
 class OracleError(RuntimeError):
@@ -83,8 +91,10 @@ def run_command(
     """Run ``argv`` with ``stdin`` as its input: the finished process and "", or None and why.
 
     The one place an external command is started; its output is decoded as
-    UTF-8. Any ``OSError`` of starting it (no such file, no execute bit, not
-    an executable format) gives ``command not found: <argv[0]>`` or
+    UTF-8. A timeout that :func:`timeout_error` refuses starts nothing and
+    gives ``command timeout <why>``. Any ``OSError`` of starting it (no such
+    file, no execute bit, not an executable format) gives
+    ``command not found: <argv[0]>`` or
     ``command not runnable: <argv[0]>: <reason>``, the ``NOT_STARTED``
     prefixes. The command runs in a session of its own. When it is still
     running after ``timeout`` seconds its whole process group is killed,
@@ -92,6 +102,9 @@ def run_command(
     waiting, ``KeyboardInterrupt`` included, kills the group and is raised
     again. Standard output that is not UTF-8 gives ``output is not UTF-8``.
     """
+    error = timeout_error(timeout)
+    if error is not None:
+        return None, f"command timeout {error}"
     try:
         proc = subprocess.Popen(
             argv, stdin=None if stdin is None else subprocess.PIPE,

@@ -162,7 +162,8 @@ class SignalTable:
     entries, so ``pattern_t @ mask`` counts the samples of a 0/1 row mask
     that activate each feature; ``pool_snar``, the activation rate of each
     feature over the samples with one; the pool means of ``ifd`` and
-    ``varentropy``; the :func:`descending_rank` of each selector column; and
+    ``varentropy``; ``rank(column)``, the :func:`descending_rank` of a
+    scalar column such as ``"ifd"``, cached per column; and
     ``relevance_rank``, the ``(n_benchmarks, n)`` ranks of the relevance
     columns. Every derived array is read-only. A table made with
     ``dataclasses.replace`` starts with an empty cache, so it derives each
@@ -229,20 +230,14 @@ class SignalTable:
         return float(self.varentropy.mean())
 
     @cached_property
-    def ifd_rank(self) -> np.ndarray:
-        return descending_rank(self.ifd)
+    def _ranks(self) -> dict[str, np.ndarray]:
+        return {}
 
-    @cached_property
-    def varentropy_rank(self) -> np.ndarray:
-        return descending_rank(self.varentropy)
-
-    @cached_property
-    def ngram_entropy_rank(self) -> np.ndarray:
-        return descending_rank(self.ngram_entropy)
-
-    @cached_property
-    def ao_rank(self) -> np.ndarray:
-        return descending_rank(self.ao)
+    def rank(self, column: str) -> np.ndarray:
+        ranks = self._ranks
+        if column not in ranks:
+            ranks[column] = descending_rank(getattr(self, column))
+        return ranks[column]
 
     @cached_property
     def relevance_rank(self) -> np.ndarray:

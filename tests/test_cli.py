@@ -625,10 +625,10 @@ class TestBaseline:
                  if e["type"] == "eval"]
         assert len(evals) == 6
         ops = [e["recipe"]["steps"][0]["operator"] for e in evals]
-        assert sorted(ops) == sorted([
+        assert ops == [
             "mona_filter", "ifd_topfrac", "varentropy_topfrac",
             "ngram_topfrac", "ao_topfrac", "semdedup",
-        ])
+        ]
 
     @pytest.mark.parametrize("suite, flag", [
         ("single_op", "--clusters"),
@@ -748,7 +748,12 @@ IFD_HALF = {"steps": [{"operator": "ifd_topfrac", "params": {"fraction": 0.5}}]}
     (lambda f, t: exec_argv(f, t, {"steps": [{"operator": "random_k",
                                               "params": {"k": 20, "seed": 0}}]}), 0),
     (lambda f, t: exec_argv(f, t, IFD_HALF), 1),
-], ids=["ingest-check", "random_topk", "exec random_k", "exec ifd_topfrac"])
+    (lambda f, t: exec_argv(f, t, {"steps": [
+        {"operator": "ifd_topfrac", "params": {"fraction": 0.5}},
+        {"operator": "ifd_topfrac", "params": {"fraction": 0.5}},
+        {"operator": "varentropy_topfrac", "params": {"fraction": 0.5}}]}), 2),
+], ids=["ingest-check", "random_topk", "exec random_k", "exec ifd_topfrac",
+        "exec ifd ifd varentropy"])
 def test_ranks_are_built_by_the_selectors_only(synth_files, tmp_path, monkeypatch, argv, ranks):
     calls = []
     rank = pool_module.descending_rank

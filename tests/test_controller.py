@@ -1229,7 +1229,7 @@ def state_abort(subset, signals):
 def test_a_subset_without_activations_aborts_at_materialize(small_pool, fraction):
     pool, signals = small_pool
     # the upper half by IFD carries no activation, so its top fractions have none
-    signals = with_bare_rows(signals, signals.ifd_rank < len(pool) // 2)
+    signals = with_bare_rows(signals, signals.rank("ifd") < len(pool) // 2)
     rt = controller._Runtime(SearchConfig(budget=5), signals, constant_oracle(),
                              default_catalog(len(pool)), None)
     recipe = Recipe((OperatorSpec("ifd_topfrac", {"fraction": fraction}),))

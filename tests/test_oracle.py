@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -114,6 +115,12 @@ class TestCommandOracle:
         pool, _ = tiny
         oracle = CommandOracle(["/does/not/exist"], str(tmp_path))
         with pytest.raises(OracleError, match="not found"):
+            oracle.evaluate(make_request(pool, ["a"]), make_state())
+
+    def test_timeout_above_the_bound_aborts(self, tiny, tmp_path):
+        pool, _ = tiny
+        oracle = CommandOracle(STUB_OK, str(tmp_path), timeout=2147484)
+        with pytest.raises(OracleError, match="at most 2147483, got 2147484"):
             oracle.evaluate(make_request(pool, ["a"]), make_state())
 
     def test_per_benchmark_passthrough(self, tiny, tmp_path):
@@ -296,6 +303,24 @@ def test_timeout_kills_the_command_and_its_children(tmp_path):
         None, "command timed out after 1.0s")
     assert time.monotonic() - started < 10
     assert ended(int(pid_file.read_text()))
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf, 2147484, 1e10])
+def test_unusable_timeout_starts_nothing(monkeypatch, timeout):
+    started = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda *args, **kwargs: started.append(args) or popen(*args, **kwargs))
+    proc, reason = run_command(["true"], None, timeout)
+    assert proc is None
+    assert reason == (f"command timeout must be a finite number > 0 and at most 2147483, "
+                      f"got {timeout}")
+    assert started == []
+
+
+def test_longest_timeout_runs():
+    proc, reason = run_command(["true"], None, 2147483)
+    assert (proc.returncode, reason) == (0, "")
 
 
 def test_interrupt_kills_the_command_and_its_children(tmp_path, monkeypatch):

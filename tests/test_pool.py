@@ -528,7 +528,7 @@ class TestLoadSignals:
     def test_ranks_derived_from_columns(self, tiny):
         pool, signals = tiny
         for name in ("ifd", "varentropy", "ao", "ngram_entropy"):
-            rank = getattr(signals, f"{name}_rank")
+            rank = signals.rank(name)
             assert np.array_equal(rank, descending_rank(getattr(signals, name)))
             assert not rank.flags.writeable
         assert signals.relevance_rank.shape == (len(signals.benchmarks), len(pool))
@@ -538,7 +538,7 @@ class TestLoadSignals:
         assert not signals.relevance_rank.flags.writeable
         # a replaced column is ranked again
         flipped = dataclasses.replace(signals, ifd=signals.ifd[::-1].copy())
-        assert np.array_equal(flipped.ifd_rank, descending_rank(signals.ifd[::-1]))
+        assert np.array_equal(flipped.rank("ifd"), descending_rank(signals.ifd[::-1]))
 
     def test_relevance_matrix_hand_values(self, tiny):
         pool, signals = tiny
