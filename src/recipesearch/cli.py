@@ -72,7 +72,7 @@ from .recipe import (
     recipe_to_obj,
     validate_recipe,
 )
-from .state import StateError, compute_state, flat_field_names, state_from_dict
+from .state import StateError, check_json_numbers, compute_state, flat_field_names, state_from_dict
 
 
 SINGLE_OP_SELECTORS = (MONA_FILTER, *SELECTOR_COLUMNS, SEMDEDUP)
@@ -150,13 +150,9 @@ def _eval_row(event: dict) -> EvalRow:
         state_from_dict(event["state"]).flat_fields(),
         [s["operator"] for s in event["recipe"]["steps"]],
     )
-    if any(type(v) not in (int, float) for v in row[:3]) or any(
-        type(op) is not str for op in row.operators
-    ):
-        raise TypeError("eval line field of the wrong type")
-    # NaN, Infinity or 1e400; OverflowError for an integer too large for a float
-    if not all(map(math.isfinite, row[:3])):
-        raise ValueError("eval line number that is not finite")
+    check_json_numbers(row[:3])
+    if any(type(op) is not str for op in row.operators):
+        raise TypeError("eval line operator that is not a string")
     return row
 
 

@@ -33,7 +33,7 @@ from itertools import count, islice
 import numpy as np
 from scipy import stats
 
-from .operators import MIX, Catalog, OperatorSpec, Subset, default_catalog
+from .operators import MIX, Catalog, OperatorSpec, Subset, default_catalog, source_step
 from .oracle import NOT_STARTED, EvalCache, EvalRequest, OracleError, run_command
 from .pool import CanonicalPool, SignalTable
 from .recipe import (
@@ -635,16 +635,14 @@ class _Runtime:
         return self.records[self.incumbent_index]
 
     def resolve_source(self, ref: str) -> Subset | None:
-        """Mix source grammar: "incumbent" or "eval:<t>"."""
-        if ref == "incumbent":
+        """The subset of the evaluation that mix source ``ref`` names, or None.
+
+        ``ref`` is read by :func:`source_step`, the rule validation checks.
+        """
+        step = source_step(ref)
+        if step == 0:
             return None if self.incumbent_index is None else self.subsets[self.incumbent_index]
-        if ref.startswith("eval:"):
-            try:
-                step = int(ref[5:])
-            except ValueError:  # int() refuses over 4300 digits
-                return None
-            return self.subsets[step - 1] if 1 <= step <= len(self.subsets) else None
-        return None
+        return self.subsets[step - 1] if step is not None and step <= len(self.subsets) else None
 
     def state_of(self, subset: Subset) -> StateVector:
         """The subset's state, freshly computed and counted."""

@@ -124,7 +124,7 @@ class ParamSpec:
             if not (0.0 < v <= 1.0) or not math.isfinite(v):
                 return f"{key} out of (0,1]"
         elif self.kind == "source":
-            if not _valid_source(str(value)):
+            if source_step(str(value)) is None:
                 return f"source must be 'incumbent' or 'eval:<t>', got {value!r}"
         elif not _is_integral(value):
             return f"{key} must be an integer"
@@ -322,14 +322,16 @@ def _is_integral(value) -> bool:
     )
 
 
-def _valid_source(source: str) -> bool:
-    if source == "incumbent":
-        return True
-    if source.startswith("eval:"):
-        tail = source[5:]
-        # ASCII digits only: str.isdigit also passes "²" and "١"; not all zeros is >= 1
-        return tail.isascii() and tail.isdigit() and tail.strip("0") != ""
-    return False
+def source_step(ref: str) -> int | None:
+    """The evaluation a mix source names: 0 for "incumbent", t for "eval:<t>"
+    with t ASCII digits worth at least 1 (leading zeros allowed), else None.
+    Past 18 digits t gives sys.maxsize, more evaluations than any run has."""
+    if ref == "incumbent":
+        return 0
+    digits = ref[5:].lstrip("0") if ref.startswith("eval:") else ""
+    if not (digits.isascii() and digits.isdigit()):  # isdigit passes "²"; "" was all zeros
+        return None
+    return int(digits) if len(digits) <= 18 else sys.maxsize
 
 
 # ---------------------------------------------------------------------------

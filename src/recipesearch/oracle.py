@@ -19,7 +19,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -225,15 +225,19 @@ class SyntheticOracleSpec:
     def from_dict(cls, doc, field_names=None) -> "SyntheticOracleSpec":
         """Build a spec from parsed JSON; a ValueError names every problem.
 
-        Every number must be a finite JSON number. With ``field_names`` (the flat
-        state fields of the pool), weights, targets and coefficients may
-        address only those fields.
+        Every key must be a field of the spec, and an absent one takes the
+        field's default. Every number must be a finite JSON number. With
+        ``field_names`` (the flat state fields of the pool), weights, targets
+        and coefficients may address only those fields.
         """
         if not isinstance(doc, dict):
             raise ValueError("oracle spec must be a JSON object")
-        numbers = {k: doc[k] for k in ("value", "offset", "intercept", "noise_std") if k in doc}
-        problems = []
-        for table in ("weights", "targets", "coefficients"):
+        defaults = asdict(cls())
+        problems = [f"unknown key {key!r}" for key in doc if key not in defaults]
+        floats = [k for k, v in defaults.items() if isinstance(v, float)]
+        tables = [k for k, v in defaults.items() if isinstance(v, dict)]
+        numbers = {k: doc[k] for k in floats if k in doc}
+        for table in tables:
             if not isinstance(doc.get(table, {}), dict):
                 problems.append(f"{table} must be an object of state field -> number")
                 continue
@@ -248,22 +252,16 @@ class SyntheticOracleSpec:
                 problems.append(f"{key} is an integer too large for a float")
             elif not math.isfinite(value):
                 problems.append(f"{key} must be finite, got {value!r}")
-        seed = doc.get("noise_seed", 0)
+        seed = doc.get("noise_seed", defaults["noise_seed"])
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             problems.append(f"noise_seed must be a nonnegative integer, got {seed!r}")
         if problems:
             raise ValueError("; ".join(problems))
-        return cls(
-            family=doc.get("family", "constant"),
-            value=float(doc.get("value", 0.0)),
-            offset=float(doc.get("offset", 1.0)),
-            weights={k: float(v) for k, v in doc.get("weights", {}).items()},
-            targets={k: float(v) for k, v in doc.get("targets", {}).items()},
-            coefficients={k: float(v) for k, v in doc.get("coefficients", {}).items()},
-            intercept=float(doc.get("intercept", 0.0)),
-            noise_std=float(doc.get("noise_std", 0.0)),
-            noise_seed=seed,
-        )
+        return cls(**{
+            k: {name: float(v) for name, v in doc[k].items()} if k in tables
+            else float(doc[k]) if k in floats else doc[k]
+            for k in doc
+        })
 
 
 class SyntheticOracle:

@@ -54,15 +54,20 @@ def flat_field_names(benchmarks) -> list[str]:
     return [*_SCALAR_FIELDS, *(f"score_per_task.{name}" for name in benchmarks)]
 
 
-def state_from_dict(doc: dict) -> StateVector:
-    """A state from its ``to_dict`` form; TypeError for a value that is not a
-    JSON number, ValueError or OverflowError for one a float cannot hold."""
-    per_task, scalars = doc["score_per_task"], [doc[name] for name in _SCALAR_FIELDS]
-    values = (*per_task.values(), *scalars)
+def check_json_numbers(values: tuple) -> None:
+    """Raise unless every value is a JSON int or float that a float holds finitely:
+    TypeError for a bool, a string or None, ValueError for NaN or an infinity
+    (``Infinity`` or ``1e400``), OverflowError for an integer too large for a float."""
     if any(type(v) not in (int, float) for v in values):
-        raise TypeError("state value that is not a JSON number")  # a bool or a string
-    if not all(map(math.isfinite, values)):  # NaN, Infinity or 1e400
-        raise ValueError("state value that is not finite")
+        raise TypeError("value that is not a JSON number")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("number that is not finite")
+
+
+def state_from_dict(doc: dict) -> StateVector:
+    """A state from its ``to_dict`` form; raises as :func:`check_json_numbers`."""
+    per_task, scalars = doc["score_per_task"], [doc[name] for name in _SCALAR_FIELDS]
+    check_json_numbers((*per_task.values(), *scalars))
     return StateVector(
         score_per_task={k: float(v) for k, v in per_task.items()},
         **{name: float(v) for name, v in zip(_SCALAR_FIELDS, scalars)},

@@ -61,6 +61,9 @@ BAD_SPECS = {
                            "weights must be an object of state field -> number"),
     "negative_noise_seed": ({"family": "constant", "noise_seed": -1},
                             "noise_seed must be a nonnegative integer, got -1"),
+    "unknown_key": ({"family": "planted_quadratic", "weight": {"retain_ratio": 1.0},
+                     "targets": {"retain_ratio": 0.5}},
+                    "unknown key 'weight'"),
 }
 
 
@@ -1088,6 +1091,9 @@ class TestReport:
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": [{"params": {}}]}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), recipe={"steps": "ifd_topfrac"}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), score=10**400),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), step=True),
+        dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), subset_size=10**400),
+        dict(handmade_eval(2, 1.0, [5])),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],
                                                            "retain_ratio": True}),
         dict(handmade_eval(2, 1.0, ["ifd_topfrac"]), state={**handmade_eval(2, 1, [])["state"],

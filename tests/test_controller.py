@@ -27,7 +27,7 @@ from recipesearch.controller import (
     run_search,
     state_correlations,
 )
-from recipesearch.operators import MIX, OperatorSpec, Subset, default_catalog
+from recipesearch.operators import MIX, OperatorSpec, Subset, default_catalog, validate_spec
 from recipesearch.oracle import (
     EvalOutcome,
     OracleError,
@@ -1209,6 +1209,31 @@ def test_an_eval_source_too_long_for_int_aborts_as_unresolvable(small_pool):
     with pytest.raises(ExecutionError, match="unresolvable mix source"):
         rt.materialize(recipe)
     assert rt.try_materialize(recipe) is None
+
+
+@pytest.mark.parametrize("source, valid, resolves", [
+    ("incumbent", True, True),
+    ("eval:1", True, True),
+    ("eval:01", True, True),
+    ("eval:+1", False, False),
+    ("eval: 1", False, False),
+    ("eval:\u0661", False, False),  # ARABIC-INDIC DIGIT ONE
+    ("eval:\u00b2", False, False),  # SUPERSCRIPT TWO
+    ("eval:1_0", False, False),
+    ("eval:0", False, False),
+    ("eval:" + "1" * 5000, True, False),  # valid, but names no evaluation of this run
+    ("eval:" + "0" * 5000 + "1", True, True),  # leading zeros: eval:1
+], ids=["incumbent", "eval_1", "eval_01", "plus", "space", "arabic_indic", "superscript",
+        "underscore", "eval_0", "5000_digits", "5000_zeros_then_1"])
+def test_a_mix_source_resolves_only_if_validation_accepts_it(small_pool, source, valid,
+                                                             resolves):
+    pool, signals = small_pool
+    catalog = default_catalog(len(pool))
+    rt = controller._Runtime(SearchConfig(budget=5), signals, constant_oracle(),
+                             catalog, None)
+    rt.evaluate(rt.materialize(Recipe((OperatorSpec(*FR),))), is_warmup=False)
+    assert (validate_spec(OperatorSpec(MIX, {"source": source}), catalog) == []) is valid
+    assert (rt.resolve_source(source) is not None) is resolves
 
 
 def with_bare_rows(signals, bare):

@@ -400,12 +400,22 @@ class TestSyntheticOracle:
         assert spec.offset == 2.0 and spec.targets["retain_ratio"] == 0.4
 
     def test_from_dict_names_every_problem(self):
-        doc = {"family": "planted_quadratic",
+        doc = {"family": "planted_quadratic", "weight": {"retain_ratio": 1.0},
                "weights": {"retain": 1.0, "retain_ratio": "x"}}
         with pytest.raises(ValueError) as err:
             SyntheticOracleSpec.from_dict(doc, ["retain_ratio"])
+        assert str(err.value).startswith("unknown key 'weight'; ")
         assert "weights: unknown state field 'retain'" in str(err.value)
         assert "weights.retain_ratio must be a number" in str(err.value)
+
+    def test_from_dict_takes_defaults_and_reads_numbers_as_floats(self):
+        assert SyntheticOracleSpec.from_dict({}) == SyntheticOracleSpec()
+        spec = SyntheticOracleSpec.from_dict(
+            {"family": "planted_quadratic", "offset": 2, "weights": {"retain_ratio": 1},
+             "noise_seed": 3})
+        assert type(spec.offset) is float and spec.offset == 2.0
+        assert type(spec.weights["retain_ratio"]) is float
+        assert type(spec.noise_seed) is int and spec.noise_seed == 3
 
     def test_oracle_interface(self, tiny):
         pool, _ = tiny
