@@ -2,10 +2,10 @@
 
 One run spends exactly ``budget`` full evaluations: three warmup probes
 spanning low/medium/high retention, then one evaluation per search step. Each
-step summarizes the history into guidance, proposes sibling recipes around
-the current seed anchor, materializes them (execute, never the oracle),
-scores them with the GP surrogate, and lets the ranker pick exactly one for
-full evaluation. A candidate has no state: one is computed when an
+step records findings about the history (guidance, which no fallback
+decision reads), proposes sibling recipes around the current seed anchor,
+materializes them (execute, never the oracle), scores them with the GP
+surrogate, and lets the ranker pick exactly one for full evaluation. A candidate has no state: one is computed when an
 evaluation misses the run's cache, which then keeps it with the score, or
 for an external ranker's candidate table. Warmup bands and the fallback
 ranker read only the retain ratio, which needs no state.
@@ -167,8 +167,6 @@ class EvalRecord:
 @dataclass(frozen=True)
 class Guidance:
     findings: list[str]
-    op_bias: dict[str, float] = field(default_factory=dict)
-    best_band: tuple[float, float] | None = None
     source: str = "fallback"
 
     def to_event(self, step: int) -> dict:
@@ -213,11 +211,12 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
-    """Descriptive findings plus a machine-readable operator bias table.
+    """Descriptive findings about the history, capped at five.
 
     Findings cover per-operator mean-score deltas (present vs absent), the
     strongest state-field/score rank correlations, and the best retain-ratio
-    band. Capped at five findings.
+    band. They are a record for the ledger and the external prompts; no
+    fallback decision reads them.
     """
     if not history:
         raise ControllerError("summarizer requires a nonempty history")
@@ -225,14 +224,12 @@ def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
         return Guidance(findings=["insufficient evidence: only one evaluation so far"])
     scores = np.array([r.score for r in history])
     findings: list[str] = []
-    op_bias: dict[str, float] = {}
     deltas: list[tuple[str, float, int, int]] = []
     for name in catalog.names():
         present = np.array([name in r.recipe.operators() for r in history])
         if present.all() or not present.any():
             continue
         delta = float(scores[present].mean() - scores[~present].mean())
-        op_bias[name] = delta
         deltas.append((name, delta, int(present.sum()), int((~present).sum())))
     deltas.sort(key=lambda d: (-abs(d[1]), d[0]))
     for name, delta, n_in, n_out in deltas[:2]:
@@ -246,19 +243,19 @@ def fallback_summarize(history: list[EvalRecord], catalog: Catalog) -> Guidance:
     for fname, rho in corrs[:2]:
         findings.append(f"state field {fname} has Spearman {rho:+.3f} with score")
 
-    best_band = None
+    top_band = None
     best_mean = -np.inf
     for lo, hi in RETAIN_BANDS:
         mask = np.array([lo < r.state.retain_ratio <= hi for r in history])
         if mask.any() and scores[mask].mean() > best_mean:
             best_mean = float(scores[mask].mean())
-            best_band = (lo, hi)
-    if best_band is not None:
+            top_band = (lo, hi)
+    if top_band is not None:
         findings.append(
-            f"retain-ratio band ({best_band[0]:.3f}, {best_band[1]:.3f}] scored best "
+            f"retain-ratio band ({top_band[0]:.3f}, {top_band[1]:.3f}] scored best "
             f"(mean {best_mean:.4f})"
         )
-    return Guidance(findings=findings[:5], op_bias=op_bias, best_band=best_band)
+    return Guidance(findings=findings[:5])
 
 
 def fallback_rank(candidates: list[Candidate]) -> list[int]:
@@ -787,32 +784,19 @@ def _run_warmup(rt: _Runtime) -> Recipe:
     return rt.incumbent().recipe
 
 
-def _bias_to_insert_weights(op_bias: dict[str, float], catalog: Catalog) -> dict[str, float]:
-    """Map score deltas to insert weights in [1, 2]; empty bias means uniform."""
-    positive = {k: v for k, v in op_bias.items() if v > 0}
-    if not positive:
-        return {}
-    top = max(positive.values())
-    return {
-        name: 1.0 + max(op_bias.get(name, 0.0), 0.0) / top for name in catalog.names()
-    }
-
-
-def _fallback_propose(rt: _Runtime, step: int, anchor: Recipe, guidance: Guidance):
+def _fallback_propose(rt: _Runtime, step: int, anchor: Recipe):
     """Materialized local edits of ``anchor``, None for each that aborts.
 
     Round ``r`` asks for as many edits as ``candidates_per_step`` still
     lacks valid ones; a ProposeError ends the stream. The consumer bounds it.
     """
     config = rt.config
-    weights = _bias_to_insert_weights(guidance.op_bias, rt.catalog) or None
     valid = 0
     for batch_round in count():
         seed = role_seed(config.master_seed, step, "propose", batch_round)
         try:
             recipes = propose_local_edits(
-                anchor, seed, config.candidates_per_step - valid, rt.catalog,
-                config.l_max, insert_weights=weights,
+                anchor, seed, config.candidates_per_step - valid, rt.catalog, config.l_max
             )
         except ProposeError:
             return
@@ -905,7 +889,7 @@ def run_search(
         m = config.candidates_per_step
         # each source is materialized only until enough of its candidates are valid
         for source in (map(rt.try_materialize, proposed),
-                       islice(_fallback_propose(rt, step, anchor, guidance), 3 * m)):
+                       islice(_fallback_propose(rt, step, anchor), 3 * m)):
             candidates = list(islice(filter(None, source), m))
             if candidates:
                 break

@@ -244,24 +244,22 @@ def propose_local_edits(
     count: int,
     catalog: Catalog,
     l_max: int = DEFAULT_L_MAX,
-    insert_weights: dict[str, float] | None = None,
 ) -> list[Recipe]:
     """``count`` validated one-edit siblings of the seed recipe.
 
     Each sibling differs by exactly one edit, chosen uniformly over the
     feasible edit kinds: insert a random catalog step, delete a step, swap
     two adjacent steps, or retune one step's primary parameter by a uniform
-    perturbation clipped to bounds. ``insert_weights`` optionally biases
-    which operator an insert picks (guidance hook); edit-kind choice stays
-    uniform. Edits that fail validation or reproduce the seed are re-sampled
-    up to a retry cap.
+    perturbation clipped to bounds. An insert draws its operator uniformly.
+    Edits that fail validation or reproduce the seed are re-sampled up to a
+    retry cap.
     """
     rng = np.random.default_rng(rng_seed)
     out: list[Recipe] = []
     for _ in range(count):
         candidate = None
         for _attempt in range(EDIT_RETRY_CAP):
-            edited = _one_edit(seed_recipe, rng, catalog, l_max, insert_weights)
+            edited = _one_edit(seed_recipe, rng, catalog, l_max)
             if edited is None:
                 continue
             if validate_recipe(edited, catalog, l_max):
@@ -283,7 +281,6 @@ def _one_edit(
     rng: np.random.Generator,
     catalog: Catalog,
     l_max: int,
-    insert_weights: dict[str, float] | None,
 ) -> Recipe | None:
     steps = list(recipe.steps)
     length = len(steps)
@@ -303,12 +300,7 @@ def _one_edit(
 
     if kind == "insert":
         names = [n for n in catalog.names() if n != MIX or MIX not in recipe.operators()]
-        if insert_weights:
-            w = np.array([max(float(insert_weights.get(n, 1.0)), 0.0) for n in names])
-            w = w / w.sum() if w.sum() > 0 else None
-        else:
-            w = None
-        name = names[int(rng.choice(len(names), p=w))]
+        name = names[int(rng.choice(len(names)))]
         pos = int(rng.integers(length + 1))
         steps.insert(pos, OperatorSpec(name, catalog.get(name).sample(rng)))
     elif kind == "delete":

@@ -231,19 +231,42 @@ class TestSearchStructure:
         pool, signals = small_pool
         events = []
         config = SearchConfig(budget=10, master_seed=3)
-        result = run_search(config, pool, signals, ImprovingOracle(),
-                            sink=events.append)
+        oracle = ImprovingOracle()
+        result = run_search(config, pool, signals, oracle, sink=events.append)
         assert [e for e in events if e["type"] == "reseed"] == []
         assert result.incumbent_step == 10
-        assert result.incumbent_score == 10.0
+        # a cache hit repeats an earlier score and spends no oracle call
+        cache_hits = sum(e["cache_hit"] for e in events if e["type"] == "eval")
+        assert result.incumbent_score == oracle.calls
+        assert oracle.calls + cache_hits == config.budget
 
     def test_incumbent_subset_is_the_evaluated_subset(self, small_pool):
         pool, signals = small_pool
         result = run_search(SearchConfig(budget=6, master_seed=3), pool, signals,
                             ImprovingOracle())
+        [incumbent] = [r for r in result.records if r.step == result.incumbent_step]
         assert result.incumbent_subset.pool is pool
-        assert result.incumbent_subset.content_hash() == result.records[-1].subset_hash
+        assert result.incumbent_subset.content_hash() == incumbent.subset_hash
         assert result.incumbent_ids == result.incumbent_subset.ids()
+
+    def test_fallback_decisions_do_not_read_the_summary(self, small_pool, monkeypatch):
+        """The summarizer's findings are a record: replacing them changes no
+        evaluation, candidate or reseed."""
+        pool, signals = small_pool
+        spec = SyntheticOracleSpec(family="planted_quadratic", weights={"retain_ratio": 1.0},
+                                   targets={"retain_ratio": 0.5})
+        config = SearchConfig(budget=12, patience=2, master_seed=5)
+
+        def decisions():
+            events = []
+            run_search(config, pool, signals, SyntheticOracle(spec), sink=events.append)
+            return [e for e in events if e["type"] in ("eval", "candidates", "reseed")]
+
+        unpatched = decisions()
+        monkeypatch.setattr(controller, "fallback_summarize",
+                            lambda history, catalog: Guidance(findings=["x"]))
+        assert decisions() == unpatched
+        assert any(e["type"] == "reseed" for e in unpatched)
 
     def test_budget_exactness_and_no_oracle_in_materialization(self, small_pool):
         pool, signals = small_pool
@@ -418,7 +441,6 @@ class TestFallbackSummarize:
 
     def test_single_record_insufficient_evidence(self, catalog):
         guidance = fallback_summarize([make_record(1, [FR], 5.0)], catalog)
-        assert guidance.op_bias == {}
         assert guidance.findings == ["insufficient evidence: only one evaluation so far"]
 
     def test_separating_operator_ranks_first(self, catalog):
@@ -429,9 +451,13 @@ class TestFallbackSummarize:
             make_record(4, [("ngram_topfrac", {"fraction": 0.5})], 1.0),
         ]
         guidance = fallback_summarize(records, catalog)
-        assert max(guidance.op_bias, key=guidance.op_bias.get) == "ao_topfrac"
-        assert guidance.op_bias["ao_topfrac"] > 0
-        assert "ao_topfrac" in guidance.findings[0]
+        assert guidance.findings == [
+            "operator ao_topfrac raises mean score by +7.0000 "
+            "(present in 2 vs absent in 2 evaluations)",
+            "operator ngram_topfrac lowers mean score by -5.3333 "
+            "(present in 1 vs absent in 3 evaluations)",
+            "retain-ratio band (0.333, 0.667] scored best (mean 5.0000)",
+        ]
 
     def test_six_record_fixture_matches_brute_force(self, catalog):
         retains = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
@@ -453,10 +479,14 @@ class TestFallbackSummarize:
         assert f"retain_ratio has Spearman {rho_retain:+.3f}" in corr_findings[0]
         assert f"mean_ifd has Spearman {rho_ifd:+.3f}" in corr_findings[1]
         # operator deltas: ao on the high half, ngram on the low half
-        assert guidance.op_bias["ao_topfrac"] == pytest.approx(3.0)
-        assert guidance.op_bias["ngram_topfrac"] == pytest.approx(-3.0)
-        assert guidance.best_band == (1 / 3, 2 / 3)
-        assert len(guidance.findings) <= 5
+        assert guidance.findings[:2] == [
+            "operator ao_topfrac raises mean score by +3.0000 "
+            "(present in 3 vs absent in 3 evaluations)",
+            "operator ngram_topfrac lowers mean score by -3.0000 "
+            "(present in 3 vs absent in 3 evaluations)",
+        ]
+        assert guidance.findings[4] == "retain-ratio band (0.333, 0.667] scored best (mean 5.0000)"
+        assert len(guidance.findings) == 5
 
 
 class TestFallbackRank:

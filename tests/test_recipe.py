@@ -343,20 +343,6 @@ class TestLocalEdits:
             assert one_edit_kind(FOUR_STEP_SEED, sibling) != "not-one-edit"
             assert not validate_recipe(sibling, catalog)
 
-    def test_insert_weights_bias(self, catalog):
-        seed = Recipe((OperatorSpec("ifd_topfrac", {"fraction": 0.5}),))
-        heavy = {name: 0.0 for name in catalog.names()}
-        heavy["ao_topfrac"] = 10.0
-        inserted = []
-        for rng_seed in range(40):
-            for sib in propose_local_edits(
-                seed, rng_seed, 1, catalog, insert_weights=heavy
-            ):
-                if one_edit_kind(seed, sib) == "insert":
-                    new_ops = [s.operator for s in sib.steps if s.operator != "ifd_topfrac"]
-                    inserted.extend(new_ops)
-        assert inserted and set(inserted) == {"ao_topfrac"}
-
     def test_serialized_obj_shape(self):
         obj = recipe_to_obj(FOUR_STEP_SEED)
         assert list(obj) == ["steps"]
