@@ -41,7 +41,7 @@ PLANTED_SPEC = {
 
 CASES = {
     "run_seed4": ["run", "--budget", "8", "--master-seed", "4"],
-    "run_seed5": ["run", "--budget", "8", "--master-seed", "5"],
+    "run_seed6": ["run", "--budget", "8", "--master-seed", "6"],
     "baseline_random_recipe": ["baseline", "--suite", "random_recipe", "--budget", "5"],
 }
 
@@ -76,7 +76,7 @@ def test_assistant_variables_leave_a_fallback_run_unchanged(synth_files, tmp_pat
     assert header["config"]["assistant_mode"] == "fallback"
 
 
-@pytest.mark.parametrize("name", ["run_seed4", "run_seed5"])
+@pytest.mark.parametrize("name", ["run_seed4", "run_seed6"])
 def test_golden_runs_cover_semdedup_mix_and_reseed(name):
     events = [json.loads(line) for line in (GOLDEN / f"{name}.jsonl").read_text().splitlines()]
     operators = {
@@ -88,7 +88,7 @@ def test_golden_runs_cover_semdedup_mix_and_reseed(name):
     assert any(e["type"] == "reseed" for e in events)
 
 
-@pytest.mark.parametrize("name", ["run_seed4", "run_seed5"])
+@pytest.mark.parametrize("name", ["run_seed4", "run_seed6"])
 def test_golden_runs_take_prefixes_from_the_memo(synth_files, tmp_path, monkeypatch, caplog,
                                                 name):
     """The golden ledgers pin the memoized path: fewer steps run than recipes reach,
