@@ -190,7 +190,13 @@ class CommandOracle:
 # Synthetic oracles
 # ---------------------------------------------------------------------------
 
-SYNTHETIC_FAMILIES = ("planted_quadratic", "state_linear", "constant")
+# The spec keys each family reads; family, noise_std and noise_seed apply to every family.
+FAMILY_KEYS = {
+    "planted_quadratic": ("offset", "weights", "targets"),
+    "state_linear": ("intercept", "coefficients"),
+    "constant": ("value",),
+}
+SYNTHETIC_FAMILIES = tuple(FAMILY_KEYS)
 
 
 @dataclass(frozen=True)
@@ -225,8 +231,9 @@ class SyntheticOracleSpec:
     def from_dict(cls, doc, field_names=None) -> "SyntheticOracleSpec":
         """Build a spec from parsed JSON; a ValueError names every problem.
 
-        Every key must be a field of the spec, and an absent one takes the
-        field's default. Every number must be a finite JSON number. With
+        Every key must be a field of the spec that the family reads (see
+        ``FAMILY_KEYS``), and an absent one takes the field's default. Every
+        number must be a finite JSON number. With
         ``field_names`` (the flat state fields of the pool), weights, targets
         and coefficients may address only those fields.
         """
@@ -234,6 +241,13 @@ class SyntheticOracleSpec:
             raise ValueError("oracle spec must be a JSON object")
         defaults = asdict(cls())
         problems = [f"unknown key {key!r}" for key in doc if key not in defaults]
+        family = doc.get("family", defaults["family"])
+        if family not in SYNTHETIC_FAMILIES:
+            problems.append(f"unknown synthetic oracle family {family!r}")
+        else:
+            own = ("family", "noise_std", "noise_seed", *FAMILY_KEYS[family])
+            problems += [f"key {key!r} does not apply to family {family!r}"
+                         for key in doc if key in defaults and key not in own]
         floats = [k for k, v in defaults.items() if isinstance(v, float)]
         tables = [k for k, v in defaults.items() if isinstance(v, dict)]
         numbers = {k: doc[k] for k in floats if k in doc}

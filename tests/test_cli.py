@@ -64,6 +64,11 @@ BAD_SPECS = {
     "unknown_key": ({"family": "planted_quadratic", "weight": {"retain_ratio": 1.0},
                      "targets": {"retain_ratio": 0.5}},
                     "unknown key 'weight'"),
+    "other_family_key": ({"family": "planted_quadratic", "coefficients": {"retain_ratio": 1.0}},
+                         "key 'coefficients' does not apply to family 'planted_quadratic'"),
+    "unknown_family": ({"family": "mystery", "value": "x"},
+                       "unknown synthetic oracle family 'mystery'; value must be a number, "
+                       "got 'x'"),
 }
 
 

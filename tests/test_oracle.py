@@ -408,6 +408,26 @@ class TestSyntheticOracle:
         assert "weights: unknown state field 'retain'" in str(err.value)
         assert "weights.retain_ratio must be a number" in str(err.value)
 
+    def test_from_dict_takes_only_the_keys_the_family_reads(self):
+        doc = {"family": "state_linear", "noise_std": 0.1, "noise_seed": 2,
+               "coefficients": {"retain_ratio": 1.0}, "value": 1.0, "weights": {}}
+        with pytest.raises(ValueError) as err:
+            SyntheticOracleSpec.from_dict(doc)
+        assert str(err.value) == ("key 'value' does not apply to family 'state_linear'; "
+                                  "key 'weights' does not apply to family 'state_linear'")
+        for family, keys in [("planted_quadratic", ["offset", "weights", "targets"]),
+                             ("state_linear", ["intercept", "coefficients"]),
+                             ("constant", ["value"])]:
+            spec = SyntheticOracleSpec.from_dict(
+                {"family": family, "noise_std": 0.1, "noise_seed": 2,
+                 **{key: getattr(SyntheticOracleSpec(), key) for key in keys}})
+            assert spec.family == family
+        # an unknown family is one of the problems, after unknown keys
+        with pytest.raises(ValueError) as err:
+            SyntheticOracleSpec.from_dict({"family": "mystery", "valu": 1, "value": "x"})
+        assert str(err.value) == ("unknown key 'valu'; unknown synthetic oracle family "
+                                  "'mystery'; value must be a number, got 'x'")
+
     def test_from_dict_takes_defaults_and_reads_numbers_as_floats(self):
         assert SyntheticOracleSpec.from_dict({}) == SyntheticOracleSpec()
         spec = SyntheticOracleSpec.from_dict(
