@@ -5,10 +5,11 @@ spanning low/medium/high retention, then one evaluation per search step. Each
 step records findings about the history (guidance, which no fallback
 decision reads), proposes sibling recipes around the current seed anchor,
 materializes them (execute, never the oracle), scores them with the GP
-surrogate, and lets the ranker pick exactly one for full evaluation. A candidate has no state: one is computed when an
-evaluation misses the run's cache, which then keeps it with the score, or
-for an external ranker's candidate table. Warmup bands and the fallback
-ranker read only the retain ratio, which needs no state.
+surrogate, and lets the ranker pick exactly one for full evaluation. A
+candidate has no state: one is computed when an evaluation misses the run's
+cache, which then keeps it with the score, or for an external ranker's
+candidate table. Warmup bands and the fallback ranker read only the retain
+ratio, which needs no state.
 The incumbent and the seed anchor are tracked separately; the anchor moves
 only when the incumbent has stagnated for ``patience`` consecutive
 evaluations.

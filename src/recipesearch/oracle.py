@@ -233,9 +233,9 @@ class SyntheticOracleSpec:
 
         Every key must be a field of the spec that the family reads (see
         ``FAMILY_KEYS``), and an absent one takes the field's default. Every
-        number must be a finite JSON number. With
-        ``field_names`` (the flat state fields of the pool), weights, targets
-        and coefficients may address only those fields.
+        number must be a finite JSON number. With ``field_names`` (the flat
+        state fields of the pool), weights, targets and coefficients may
+        address only those fields.
         """
         if not isinstance(doc, dict):
             raise ValueError("oracle spec must be a JSON object")
