@@ -24,7 +24,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 from scipy import sparse as sp
 
-from .pool import CanonicalPool, SignalTable
+from .pool import CanonicalPool, SignalTable, json_float
 
 
 class OperatorError(ValueError):
@@ -115,13 +115,13 @@ class ParamSpec:
     def check(self, key: str, value) -> str | None:
         """The violation of ``value`` for parameter ``key``, or None."""
         if self.kind == "fraction":
-            if not _is_number(value):
-                return f"{key} must be a number"
             try:
-                v = float(value)
+                v = json_float(value)
+            except TypeError:
+                return f"{key} must be a number"
             except OverflowError:  # an integer too large for a float
                 v = math.inf
-            if not (0.0 < v <= 1.0) or not math.isfinite(v):
+            if not 0.0 < v <= 1.0:  # NaN fails every comparison
                 return f"{key} out of (0,1]"
         elif self.kind == "source":
             if source_step(str(value)) is None:
@@ -308,18 +308,9 @@ def validate_spec(spec: OperatorSpec, catalog: Catalog) -> list[str]:
     return problems
 
 
-def _is_number(value) -> bool:
-    """An integer or a float, as a JSON number parses; never a bool or a string."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    return isinstance(value, (int, float, np.integer, np.floating))
-
-
 def _is_integral(value) -> bool:
-    """An integer, or a float with an integral value; never a bool or a string."""
-    return _is_number(value) and (
-        isinstance(value, (int, np.integer)) or float(value).is_integer()
-    )
+    """A JSON integer, or a JSON float with an integral value (see ``json_float``)."""
+    return type(value) is int or (type(value) is float and value.is_integer())
 
 
 def source_step(ref: str) -> int | None:

@@ -17,14 +17,14 @@ import math
 import os
 import signal
 import subprocess
-import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .operators import Subset
+from .pool import json_float
 from .recipe import Recipe, recipe_to_obj
 from .state import StateVector
 
@@ -133,13 +133,6 @@ def run_command(
         argv, proc.returncode, stdout, stderr.decode("utf-8", errors="replace")), ""
 
 
-def _json_number(value) -> float:
-    """``float(value)`` of a JSON number; a string or a boolean raises TypeError."""
-    if type(value) not in (int, float):
-        raise TypeError(f"not a JSON number: {value!r}")
-    return float(value)
-
-
 class CommandOracle:
     """Adapter for an external evaluation command.
 
@@ -174,10 +167,10 @@ class CommandOracle:
             )
         try:
             doc = json.loads(proc.stdout.strip().splitlines()[-1])
-            score = _json_number(doc["score"])
+            score = json_float(doc["score"])
             per_benchmark = doc.get("per_benchmark")
             if per_benchmark is not None:
-                per_benchmark = {str(k): _json_number(v) for k, v in per_benchmark.items()}
+                per_benchmark = {str(k): json_float(v) for k, v in per_benchmark.items()}
         except (AttributeError, IndexError, KeyError, TypeError, ValueError,
                 OverflowError, RecursionError) as exc:
             raise OracleError(
@@ -224,58 +217,70 @@ class SyntheticOracleSpec:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in SYNTHETIC_FAMILIES:
-            raise ValueError(f"unknown synthetic oracle family {self.family!r}")
+        """Check each field unlike its default in type or value, as :meth:`from_dict` would."""
+        problems = _spec_problems({k: v for k, v in vars(self).items()
+                                   if (type(v), v) != (type(_DEFAULTS[k]), _DEFAULTS[k])})
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @classmethod
     def from_dict(cls, doc, field_names=None) -> "SyntheticOracleSpec":
-        """Build a spec from parsed JSON; a ValueError names every problem.
-
-        Every key must be a field of the spec that the family reads (see
-        ``FAMILY_KEYS``), and an absent one takes the field's default. Every
-        number must be a finite JSON number. With ``field_names`` (the flat
-        state fields of the pool), weights, targets and coefficients may
-        address only those fields.
-        """
+        """Build a spec from parsed JSON; a ValueError names every problem: each key that
+        is not a field, then those of :func:`_spec_problems`. An absent key takes its default."""
         if not isinstance(doc, dict):
             raise ValueError("oracle spec must be a JSON object")
-        defaults = asdict(cls())
-        problems = [f"unknown key {key!r}" for key in doc if key not in defaults]
-        family = doc.get("family", defaults["family"])
-        if family not in SYNTHETIC_FAMILIES:
-            problems.append(f"unknown synthetic oracle family {family!r}")
-        else:
-            own = ("family", "noise_std", "noise_seed", *FAMILY_KEYS[family])
-            problems += [f"key {key!r} does not apply to family {family!r}"
-                         for key in doc if key in defaults and key not in own]
-        floats = [k for k, v in defaults.items() if isinstance(v, float)]
-        tables = [k for k, v in defaults.items() if isinstance(v, dict)]
-        numbers = {k: doc[k] for k in floats if k in doc}
-        for table in tables:
-            if not isinstance(doc.get(table, {}), dict):
-                problems.append(f"{table} must be an object of state field -> number")
-                continue
-            for name, value in doc.get(table, {}).items():
-                numbers[f"{table}.{name}"] = value
-                if field_names is not None and name not in field_names:
-                    problems.append(f"{table}: unknown state field {name!r}")
-        for key, value in numbers.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"{key} must be a number, got {value!r}")
-            elif isinstance(value, int) and abs(value) > sys.float_info.max:
-                problems.append(f"{key} is an integer too large for a float")
-            elif not math.isfinite(value):
-                problems.append(f"{key} must be finite, got {value!r}")
-        seed = doc.get("noise_seed", defaults["noise_seed"])
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            problems.append(f"noise_seed must be a nonnegative integer, got {seed!r}")
+        problems = [f"unknown key {key!r}" for key in doc if key not in _DEFAULTS]
+        problems += _spec_problems(doc, field_names)
         if problems:
             raise ValueError("; ".join(problems))
         return cls(**{
-            k: {name: float(v) for name, v in doc[k].items()} if k in tables
-            else float(doc[k]) if k in floats else doc[k]
+            k: {name: float(v) for name, v in doc[k].items()} if k in _TABLES
+            else float(doc[k]) if k in _FLOATS else doc[k]
             for k in doc
         })
+
+
+# Each spec field's default, and the names of its number and table fields.
+_DEFAULTS = {f.name: f.default_factory() if f.default is MISSING else f.default
+             for f in fields(SyntheticOracleSpec)}
+_FLOATS = [k for k, v in _DEFAULTS.items() if type(v) is float]
+_TABLES = [k for k, v in _DEFAULTS.items() if type(v) is dict]
+
+
+def _spec_problems(doc: dict, field_names=None) -> list[str]:
+    """The problems of a spec document's known keys, in order. The family must be known,
+    and every key one it reads (see ``FAMILY_KEYS``). Every number must be a finite
+    :func:`json_float`, and the seed a nonnegative int. With ``field_names`` (the flat state
+    fields of the pool), weights, targets and coefficients may address only those fields."""
+    problems = []
+    family = doc.get("family", _DEFAULTS["family"])
+    if family not in SYNTHETIC_FAMILIES:
+        problems.append(f"unknown synthetic oracle family {family!r}")
+    else:
+        own = ("family", "noise_std", "noise_seed", *FAMILY_KEYS[family])
+        problems += [f"key {key!r} does not apply to family {family!r}"
+                     for key in doc if key in _DEFAULTS and key not in own]
+    numbers = {k: doc[k] for k in _FLOATS if k in doc}
+    for table in _TABLES:
+        if not isinstance(doc.get(table, {}), dict):
+            problems.append(f"{table} must be an object of state field -> number")
+            continue
+        for name, value in doc.get(table, {}).items():
+            numbers[f"{table}.{name}"] = value
+            if field_names is not None and name not in field_names:
+                problems.append(f"{table}: unknown state field {name!r}")
+    for key, value in numbers.items():
+        try:
+            if not math.isfinite(json_float(value)):
+                problems.append(f"{key} must be finite, got {value!r}")
+        except TypeError:
+            problems.append(f"{key} must be a number, got {value!r}")
+        except OverflowError:
+            problems.append(f"{key} is an integer too large for a float")
+    seed = doc.get("noise_seed", _DEFAULTS["noise_seed"])
+    if type(seed) is not int or seed < 0:
+        problems.append(f"noise_seed must be a nonnegative integer, got {seed!r}")
+    return problems
 
 
 class SyntheticOracle:

@@ -399,6 +399,14 @@ def load_pool(path: str) -> CanonicalPool:
 _SCALARS = ("ifd", "varentropy", "ao")
 
 
+def json_float(value) -> float:
+    """An exact ``int`` or ``float``, as ``json`` decodes a number, as a float. Anything else
+    (a bool, a string, a numpy scalar) raises TypeError; an int too large, OverflowError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 def _as_float(value: int) -> float:
     """A JSON integer as a float; one too large for a float is infinite."""
     try:

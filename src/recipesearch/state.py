@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .operators import Subset
-from .pool import SignalTable
+from .pool import SignalTable, json_float
 
 
 class StateError(ValueError):
@@ -56,11 +56,9 @@ def flat_field_names(benchmarks) -> list[str]:
 
 def check_json_numbers(values: tuple) -> None:
     """Raise unless every value is a JSON int or float that a float holds finitely:
-    TypeError for a bool, a string or None, ValueError for NaN or an infinity
-    (``Infinity`` or ``1e400``), OverflowError for an integer too large for a float."""
-    if any(type(v) not in (int, float) for v in values):
-        raise TypeError("value that is not a JSON number")
-    if not all(map(math.isfinite, values)):
+    TypeError or OverflowError as :func:`json_float` raises them, then ValueError
+    for NaN or an infinity (``Infinity`` or ``1e400``)."""
+    if not all(map(math.isfinite, [json_float(v) for v in values])):
         raise ValueError("number that is not finite")
 
 

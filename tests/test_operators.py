@@ -32,6 +32,7 @@ from recipesearch.operators import (
     validate_spec,
 )
 from recipesearch.pool import PoolError, descending_rank, load_pool, load_signals
+from recipesearch.recipe import Recipe, recipe_from_obj, recipe_to_obj
 
 from conftest import subset_from_ids, write_jsonl
 
@@ -792,6 +793,21 @@ class TestMixProperties:
         assert np.array_equal(apply_mix(b, a).positions, out.positions)
 
 
+# Parameter values a caller might hand validation: JSON values near each
+# kind's range, any other value, and numpy scalars a library caller computes with.
+KIND_VALUES = {
+    "fraction": st.floats(0.0, 1.5),
+    "int": st.integers(-5, 300),
+    "seed": st.integers(-5, 2**40),
+    "source": st.sampled_from(["incumbent", "eval:1", "eval:x"]),
+}
+OTHER_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(["0.5", "7"]),
+    st.integers(1, 300).map(np.int64), st.floats(0.01, 1.0).map(np.float64),
+    st.floats(0.0, 1.0, width=32).map(np.float32), st.booleans().map(np.bool_),
+)
+
+
 class TestClosureAndDispatch:
     def test_all_operators_closed_over_input(self, synth):
         pool, signals = synth
@@ -843,7 +859,7 @@ class TestClosureAndDispatch:
         assert problems == ["random_k: seed must be nonnegative"]
         # integer params take a JSON integer or an integral float, nothing else
         assert not validate_spec(OperatorSpec("random_k", {"k": 5.0, "seed": 0}), catalog)
-        for bad in ("5.0", "abc", True, 2.5):
+        for bad in ("5.0", "abc", True, 2.5, np.int64(5), np.bool_(True)):
             problems = validate_spec(
                 OperatorSpec("random_k", {"k": bad, "seed": bad}), catalog
             )
@@ -852,13 +868,28 @@ class TestClosureAndDispatch:
             ]
         # fraction params take a JSON number, as ingestion does: no string, no bool
         assert not validate_spec(OperatorSpec("ifd_topfrac", {"fraction": 1}), catalog)
-        for bad in ("0.5", True, None, [0.5]):
+        # a numpy scalar is not a JSON number: a ledger could not write it
+        for bad in ("0.5", True, None, [0.5], np.float32(0.5), np.float64(0.5)):
             problems = validate_spec(OperatorSpec("ifd_topfrac", {"fraction": bad}), catalog)
             assert problems == ["ifd_topfrac: fraction must be a number"]
         problems = validate_spec(
             OperatorSpec("semdedup", {"n_clusters": 2, "tau": "0.9", "seed": 0}), catalog
         )
         assert problems == ["semdedup: tau must be a number"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_accepted_spec_is_written_and_read_back(self, data):
+        catalog = default_catalog(200)
+        entry = data.draw(st.sampled_from(catalog.entries))
+        spec = OperatorSpec(entry.name, {
+            key: data.draw(KIND_VALUES[ps.kind] if data.draw(st.booleans()) else OTHER_VALUES)
+            for key, ps in entry.params.items()
+        })
+        if validate_spec(spec, catalog):
+            return
+        recipe = Recipe((spec,))
+        assert recipe_from_obj(json.loads(json.dumps(recipe_to_obj(recipe))), catalog) == recipe
 
     def test_catalog_json_is_publishable(self, tiny):
         pool, _ = tiny

@@ -393,6 +393,22 @@ class TestSyntheticOracle:
         with pytest.raises(ValueError, match="unknown synthetic oracle family"):
             SyntheticOracleSpec(family="mystery")
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"family": "planted_quadratic", "coefficients": {"retain_ratio": 1.0}},
+         "key 'coefficients' does not apply to family 'planted_quadratic'"),
+        ({"family": "planted_quadratic", "weights": {"retain_ratio": "x"}},
+         "weights.retain_ratio must be a number, got 'x'"),
+        ({"noise_seed": -1}, "noise_seed must be a nonnegative integer, got -1"),
+    ])
+    def test_library_spec_checked_as_from_dict(self, kwargs, message):
+        for build in (lambda: SyntheticOracleSpec.from_dict(kwargs),
+                      lambda: SyntheticOracleSpec(**kwargs)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+        # a field left at its default is not a key the family must read
+        assert SyntheticOracleSpec(family="state_linear", coefficients={}).family == "state_linear"
+
     def test_spec_round_trip_from_dict(self):
         doc = {"family": "planted_quadratic", "offset": 2.0,
                "weights": {"retain_ratio": 1.0}, "targets": {"retain_ratio": 0.4}}

@@ -19,6 +19,7 @@ import recipesearch.pool as pool_module
 from recipesearch.pool import (
     PoolError,
     descending_rank,
+    json_float,
     load_pool,
     load_signals,
 )
@@ -748,6 +749,20 @@ class TestFlatIngestion:
         assert opened.count(str(signals)) == 1
 
 class TestStrictTypes:
+    @pytest.mark.parametrize("value, expected", [
+        (1, 1.0), (1.5, 1.5), (-0.0, -0.0),
+        (True, TypeError), ("1", TypeError), (None, TypeError), ([1], TypeError),
+        (np.float64(1.0), TypeError), (10**400, OverflowError),
+    ])
+    def test_json_float(self, value, expected):
+        if isinstance(expected, float):
+            out = json_float(value)
+            assert type(out) is float and out == expected
+            assert math.copysign(1.0, out) == math.copysign(1.0, expected)
+        else:
+            with pytest.raises(expected):
+                json_float(value)
+
     @pytest.mark.parametrize("fields, message", [
         ({"sparse": 5}, "sparse must be an array of [index, value] pairs, got 5"),
         ({"sparse": None}, "sparse must be an array of [index, value] pairs, got None"),
