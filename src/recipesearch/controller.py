@@ -3,13 +3,13 @@
 One run spends exactly ``budget`` full evaluations: three warmup probes
 spanning low/medium/high retention, then one evaluation per search step. Each
 step records findings about the history (guidance, which no fallback
-decision reads), proposes sibling recipes around the current seed anchor,
-materializes them (execute, never the oracle), scores them with the GP
-surrogate, and lets the ranker pick exactly one for full evaluation. A
-candidate has no state: one is computed when an evaluation misses the run's
-cache, which then keeps it with the score, or for an external ranker's
-candidate table. Warmup bands and the fallback ranker read only the retain
-ratio, which needs no state.
+decision reads, so a run with no sink and no role command skips it),
+proposes sibling recipes around the current seed anchor, materializes them
+(execute, never the oracle), scores them with the GP surrogate, and lets the
+ranker pick exactly one for full evaluation. A candidate has no state: one
+is computed when an evaluation misses the run's cache, which then keeps it
+with the score, or for an external ranker's candidate table. Warmup bands
+and the fallback ranker read only the retain ratio, which needs no state.
 The incumbent and the seed anchor are tracked separately; the anchor moves
 only when the incumbent has stagnated for ``patience`` consecutive
 evaluations.
@@ -32,7 +32,6 @@ from importlib import resources
 from itertools import count, islice
 
 import numpy as np
-from scipy import stats
 
 from .operators import MIX, Catalog, OperatorSpec, Subset, default_catalog, source_step
 from .oracle import NOT_STARTED, EvalCache, EvalRequest, OracleError, run_command
@@ -276,6 +275,26 @@ def fallback_rank(candidates: list[Candidate]) -> list[int]:
     return [i for _, _, i in keyed]
 
 
+def average_ranks(table: np.ndarray) -> np.ndarray:
+    """The average rank of each entry of a 2-D float table within its column.
+
+    A value v ranks ``(count(< v) + count(<= v) + 1) / 2`` in its column:
+    the t entries equal to v, with a entries below them, share the mean of
+    ranks a + 1 to a + t. Each rank is an exact half, so it has the bits of
+    scipy's ``rankdata(table, method="average", axis=0)``. There is no
+    branch for NaN, which has no rank: no state field or score can be NaN,
+    because ingestion rejects a pool whose token, IFD or varentropy ratio
+    would be 0/0, and an oracle score or a ledger number must be finite.
+    """
+    ordered = np.sort(table, axis=0)
+    ranks = np.empty(table.shape, dtype=np.float64)
+    for j in range(table.shape[1]):
+        below = np.searchsorted(ordered[:, j], table[:, j], side="left")
+        through = np.searchsorted(ordered[:, j], table[:, j], side="right")
+        ranks[:, j] = (below + through + 1) / 2
+    return ranks
+
+
 def state_correlations(
     fields: list[dict[str, float]], scores,
 ) -> list[tuple[str, float]]:
@@ -286,9 +305,9 @@ def state_correlations(
     runs over pools with different benchmarks keeps its common fields.
     Needs three evaluations and non-constant scores; fields that never vary
     or give a non-finite rho are left out. Ties in |rho| go to the field name.
-    The scores and the varying fields are ranked in one call and correlated
-    in one ``np.corrcoef``, scores first; each rho has the bits of scipy's
-    two-variable Spearman call on that field and the scores.
+    The scores and the varying fields are ranked by :func:`average_ranks`
+    and correlated in one ``np.corrcoef``, scores first; each rho has the
+    bits of scipy's two-variable Spearman call on that field and the scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     # the std alone misses equal scores whose float std is above 0 (three of 0.1)
@@ -299,7 +318,7 @@ def state_correlations(
     varying = table.max(axis=0) != table.min(axis=0)
     if not varying.any():
         return []
-    ranks = stats.rankdata(np.column_stack([scores, table[:, varying]]), axis=0)
+    ranks = average_ranks(np.column_stack([scores, table[:, varying]]))
     rhos = np.corrcoef(ranks, rowvar=False)[0, 1:]
     kept = [name for name, keep in zip(names, varying) if keep]
     out = [(name, float(rho)) for name, rho in zip(kept, rhos) if np.isfinite(rho)]
@@ -881,10 +900,14 @@ def run_search(
     stagnation = 0
     records = rt.records
 
+    # the findings go only to the sink's guidance events and to role prompts
+    summarize = sink is not None or bool(config.assistant_commands)
     for step in range(WARMUP_COUNT + 1, config.budget + 1):
-        guidance = (ask_role(rt, "summarizer", step, anchor)
-                    or fallback_summarize(records, catalog))
-        rt.emit(guidance.to_event(step))
+        guidance = None
+        if summarize:
+            guidance = (ask_role(rt, "summarizer", step, anchor)
+                        or fallback_summarize(records, catalog))
+            rt.emit(guidance.to_event(step))
 
         proposed = ask_role(rt, "proposer", step, anchor, guidance) or []
         m = config.candidates_per_step

@@ -82,7 +82,8 @@ def write_manifest(path: str, request: EvalRequest) -> None:
     lines = request.subset.pool.record_lines(request.subset.positions)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.writelines(lines)
+        # one write call for the body; joined to the header it would be copied twice
+        fh.write(b"".join(lines))
 
 
 def run_command(

@@ -317,7 +317,8 @@ def load_pool(path: str) -> CanonicalPool:
     Records require ``id``, ``instruction``, ``response`` and ``source``
     fields. Load order is preserved and the same file always yields an
     identical pool. Any malformed line, one that is not UTF-8 included,
-    aborts with a diagnostic naming it.
+    aborts with a diagnostic naming it, and so does a pool without a single
+    token, whose token ratios would be undefined.
 
     Each sample's text is tokenized once: the whitespace tokens of the
     lowercased instruction, then of the lowercased response, punctuation
@@ -368,6 +369,9 @@ def load_pool(path: str) -> CanonicalPool:
         raise PoolError(f"empty pool file: {path}")
     n = len(ids)
     token_counts = np.frombuffer(token_counts, dtype=np.int64)
+    total_tokens = int(token_counts.sum())
+    if total_tokens == 0:  # every state's token ratio would be 0/0
+        raise PoolError(f"no sample has a token in pool file {path}")
     ngram = _unigram_entropy(np.frombuffer(sizes, dtype=np.int64),
                              np.frombuffer(counts, dtype=np.int64))
     by_id = sorted(index)
@@ -384,7 +388,7 @@ def load_pool(path: str) -> CanonicalPool:
         responses=tuple(responses),
         sources=tuple(sources),
         index=index,
-        total_tokens=int(token_counts.sum()),
+        total_tokens=total_tokens,
         token_counts=token_counts,
         ngram_entropy=ngram,
         id_rank=id_rank,

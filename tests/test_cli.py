@@ -409,6 +409,29 @@ class TestLedgerLifecycle:
 
 
 class TestRun:
+    def test_run_and_report_import_no_scipy_stats(self, synth_files, tmp_path):
+        # scipy.stats costs every process about 42 MB and 0.45 s; a child
+        # process, so the modules are those of the CLI alone, lazy ones included
+        run = run_argv("run", synth_files, tmp_path / "out", "--budget", "8",
+                       "--oracle-spec", write_spec(tmp_path, PLANTED_SPEC))
+        report = ["report", str(tmp_path / "out" / "ledger.jsonl"),
+                  "--out-dir", str(tmp_path / "rep")]
+        script = (
+            "import sys\n"
+            "from recipesearch import cli\n"
+            f"assert cli.main({run!r}) == 0 and cli.main({report!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        guidance = [e for e in ledger_lines(tmp_path / "out" / "ledger.jsonl")
+                    if e["type"] == "guidance"]
+        assert any("Spearman" in f for e in guidance for f in e["findings"])
+        assert (tmp_path / "rep" / "state_correlations.csv").read_text().count("\n") > 1
+
     def test_constant_run_structure(self, synth_files, tmp_path):
         out_dir = tmp_path / "run"
         code = main(
@@ -706,11 +729,12 @@ def exec_argv(synth_files, tmp_path, recipe, *extra):
             "--out", str(tmp_path / "m.jsonl"), *extra]
 
 
-def signals_with(synth_files, tmp_path, **fields):
-    """The data files, with ``fields`` set on every signals line."""
-    rows = [json.loads(line) for line in Path(synth_files[1]).read_text().splitlines()]
-    write_jsonl(tmp_path / "edited_signals.jsonl", [dict(row, **fields) for row in rows])
-    return with_file(synth_files, "signals", str(tmp_path / "edited_signals.jsonl"))
+def lines_with(synth_files, tmp_path, which, **fields):
+    """The data files, with ``fields`` set on every line of the ``which`` file."""
+    path = synth_files[("pool", "signals").index(which)]
+    rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    write_jsonl(tmp_path / f"edited_{which}.jsonl", [dict(row, **fields) for row in rows])
+    return with_file(synth_files, which, str(tmp_path / f"edited_{which}.jsonl"))
 
 
 def printing_scorer(tmp_path, line):
@@ -810,8 +834,12 @@ FAILURES = {
                               "false", "--oracle-spec", write_spec(t, PLANTED_SPEC)),
         2, "config rejected: --oracle-spec requires --oracle synthetic\n"),
     "ingestion_all_zero_varentropy": (
-        lambda f, t: run_argv("run", signals_with(f, t, varentropy=0.0), t / "out"),
+        lambda f, t: run_argv("run", lines_with(f, t, "signals", varentropy=0.0), t / "out"),
         1, "ingestion failed: all-zero varentropy column\n"),
+    "ingestion_pool_without_a_token": (
+        lambda f, t: run_argv("run", lines_with(f, t, "pool", instruction=" ", response=""),
+                              t / "out"),
+        1, "ingestion failed: no sample has a token in pool file "),
     "ingestion": (lambda f, t: run_argv("run", with_file(f, "signals", "/no/such"), t / "out"),
                   1, "ingestion failed: "),
     "ingest_check_pool_not_utf8": (
@@ -845,8 +873,9 @@ FAILURES = {
         lambda f, t: exec_argv(f, t, {"steps": [{"operator": "semdedup", "params": {
             "n_clusters": 5000, "tau": 0.9, "seed": 0}}]}),
         1, "execution aborted: step 1: n_clusters 5000 exceeds subset size 200"),
-    "exec_state_error": (lambda f, t: exec_argv(signals_with(f, t, sparse=[]), t, IFD_HALF),
-                         1, "execution aborted: no subset sample carries activation"),
+    "exec_state_error": (
+        lambda f, t: exec_argv(lines_with(f, t, "signals", sparse=[]), t, IFD_HALF),
+        1, "execution aborted: no subset sample carries activation"),
     "run_score_overflow": (
         lambda f, t: run_argv("run", f, t / "out", "--oracle-spec", write_spec(t, OVERFLOW_SPEC)),
         1, "run aborted: non-finite score from the oracle: -inf"),

@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from recipesearch import controller
@@ -20,6 +21,7 @@ from recipesearch.controller import (
     EvalRecord,
     Guidance,
     SearchConfig,
+    average_ranks,
     fallback_rank,
     fallback_reseed,
     fallback_summarize,
@@ -296,6 +298,26 @@ class TestSearchStructure:
                             constant_oracle())
         assert len(result.records) == 15
         assert sum(digests) <= 15
+
+    def test_search_without_a_sink_or_role_command_skips_the_summary(self, monkeypatch):
+        # the findings go only to the sink and to role prompts
+        pool, signals = make_synthetic_pool(n_samples=2000, sae_dim=32, seed=7)
+        spec = SyntheticOracleSpec(family="planted_quadratic", weights={"retain_ratio": 1.0},
+                                   targets={"retain_ratio": 0.5})
+        config = SearchConfig(budget=15, patience=2, master_seed=1)
+        events = []
+        with_sink = run_search(config, pool, signals, SyntheticOracle(spec),
+                               sink=events.append)
+        assert any(e["type"] == "guidance" for e in events)
+
+        def refuse(history, catalog):
+            raise AssertionError("summarized without a reader")
+
+        monkeypatch.setattr(controller, "fallback_summarize", refuse)
+        without = run_search(config, pool, signals, SyntheticOracle(spec))
+        assert ([r.to_event() for r in without.records]
+                == [r.to_event() for r in with_sink.records])
+        assert without.incumbent_ids == with_sink.incumbent_ids
 
     def test_fallback_search_computes_no_more_states_than_it_evaluates(self, monkeypatch):
         # warmup bands and the fallback ranker read only retain ratios
@@ -1131,6 +1153,24 @@ def test_state_correlations_match_the_spearmanr_loop_bit_for_bit(case):
     fields, scores = case
     bits = lambda corrs: [(name, rho.hex()) for name, rho in corrs]  # noqa: E731
     assert bits(state_correlations(fields, scores)) == bits(spearman_loop(fields, scores))
+
+
+# Rank-table entries: integers with many ties, signed zeros, tiny and huge magnitudes.
+_RANK_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 12)),
+              elements=_RANK_ENTRIES))
+def test_average_ranks_match_rankdata_bit_for_bit(table):
+    expected = stats.rankdata(table, method="average", axis=0)
+    got = average_ranks(table)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.filterwarnings("error")

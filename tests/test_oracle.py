@@ -193,7 +193,7 @@ class TestManifestRecordCache:
            texts=st.lists(st.tuples(AWKWARD, AWKWARD, AWKWARD, AWKWARD), min_size=1,
                           max_size=12))
     def test_every_manifest_matches_the_reference(self, data, texts):
-        rows = awkward_rows(texts)
+        rows = awkward_rows([*texts, ("t", "token", "", "s")])  # a pool needs a token
         pool = load_rows(rows)
         subsets = data.draw(st.lists(
             st.lists(st.integers(0, len(rows) - 1), max_size=len(rows)), min_size=1,

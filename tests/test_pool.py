@@ -229,12 +229,14 @@ def reference_load_pool(path: str) -> dict:
             records.append(tuple(rec[key] for key in required))
     if not records:
         raise PoolError(f"empty pool file: {path}")
+    token_counts = [len(inst.split()) + len(resp.split()) for _, inst, resp, _ in records]
+    if not any(token_counts):
+        raise PoolError(f"no sample has a token in pool file {path}")
     by_id = sorted(index)
     rank_of = {sid: r for r, sid in enumerate(by_id)}
     digest = hashlib.sha256()
     for record in records:
         digest.update(json.dumps(list(record)).encode())
-    token_counts = [len(inst.split()) + len(resp.split()) for _, inst, resp, _ in records]
     return {
         **dict(zip(POOL_COLUMNS, zip(*records))),
         "token_counts": np.array(token_counts, dtype=np.int64),
@@ -250,9 +252,11 @@ def reference_load_pool(path: str) -> dict:
 
 
 def ingested_entropy(work: Path, texts: list[tuple[str, str]]) -> np.ndarray:
-    rows = text_pool(texts)
+    """The ingested entropy of each (instruction, response), loaded beside one
+    sample with a token, since a pool without a token is rejected."""
+    rows = text_pool([*texts, ("t", "")])
     lines = [signal_line(r["id"], [[0, 1.0]]) for r in rows]
-    return ingest(work, rows, lines)[1].ngram_entropy
+    return ingest(work, rows, lines)[1].ngram_entropy[:-1]
 
 
 class TestLoadPool:
@@ -281,6 +285,13 @@ class TestLoadPool:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(PoolError, match="empty pool file"):
+            load_pool(str(path))
+
+    def test_pool_without_a_token(self, tmp_path):
+        # every state's token ratio would be 0/0, a NaN in each eval line
+        path = tmp_path / "blank.jsonl"
+        write_jsonl(path, text_pool([("", ""), (" \t", "\n"), ("", " ")]))
+        with pytest.raises(PoolError, match="no sample has a token"):
             load_pool(str(path))
 
     def test_record_not_an_object_names_line(self, tmp_path):
@@ -371,8 +382,13 @@ class TestColumnarPool:
             path = Path(tmp) / "pool.jsonl"
             path.write_text("".join(json.dumps(row, ensure_ascii=ascii_only) + "\n"
                                     for row in rows), encoding="utf-8")
+            try:
+                expected = reference_load_pool(str(path))
+            except PoolError as exc:  # no sample has a token
+                with pytest.raises(PoolError, match=re.escape(str(exc))):
+                    load_pool(str(path))
+                return
             pool = load_pool(str(path))
-            expected = reference_load_pool(str(path))
         for name in POOL_COLUMNS:
             assert getattr(pool, name) == expected[name], name
         for name in POOL_ARRAYS:
