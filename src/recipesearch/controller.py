@@ -49,6 +49,7 @@ from .recipe import (
     recipe_from_obj,
     recipe_to_obj,
     sample_random_recipe,
+    size_range,
     validate_recipe,
 )
 from .state import StateError, StateVector, check_summarizable, compute_state
@@ -640,6 +641,8 @@ class _Runtime:
         self.materializations = 0
         self.steps_executed = 0
         self.states_computed = 0
+        self.draws = 0                  # random recipes drawn
+        self.draws_skipped = 0          # of those, proved by size_range to miss a band
         self.seed_phase = 1
 
     def emit(self, event: dict) -> None:
@@ -698,26 +701,51 @@ class _Runtime:
             logger.debug("candidate aborted: %s (%s)", describe_recipe(recipe), exc)
             return None
 
-    def draw_candidate(self, rng: np.random.Generator, cap: int, miss=None) -> Candidate | None:
-        """The first of up to ``cap`` random recipes that materializes and that
-        ``miss`` accepts, else the draw that misses by least (earliest on a tie).
+    def draw_candidate(
+        self, rng: np.random.Generator, cap: int, band: tuple[float, float] | None = None,
+    ) -> Candidate | None:
+        """The first of up to ``cap`` random recipes that materializes with a
+        retain ratio in ``band``, a ``(lo, hi]`` pair, else the draw whose
+        ratio is nearest the band (earliest on a tie). Without a band the
+        first draw that materializes is taken.
 
-        ``miss(cand)`` is None to accept, else the distance by which the draw
-        misses; without ``miss`` the first draw that materializes is taken.
+        A draw whose :func:`size_range` proves it misses the band (its largest
+        size over the pool size at most ``lo``, or its smallest above ``hi``:
+        float division is monotone) is not materialized unless no draw hits.
+        The candidate returned and the draws taken from ``rng`` are those of
+        materializing every draw.
         """
-        nearest: tuple[float, Candidate] | None = None
-        for _ in range(cap):
-            cand = self.try_materialize(
-                sample_random_recipe(self.catalog, rng, self.config.l_max)
-            )
+        n = len(self.signals.pool)
+        nearest: tuple[float, int, Candidate] | None = None
+        proved: list[tuple[int, Recipe]] = []   # the draws proved to miss
+
+        def keep_nearer(i: int, cand: Candidate) -> None:
+            nonlocal nearest
+            lo, hi = band
+            key = (max(lo - cand.retain_ratio, cand.retain_ratio - hi), i)
+            if nearest is None or key < nearest[:2]:
+                nearest = (*key, cand)
+
+        for i in range(cap):
+            recipe = sample_random_recipe(self.catalog, rng, self.config.l_max)
+            self.draws += 1
+            if band is not None:
+                sizes = size_range(recipe, self.signals)
+                if sizes is not None and (sizes[1] / n <= band[0] or sizes[0] / n > band[1]):
+                    proved.append((i, recipe))
+                    self.draws_skipped += 1
+                    continue
+            cand = self.try_materialize(recipe)
             if cand is None:
                 continue
-            dist = None if miss is None else miss(cand)
-            if dist is None:
+            if band is None or band[0] < cand.retain_ratio <= band[1]:
                 return cand
-            if nearest is None or dist < nearest[0]:
-                nearest = (dist, cand)
-        return None if nearest is None else nearest[1]
+            keep_nearer(i, cand)
+        for i, recipe in proved:
+            cand = self.try_materialize(recipe)
+            if cand is not None:
+                keep_nearer(i, cand)
+        return None if nearest is None else nearest[2]
 
     def evaluate(self, cand: Candidate, is_warmup: bool) -> bool:
         """One budget unit at step ``len(records) + 1``: oracle or cache, then record.
@@ -775,12 +803,6 @@ class _Runtime:
         return improved
 
 
-def _band_miss(lo: float, hi: float):
-    """The ``miss`` of draw_candidate that accepts a retain ratio in (lo, hi]."""
-    return lambda c: (None if lo < c.retain_ratio <= hi
-                      else max(lo - c.retain_ratio, c.retain_ratio - hi))
-
-
 def _run_warmup(rt: _Runtime) -> Recipe:
     """Probe low/medium/high retention bins, then evaluate the three probes.
 
@@ -791,12 +813,18 @@ def _run_warmup(rt: _Runtime) -> Recipe:
     """
     rng = role_rng(rt.config.master_seed, 0, "warmup")
     probes: list[Candidate] = []
-    for bin_idx, band in enumerate(RETAIN_BANDS):
-        cand = rt.draw_candidate(rng, WARMUP_RESAMPLE_CAP, miss=_band_miss(*band))
+    for bin_idx, (lo, hi) in enumerate(RETAIN_BANDS):
+        draws, skipped = rt.draws, rt.draws_skipped
+        cand = rt.draw_candidate(rng, WARMUP_RESAMPLE_CAP, (lo, hi))
         if cand is None:
             raise ControllerError(
                 f"warmup bin {bin_idx} unfillable after {WARMUP_RESAMPLE_CAP} draws"
             )
+        logger.debug(
+            "warmup bin %d (%.4f, %.4f]: %d draws, %d skipped by their size range, %s",
+            bin_idx, lo, hi, rt.draws - draws, rt.draws_skipped - skipped,
+            "hit" if lo < cand.retain_ratio <= hi else "fell back to the nearest draw",
+        )
         probes.append(cand)
 
     for cand in probes:

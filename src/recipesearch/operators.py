@@ -659,3 +659,28 @@ def apply_step(
             raise OperatorError(f"unresolvable mix source {ref!r}")
         return apply_mix(subset, source)
     raise OperatorError(f"unknown operator {op!r}")
+
+
+def step_size_range(
+    spec: OperatorSpec, lo: int, hi: int, n_benchmarks: int,
+) -> tuple[int, int] | None:
+    """The least and greatest output size of ``apply_step(spec, s)`` over
+    input sizes ``lo <= len(s) <= hi``, whenever the step does not raise;
+    None when the operator's output size has no bound (mix, or unknown).
+
+    Parameters are read as :func:`apply_step` reads them. ``ceil(f * m)`` is
+    nondecreasing in m, and each relevance mask keeps exactly that many.
+    """
+    op = spec.operator
+    if op in SELECTOR_COLUMNS:
+        f = float(spec.param("fraction"))
+        return math.ceil(f * lo), math.ceil(f * hi)
+    if op == MONA_FILTER:
+        f = float(spec.param("fraction"))
+        return math.ceil(f * lo), min(n_benchmarks * math.ceil(f * hi), hi)
+    if op == SEMDEDUP:
+        return 1, hi  # the first sample of each cluster is kept
+    if op == RANDOM_K:
+        k = int(spec.param("k"))
+        return min(k, lo), min(k, hi)
+    return None

@@ -218,7 +218,13 @@ class SyntheticOracleSpec:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        """Check each field unlike its default in type or value, as :meth:`from_dict` would."""
+        """Copy each table, so the caller's dict cannot change the spec after the
+        check; then check each field unlike its default in type or value, as
+        :meth:`from_dict` would."""
+        for table in _TABLES:
+            value = getattr(self, table)
+            if isinstance(value, dict):
+                object.__setattr__(self, table, dict(value))
         problems = _spec_problems({k: v for k, v in vars(self).items()
                                    if (type(v), v) != (type(_DEFAULTS[k]), _DEFAULTS[k])})
         if problems:

@@ -22,6 +22,7 @@ from .operators import (
     Catalog,
     Subset,
     apply_step,
+    step_size_range,
     validate_spec,
 )
 from .pool import SignalTable
@@ -188,6 +189,19 @@ def execute_recipe(
         if i < mix_free:
             memo[steps[: i + 1]] = subset
     return subset
+
+
+def size_range(recipe: Recipe, signals: SignalTable) -> tuple[int, int] | None:
+    """The least and greatest size of ``execute_recipe(recipe, signals, ...)``
+    when it does not abort, from :func:`step_size_range` folded over the steps
+    from the pool size; None when a step's output size has no bound."""
+    lo = hi = len(signals.pool)
+    for spec in recipe.steps:
+        bounds = step_size_range(spec, lo, hi, len(signals.benchmarks))
+        if bounds is None:
+            return None
+        lo, hi = bounds
+    return lo, hi
 
 
 def encode_recipe(recipe: Recipe, catalog: Catalog) -> np.ndarray:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import subprocess
 import sys
 from unittest import mock
@@ -45,6 +46,7 @@ from recipesearch.recipe import (
     propose_local_edits,
     recipe_to_obj,
     sample_random_recipe,
+    size_range,
     validate_recipe,
 )
 from recipesearch.state import StateError, StateVector, compute_state
@@ -1011,9 +1013,9 @@ def test_proposer_failure_evaluates_a_rescue_draw(small_pool, monkeypatch):
     draws = []
     real_draw = controller._Runtime.draw_candidate
 
-    def spying_draw(rt, rng, cap, miss=None):
-        if miss is not None:  # a warmup probe
-            return real_draw(rt, rng, cap, miss)
+    def spying_draw(rt, rng, cap, band=None):
+        if band is not None:  # a warmup probe
+            return real_draw(rt, rng, cap, band)
         state = rng.bit_generator.state
         draws.append((state, real_draw(rt, rng, cap)))
         return draws[-1][1]
@@ -1032,8 +1034,8 @@ def test_no_rescue_draw_ends_the_search(small_pool, monkeypatch):
     monkeypatch.setattr(controller, "propose_local_edits", no_local_edits)
     real_draw = controller._Runtime.draw_candidate
 
-    def no_rescue_draw(rt, rng, cap, miss=None):  # warmup probes still draw
-        return None if miss is None else real_draw(rt, rng, cap, miss)
+    def no_rescue_draw(rt, rng, cap, band=None):  # warmup probes still draw
+        return None if band is None else real_draw(rt, rng, cap, band)
 
     monkeypatch.setattr(controller._Runtime, "draw_candidate", no_rescue_draw)
     with pytest.raises(ControllerError, match="no executable candidate found at step 4"):
@@ -1055,21 +1057,99 @@ def test_warmup_falls_back_to_the_nearest_draw(small_pool, monkeypatch):
 
 
 
+@pytest.mark.parametrize("seed, cap, lines", [
+    (1, controller.WARMUP_RESAMPLE_CAP, [
+        "warmup bin 0 (0.0000, 0.3333]: 1 draws, 0 skipped by their size range, hit",
+        "warmup bin 1 (0.3333, 0.6667]: 3 draws, 2 skipped by their size range, hit",
+        "warmup bin 2 (0.6667, 1.0000]: 1 draws, 0 skipped by their size range, hit",
+    ]),
+    (11, 1, [
+        f"warmup bin {i} ({lo:.4f}, {hi:.4f}]: 1 draws, 1 skipped by their size range, "
+        "fell back to the nearest draw"
+        for i, (lo, hi) in enumerate(controller.RETAIN_BANDS)
+    ]),
+])
+def test_warmup_logs_each_bin(small_pool, monkeypatch, caplog, seed, cap, lines):
+    pool, signals = small_pool
+    monkeypatch.setattr(controller, "WARMUP_RESAMPLE_CAP", cap)
+    caplog.set_level(logging.DEBUG, logger="recipesearch.controller")
+    run_warmup(SearchConfig(budget=5, master_seed=seed), pool, signals, constant_oracle())
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("warmup bin")] == lines
+
+
 def test_draw_candidate_takes_the_first_accepted_else_the_earliest_nearest(small_pool):
     pool, signals = small_pool
     catalog = default_catalog(len(pool))
     rt = controller._Runtime(SearchConfig(), signals, constant_oracle(), catalog, None)
     rng = np.random.default_rng(0)
-    draws = [sample_random_recipe(catalog, rng) for _ in range(5)]
-    assert [rt.try_materialize(recipe) is not None for recipe in draws] == [
-        True, True, True, False, True]
+    draws = [sample_random_recipe(catalog, rng) for _ in range(9)]
+    sizes = [None if c is None else len(c.subset) for c in map(rt.try_materialize, draws)]
+    assert sizes == [36, 7, 27, None, 64, None, 27, 66, 6]  # of 120 samples
 
-    def drawn(misses):  # the draw taken when draws[i] misses by misses[i]
-        miss = lambda cand: misses[draws.index(cand.recipe)]  # noqa: E731
-        return rt.draw_candidate(np.random.default_rng(0), len(draws), miss).recipe
+    def drawn(band):
+        return rt.draw_candidate(np.random.default_rng(0), len(draws), band).recipe
 
-    assert drawn((2.0, 1.0, 3.0, 0.0, 1.0)) == draws[1]  # the earlier of a tie
-    assert drawn((2.0, 1.0, 3.0, None, None)) == draws[4]  # draws[3] aborts
+    # none lands in (0.2, 0.21]; draws[2] and draws[6] are nearest, the later
+    # skipped by its size range and materialized after the last draw
+    assert size_range(draws[6], signals) == (27, 27)
+    assert drawn((0.2, 0.21)) == draws[2]  # the earlier of a tie
+    # draws[3] and draws[5] abort, though their size ranges meet the band
+    assert [size_range(draws[i], signals) for i in (3, 5)] == [(1, 7), (1, 20)]
+    assert drawn((0.04, 0.05)) == draws[8]
+
+
+def materializing_every_draw(rt, rng, cap, band, aborts):
+    """draw_candidate as a loop that materializes each draw before testing it;
+    appends each draw that aborts to ``aborts``."""
+    lo, hi = band
+    nearest = None
+    for _ in range(cap):
+        recipe = sample_random_recipe(rt.catalog, rng, rt.config.l_max)
+        cand = rt.try_materialize(recipe)
+        if cand is None:
+            aborts.append(recipe)
+            continue
+        if lo < cand.retain_ratio <= hi:
+            return cand
+        dist = max(lo - cand.retain_ratio, cand.retain_ratio - hi)
+        if nearest is None or dist < nearest[0]:
+            nearest = (dist, cand)
+    return None if nearest is None else nearest[1]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_warmup_probes_match_materializing_every_draw(small_pool, monkeypatch, cap):
+    pool, signals = small_pool
+    catalog = default_catalog(len(pool))
+    monkeypatch.setattr(controller, "WARMUP_RESAMPLE_CAP", cap)
+    real_role_rng, warmup_rngs = controller.role_rng, []
+
+    def recording_role_rng(*args):
+        warmup_rngs.append(real_role_rng(*args))
+        return warmup_rngs[-1]
+
+    monkeypatch.setattr(controller, "role_rng", recording_role_rng)
+    aborts, skipped, fell_back = [], 0, 0
+    for seed in range(1, 31):
+        config = SearchConfig(budget=5, master_seed=seed)
+        reference = controller._Runtime(config, signals, constant_oracle(), catalog, None)
+        rng = real_role_rng(seed, 0, "warmup")
+        probes = [materializing_every_draw(reference, rng, cap, band, aborts)
+                  for band in controller.RETAIN_BANDS]
+        rt = controller._Runtime(config, signals, constant_oracle(), catalog, None)
+        if None in probes:
+            with pytest.raises(ControllerError, match="unfillable"):
+                controller._run_warmup(rt)
+            continue
+        controller._run_warmup(rt)
+        assert [r.recipe for r in rt.records] == [c.recipe for c in probes]
+        assert [r.subset_hash for r in rt.records] == [c.subset.content_hash() for c in probes]
+        assert warmup_rngs[-1].bit_generator.state == rng.bit_generator.state
+        skipped += rt.draws_skipped
+        fell_back += sum(not lo < c.retain_ratio <= hi
+                         for c, (lo, hi) in zip(probes, controller.RETAIN_BANDS))
+    assert aborts and skipped and fell_back
 
 
 class TimedOracle:

@@ -409,6 +409,16 @@ class TestSyntheticOracle:
         # a field left at its default is not a key the family must read
         assert SyntheticOracleSpec(family="state_linear", coefficients={}).family == "state_linear"
 
+    def test_library_spec_keeps_its_own_tables(self):
+        tables = {name: {"retain_ratio": 1.0} for name in ("weights", "targets", "coefficients")}
+        quadratic = SyntheticOracleSpec(family="planted_quadratic", weights=tables["weights"],
+                                        targets=tables["targets"])
+        linear = SyntheticOracleSpec(family="state_linear", coefficients=tables["coefficients"])
+        for table in tables.values():
+            table["retain_ratio"] = "x"
+        assert (quadratic.weights, quadratic.targets, linear.coefficients) == (
+            {"retain_ratio": 1.0},) * 3
+
     def test_spec_round_trip_from_dict(self):
         doc = {"family": "planted_quadratic", "offset": 2.0,
                "weights": {"retain_ratio": 1.0}, "targets": {"retain_ratio": 0.4}}

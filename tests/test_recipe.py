@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import functools
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recipesearch.operators import OperatorSpec, Subset, apply_step, default_catalog
+from recipesearch.operators import (
+    FRACTION_RANGE,
+    MIX,
+    SEED_BOUND,
+    OperatorSpec,
+    Subset,
+    apply_step,
+    default_catalog,
+)
 from recipesearch.pool import load_pool, load_signals
 from recipesearch.recipe import (
     ExecutionError,
@@ -18,6 +30,7 @@ from recipesearch.recipe import (
     propose_local_edits,
     recipe_to_obj,
     sample_random_recipe,
+    size_range,
     validate_recipe,
 )
 from recipesearch.synthetic import write_synthetic_dataset
@@ -232,6 +245,59 @@ class TestExecute:
             standalone = apply_step(spec, full, signals)
             as_recipe = execute_recipe(Recipe((spec,)), signals)
             assert as_recipe.ids() == standalone.ids()
+
+
+@functools.cache
+def small_pool_with(n_samples: int, n_benchmarks: int):
+    """A synthetic pool of ``n_samples`` with ``n_benchmarks`` benchmark targets."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_synthetic_dataset(
+            tmp, n_samples, sae_dim=8, seed=n_samples,
+            benchmarks=tuple(f"b{j}" for j in range(n_benchmarks)),
+        )
+        pool = load_pool(paths[0])
+        return load_signals(paths[1], paths[2], pool)
+
+
+@st.composite
+def full_catalog_steps(draw, n_samples: int):
+    """One step of any catalog operator, with any parameters validation accepts
+    for a pool of ``n_samples`` (n_clusters and k may exceed the subset)."""
+    name = draw(st.sampled_from(default_catalog(n_samples).names()))
+    fraction = st.floats(0.0, 1.0, exclude_min=True) | st.floats(*FRACTION_RANGE)
+    seed = st.integers(0, SEED_BOUND - 1)
+    if name == MIX:
+        params = {"source": draw(st.sampled_from(["incumbent", "eval:1"]))}
+    elif name == "semdedup":
+        params = {"n_clusters": draw(st.integers(1, n_samples + 2)),
+                  "tau": draw(fraction), "seed": draw(seed)}
+    elif name == "random_k":
+        params = {"k": draw(st.integers(1, 2 * n_samples)), "seed": draw(seed)}
+    else:
+        params = {"fraction": draw(fraction)}
+    return OperatorSpec(name, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_samples=st.sampled_from([1, 2, 5, 17, 40]),
+       n_benchmarks=st.integers(1, 3))
+def test_executed_sizes_fall_within_the_size_range(data, n_samples, n_benchmarks):
+    # every prefix executed before a mix, or before an abort, is in the memo
+    signals = small_pool_with(n_samples, n_benchmarks)
+    steps = data.draw(st.lists(full_catalog_steps(n_samples), min_size=1, max_size=5))
+    source = Subset(np.arange(0, n_samples, 2), signals.pool)
+    memo = {}
+    try:
+        executed = {tuple(steps): execute_recipe(Recipe(tuple(steps)), signals,
+                                                 {"incumbent": source}.get, memo)}
+    except ExecutionError:
+        executed = {}
+    for prefix, subset in {**memo, **executed}.items():
+        sizes = size_range(Recipe(prefix), signals)
+        if MIX in (s.operator for s in prefix):
+            assert sizes is None
+        else:
+            assert sizes[0] <= len(subset) <= sizes[1], (prefix, len(subset), sizes)
 
 
 class TestEncode:
