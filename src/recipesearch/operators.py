@@ -46,7 +46,7 @@ class Subset:
 
     @classmethod
     def full(cls, pool: CanonicalPool) -> "Subset":
-        return cls(np.arange(len(pool), dtype=np.int64), pool)
+        return cls(pool.all_positions, pool)
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -58,14 +58,20 @@ class Subset:
         """SHA-256 of the sorted ids, each UTF-8 encoded and ``\\x00``-terminated.
 
         One hash call over the pool's id buffer, restricted to this subset's
-        entries. Computed on the first call only: the positions are read-only
-        and the pool is fixed, so the digest cannot go stale.
+        entries: whole rows of ``pool.id_rows`` when every id has the same
+        width, else the bytes of each chosen entry. Computed on the first
+        call only: the positions are read-only and the pool is fixed, so the
+        digest cannot go stale.
         """
         if self._digest is None:
             pool = self.pool
             chosen = np.zeros(len(pool), dtype=bool)
             chosen[pool.id_rank[self.positions]] = True
-            data = pool.id_bytes[np.repeat(chosen, pool.id_lengths)]
+            rows = pool.id_rows
+            if rows is None:
+                data = pool.id_bytes[np.repeat(chosen, pool.id_lengths)]
+            else:
+                data = np.compress(chosen, rows)
             self._digest = hashlib.sha256(data).hexdigest()
         return self._digest
 
@@ -338,6 +344,30 @@ def _top_mask(ranks: np.ndarray, keep: int) -> np.ndarray:
     return ranks <= np.partition(ranks, keep - 1)[keep - 1]
 
 
+def _subset_top_mask(subset: Subset, rank: np.ndarray, keep: int) -> np.ndarray:
+    """Mask over ``subset.positions`` of the ``keep`` smallest of the
+    distinct pool-length integer ``rank``.
+
+    Over the whole pool, a :func:`~recipesearch.pool.descending_rank` is a
+    permutation of 0..n-1, so ``rank < keep`` is that mask. When exactly
+    ``keep`` distinct ranks are below ``keep``, every other rank is above
+    all of them; with any other count the partition decides.
+    """
+    if len(subset) == len(subset.pool):
+        below = rank < keep
+        if np.count_nonzero(below) == keep:
+            return below
+    return _top_mask(rank[subset.positions], keep)
+
+
+def _compress(chosen: np.ndarray, subset: Subset) -> Subset:
+    """The samples of ``subset`` where the mask ``chosen`` is set."""
+    if len(subset) == len(subset.pool):  # the positions are 0..n-1
+        return Subset(np.flatnonzero(chosen), subset.pool)
+    # np.compress, several times faster here than indexing with the mask
+    return Subset(np.compress(chosen, subset.positions), subset.pool)
+
+
 def apply_top_fraction(subset: Subset, rank: np.ndarray, alpha: float) -> Subset:
     """Retain the ceil(alpha * |subset|) highest-scoring samples.
 
@@ -356,9 +386,7 @@ def apply_top_fraction(subset: Subset, rank: np.ndarray, alpha: float) -> Subset
             f"{len(subset.pool)} samples; expected pool-length integer ranks"
         )
     keep = math.ceil(alpha * len(subset))
-    # np.compress, several times faster here than indexing with the mask
-    chosen = _top_mask(rank[subset.positions], keep)
-    return Subset(np.compress(chosen, subset.positions), subset.pool)
+    return _compress(_subset_top_mask(subset, rank, keep), subset)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +406,8 @@ def apply_mona_union(subset: Subset, signals: SignalTable, fraction: float) -> S
     keep = math.ceil(fraction * len(subset))
     chosen = np.zeros(len(subset), dtype=bool)
     for ranks in signals.relevance_rank:
-        chosen |= _top_mask(ranks[subset.positions], keep)
-    return Subset(np.compress(chosen, subset.positions), subset.pool)
+        chosen |= _subset_top_mask(subset, ranks, keep)
+    return _compress(chosen, subset)
 
 
 # ---------------------------------------------------------------------------

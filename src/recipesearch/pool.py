@@ -76,6 +76,10 @@ class CanonicalPool:
     tables behind ``Subset.content_hash``: the rank of each id in code-point
     order, the UTF-8 ids in that order with a ``\\x00`` after each, and the
     length of each id's entry in the buffer, terminator included.
+    ``id_rows``, derived on first read, views ``id_bytes`` as one row per id
+    when every entry has the same length, and is None otherwise.
+    ``all_positions`` is the read-only ``arange`` of the pool's positions,
+    made on first read and shared by every whole-pool subset.
 
     Pools compare by identity; :meth:`content_digest` is a pool's content
     identity. :meth:`record_lines` formats each sample's manifest record
@@ -112,6 +116,19 @@ class CanonicalPool:
             h.update(("[%s, %s, %s, %s]" % (
                 q(sid), q(instruction), q(response), q(source))).encode())
         return h.hexdigest()
+
+    @cached_property
+    def id_rows(self) -> np.ndarray | None:
+        width = int(self.id_lengths[0])
+        if (self.id_lengths != width).any():  # an equal byte total is not enough
+            return None
+        return self.id_bytes.view(f"V{width}")  # read-only, as id_bytes is
+
+    @cached_property
+    def all_positions(self) -> np.ndarray:
+        positions = np.arange(len(self.ids), dtype=np.int64)
+        positions.setflags(write=False)
+        return positions
 
     @cached_property
     def _record_cache(self) -> tuple[list, np.ndarray]:
@@ -476,10 +493,14 @@ def _sparse_into(pairs, sae_dim: int, indices: array, values: array) -> str | No
     return None
 
 
-def _csr_parts(rows: np.ndarray, indices: np.ndarray, values: np.ndarray, n_rows: int):
+def _csr_parts(rows: np.ndarray, indices: np.ndarray, values: np.ndarray,
+               n_rows: int, n_cols: int):
     """``indptr``, ``indices`` and ``data`` of flat (row, index, value) entries
-    ordered by (row, index)."""
-    order = np.lexsort((indices, rows))
+    ordered by (row, index); no (row, index) pair may repeat.
+
+    One sort of the key ``row * n_cols + index`` orders them, and a stable
+    sort is fast on entries already written in order."""
+    order = np.argsort(rows * n_cols + indices, kind="stable")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     return indptr, indices[order], values[order]
@@ -581,7 +602,7 @@ def load_signals(path: str, targets_path: str, pool: CanonicalPool) -> SignalTab
     pos_arr = np.frombuffer(positions, dtype=np.int64)
     indptr, act_indices, act_data = _csr_parts(
         np.repeat(pos_arr, np.frombuffer(entry_counts, dtype=np.int64)),
-        np.frombuffer(indices, dtype=np.int64), np.frombuffer(values), n,
+        np.frombuffer(indices, dtype=np.int64), np.frombuffer(values), n, sae_dim,
     )
     scalar_rows = np.frombuffer(scalars).reshape(n, 3)
     ifd, varentropy, ao = (np.full(n, np.nan) for _ in _SCALARS)

@@ -181,6 +181,60 @@ class TestSelectorProperties:
         out = apply_mona_union(subset, signals, alpha)
         assert np.array_equal(out.positions, expected)
 
+    # ties, zeros and both signs of zero across the whole 200-sample pool
+    WHOLE_POOL_SCORES = st.lists(TIED_SCORES | st.sampled_from([0.0, -0.0]),
+                                 min_size=200, max_size=200)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=WHOLE_POOL_SCORES, alpha=FRACTIONS)
+    @example(values=[0.0, -0.0] * 100, alpha=0.5)
+    def test_whole_pool_top_fraction_matches_stable_argsort(self, synth, values, alpha):
+        pool, _ = synth
+        partition = operators._top_mask
+        partitions = []
+
+        def spy(ranks, keep):
+            partitions.append(keep)
+            return partition(ranks, keep)
+
+        subset = Subset.full(pool)
+        keep = math.ceil(alpha * len(pool))
+        expected = stable_argsort_top(subset.positions, values, keep)
+        rank = descending_rank(np.array(values))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_top_mask", spy)
+            assert np.array_equal(apply_top_fraction(subset, rank, alpha).positions, expected)
+            assert partitions == []
+            # distinct ranks, not 0..n-1: fewer than keep of them lie below keep,
+            # unless keep is 1 and rank 0 alone does
+            assert np.array_equal(apply_top_fraction(subset, 2 * rank, alpha).positions,
+                                  expected)
+            assert partitions == ([keep] if keep > 1 else [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=st.lists(WHOLE_POOL_SCORES, min_size=1, max_size=3), alpha=FRACTIONS)
+    def test_whole_pool_mona_union_matches_stable_argsort(self, synth, columns, alpha):
+        pool, signals = synth
+        relevance = np.array(columns).T
+        signals = dataclasses.replace(
+            signals, benchmarks=tuple(f"b{j}" for j in range(len(columns))),
+            relevance=relevance,
+        )
+        subset = Subset.full(pool)
+        keep = math.ceil(alpha * len(pool))
+        expected = np.unique(np.concatenate([
+            stable_argsort_top(subset.positions, relevance[:, j], keep)
+            for j in range(len(columns))
+        ]))
+        assert np.array_equal(apply_mona_union(subset, signals, alpha).positions, expected)
+
+    def test_full_subsets_share_one_read_only_array(self, synth):
+        pool, _ = synth
+        positions = Subset.full(pool).positions
+        assert Subset.full(pool).positions is positions
+        assert not positions.flags.writeable
+        assert np.array_equal(positions, np.arange(len(pool)))
+
 
 class TestDigestProperties:
     @settings(max_examples=60, deadline=None)
@@ -196,17 +250,31 @@ class TestDigestProperties:
     # id holds no NUL, the byte that ends each id in the hashed bytes
     @example(ids=["b", "a", "\u00e9", "ab", "\u4e2d\u6587", "a\x01", "\U0001f600z", "\uff21"],
              data=None)
+    # every id of one width: ASCII, then multi-byte, each entry 4 bytes with its NUL
+    @example(ids=["s002", "s000", "s010", "s001"], data=None)
+    @example(ids=["\u00e9a", "\u4e2d", "a\u00e9", "xyz", "\u00e9b"], data=None)
+    # entries of 3, 2 and 4 bytes: 9 bytes in all, a multiple of the first width
+    @example(ids=["ab", "c", "def"], data=None)
     def test_matches_per_id_loop(self, tmp_path_factory, ids, data):
         path = tmp_path_factory.mktemp("ids") / "pool.jsonl"
         write_jsonl(path, [{"id": i, "instruction": "q", "response": "r", "source": "s"}
                            for i in ids])
         pool = load_pool(str(path))
-        rows = [set(range(len(ids))), {len(ids) - 1}]
+        fixed_width = len({len(i.encode()) for i in ids}) == 1
+        assert (pool.id_rows is not None) == fixed_width
+        rows = [set(range(len(ids))), {len(ids) - 1}, set()]
         if data is not None:
             rows.append(data.draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
         for chosen in rows:
-            subset = Subset(np.array(sorted(chosen)), pool)
+            subset = Subset(np.array(sorted(chosen), dtype=np.int64), pool)
             assert subset.content_hash() == per_id_digest(subset.ids())
+
+    def test_synthetic_pool_hashes_fixed_width_rows(self, synth):
+        pool, _ = synth
+        assert pool.id_rows is not None and not pool.id_rows.flags.writeable
+        assert pool.id_rows.tobytes() == pool.id_bytes.tobytes()
+        subset = Subset(np.arange(0, len(pool), 3), pool)
+        assert subset.content_hash() == per_id_digest(subset.ids())
 
 
 def dense_relevance(a, t):
